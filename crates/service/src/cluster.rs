@@ -9,12 +9,12 @@
 //! prerequisite for the frame cache and the shared-field broadcast
 //! channels to keep working across a cluster. [`ClusterSessionId`] embeds
 //! the owning node into the client-visible session id, so every later
-//! request routes without a lookup table. [`stats_aggregation`] classifies
-//! each per-node `/stats` field as summable (monotonic counters, additive
-//! gauges), max-able (peaks, uptime), or per-node-only (ratios,
-//! configuration, latency quantiles) so the router's cluster view never
-//! adds numbers that are meaningless to add.
+//! request routes without a lookup table. [`aggregate_stats`] folds the
+//! per-node `/stats` documents into the router's cluster view by each
+//! field's declared kind, so the view never adds numbers that are
+//! meaningless to add.
 
+use crate::metrics::{self, Kind};
 use spotnoise::hash::StableHasher;
 use spotnoise::json::Json;
 
@@ -147,110 +147,30 @@ impl std::fmt::Display for ClusterSessionId {
     }
 }
 
-/// How one `/stats` field combines across nodes in the cluster view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StatAgg {
-    /// Monotonic counters and additive gauges: the cluster value is the
-    /// sum (`frames.rendered`, `cache.bytes`, `sessions.live`, ...).
-    Sum,
-    /// High-water marks and clocks: summing would double-count, so the
-    /// cluster value is the max (`queue.peak_depth`, `uptime_seconds`).
-    Max,
-    /// Ratios, identifiers, configuration and latency quantiles: only
-    /// meaningful per node, so the cluster view omits them (consult the
-    /// `per_node` section instead).
-    Skip,
-}
-
-/// Classifies a `(section, field)` pair of the per-node `/stats` document
-/// (schema `spotnoise_service_stats/v1`). Unknown numeric fields default
-/// to [`StatAgg::Sum`] — counters are the common case, and a wrongly
-/// summed peak is visible while a silently dropped counter is not.
-pub fn stats_aggregation(section: &str, field: &str) -> StatAgg {
-    match (section, field) {
-        // Top-level scalars (section "").
-        ("", "uptime_seconds") => StatAgg::Max,
-        ("", "schema") => StatAgg::Skip,
-        // Peaks.
-        ("channels", "peak_subscribers") | ("queue", "peak_depth") => StatAgg::Max,
-        // Ratios and derived means — recompute from the summed inputs if
-        // needed; summing or averaging them is wrong under skewed load.
-        ("cache", "hit_rate")
-        | ("channels", "delivery_ratio")
-        | ("frames", "mean_synthesize_us") => StatAgg::Skip,
-        // Per-node configuration: identical across a homogeneous cluster,
-        // and summing capacities would misstate any single node's limit.
-        ("queue", "watermark") | ("queue", "per_session_cap") => StatAgg::Skip,
-        // Identity, enum state and id lists.
-        ("node", _) | ("sessions", "ids") | ("pressure", "state") | ("pipes", "pooled") => {
-            StatAgg::Skip
-        }
-        _ => StatAgg::Sum,
-    }
-}
-
 /// Folds per-node `/stats` documents into one cluster-view object: every
-/// section of numeric fields combined per [`stats_aggregation`]. The
-/// schema line, latency quantiles and per-session lists are omitted — the
-/// router's `/stats` carries per-node documents alongside this view.
+/// declared node metric with a `/stats` path, combined by its kind alone —
+/// counters and gauges are summed, peaks take the max, and per-node-only
+/// fields (identity, configuration, ratios, latency histograms) are
+/// omitted. A field no node reports (the pipe-pool counters with the pool
+/// off) is omitted too. The router's `/stats` carries the per-node
+/// documents alongside this view.
 pub fn aggregate_stats(per_node: &[Json]) -> Json {
-    let mut sections: Vec<(String, Vec<(String, f64)>)> = Vec::new();
-    let mut scalars: Vec<(String, f64)> = Vec::new();
-    for doc in per_node {
-        let Json::Object(entries) = doc else { continue };
-        for (section, value) in entries {
-            match value {
-                Json::Number(n) => {
-                    fold_field(&mut scalars, section, *n, stats_aggregation("", section));
-                }
-                Json::Object(fields) => {
-                    let slot = match sections.iter_mut().find(|(name, _)| name == section) {
-                        Some((_, slot)) => slot,
-                        None => {
-                            sections.push((section.clone(), Vec::new()));
-                            &mut sections.last_mut().expect("just pushed").1
-                        }
-                    };
-                    for (field, value) in fields {
-                        let Json::Number(n) = value else { continue };
-                        fold_field(slot, field, *n, stats_aggregation(section, field));
-                    }
-                }
-                _ => {}
-            }
+    let mut doc = Vec::new();
+    for metric in metrics::NODE {
+        let Some(path) = metric.stat else { continue };
+        let combine: fn(f64, f64) -> f64 = match metric.kind {
+            Kind::Counter | Kind::Gauge => |a, b| a + b,
+            Kind::Peak => f64::max,
+            Kind::Info | Kind::Histogram => continue,
+        };
+        let values = per_node
+            .iter()
+            .filter_map(|node| metrics::lookup(node, path)?.as_f64());
+        if let Some(value) = values.reduce(combine) {
+            metrics::insert(&mut doc, path, Json::num(value));
         }
     }
-    let mut out: Vec<(String, Json)> = scalars
-        .into_iter()
-        .map(|(name, value)| (name, Json::num(value)))
-        .collect();
-    for (section, fields) in sections {
-        if fields.is_empty() {
-            continue;
-        }
-        out.push((
-            section,
-            Json::Object(
-                fields
-                    .into_iter()
-                    .map(|(name, value)| (name, Json::num(value)))
-                    .collect(),
-            ),
-        ));
-    }
-    Json::Object(out)
-}
-
-fn fold_field(slot: &mut Vec<(String, f64)>, field: &str, value: f64, agg: StatAgg) {
-    let combine: fn(f64, f64) -> f64 = match agg {
-        StatAgg::Sum => |a, b| a + b,
-        StatAgg::Max => f64::max,
-        StatAgg::Skip => return,
-    };
-    match slot.iter_mut().find(|(name, _)| name == field) {
-        Some((_, acc)) => *acc = combine(*acc, value),
-        None => slot.push((field.to_string(), value)),
-    }
+    Json::Object(doc)
 }
 
 #[cfg(test)]
@@ -327,27 +247,39 @@ mod tests {
 
     #[test]
     fn aggregation_table_sums_counters_maxes_peaks_skips_ratios() {
-        assert_eq!(stats_aggregation("frames", "rendered"), StatAgg::Sum);
-        assert_eq!(stats_aggregation("cluster", "peer_hits"), StatAgg::Sum);
-        assert_eq!(stats_aggregation("queue", "peak_depth"), StatAgg::Max);
-        assert_eq!(stats_aggregation("", "uptime_seconds"), StatAgg::Max);
-        assert_eq!(stats_aggregation("cache", "hit_rate"), StatAgg::Skip);
-        assert_eq!(stats_aggregation("queue", "watermark"), StatAgg::Skip);
-        assert_eq!(stats_aggregation("node", "id"), StatAgg::Skip);
+        let kind = |path: &str| {
+            metrics::NODE
+                .iter()
+                .find(|m| m.stat == Some(path))
+                .map(|m| m.kind)
+        };
+        assert_eq!(kind("frames.rendered"), Some(Kind::Counter));
+        assert_eq!(kind("cluster.peer_hits"), Some(Kind::Counter));
+        assert_eq!(kind("cache.bytes"), Some(Kind::Gauge));
+        assert_eq!(kind("queue.peak_depth"), Some(Kind::Peak));
+        assert_eq!(kind("uptime_seconds"), Some(Kind::Peak));
+        assert_eq!(kind("cache.hit_rate"), Some(Kind::Info));
+        assert_eq!(kind("queue.watermark"), Some(Kind::Info));
+        assert_eq!(kind("node.id"), Some(Kind::Info));
+        assert_eq!(kind("latency.request"), Some(Kind::Histogram));
     }
 
     #[test]
     fn aggregate_stats_folds_documents() {
         let a = Json::parse(
             r#"{"schema": "spotnoise_service_stats/v1", "uptime_seconds": 5,
+                "sessions": {"live": 2, "capacity": 64},
                 "frames": {"rendered": 10, "mean_synthesize_us": 3.5},
-                "queue": {"depth": 1, "peak_depth": 4}}"#,
+                "cache": {"bytes": 100, "capacity_bytes": 4096},
+                "queue": {"depth": 1, "peak_depth": 4, "watermark": 32}}"#,
         )
         .unwrap();
         let b = Json::parse(
             r#"{"schema": "spotnoise_service_stats/v1", "uptime_seconds": 9,
+                "sessions": {"live": 3, "capacity": 64},
                 "frames": {"rendered": 7, "mean_synthesize_us": 9.0},
-                "queue": {"depth": 2, "peak_depth": 3}}"#,
+                "cache": {"bytes": 50, "capacity_bytes": 4096},
+                "queue": {"depth": 2, "peak_depth": 3, "watermark": 32}}"#,
         )
         .unwrap();
         let merged = aggregate_stats(&[a, b]);
@@ -359,5 +291,14 @@ mod tests {
         assert_eq!(queue.get("depth").unwrap().as_f64(), Some(3.0));
         assert_eq!(queue.get("peak_depth").unwrap().as_f64(), Some(4.0));
         assert!(merged.get("schema").is_none());
+        // Per-node configuration is omitted, not summed into a capacity no
+        // node has.
+        assert!(queue.get("watermark").is_none());
+        let sessions = merged.get("sessions").unwrap();
+        assert_eq!(sessions.get("live").unwrap().as_f64(), Some(5.0));
+        assert!(sessions.get("capacity").is_none());
+        let cache = merged.get("cache").unwrap();
+        assert_eq!(cache.get("bytes").unwrap().as_f64(), Some(150.0));
+        assert!(cache.get("capacity_bytes").is_none());
     }
 }

@@ -72,6 +72,7 @@ pub mod channel;
 pub mod client;
 pub mod cluster;
 pub mod http;
+mod metrics;
 pub mod node;
 pub mod pressure;
 pub mod queue;

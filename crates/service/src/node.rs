@@ -23,6 +23,7 @@
 use crate::cache::{FrameCache, FrameKey};
 use crate::channel::ChannelRegistry;
 use crate::client::ClientPool;
+use crate::metrics::{self, LatencySnapshot, NodeSnapshot, ServiceCounters};
 use crate::pressure::{PressureConfig, PressureGauge, PressureState};
 use crate::queue::{AdmissionConfig, AdmissionError, FrameQueue};
 use crate::session::{
@@ -35,11 +36,11 @@ use softpipe::{FrameArena, PipePool};
 use spotnoise::json::Json;
 use spotnoise::pipeline::pipe_pool_default_enabled;
 use spotnoise::telemetry::{
-    self, Histogram, HistogramSnapshot, TraceCtx, TraceSink, TraceStage, DEFAULT_TRACE_CAPACITY,
+    self, Histogram, TraceCtx, TraceSink, TraceStage, DEFAULT_TRACE_CAPACITY,
 };
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -182,33 +183,6 @@ pub(crate) struct FrameJob {
     /// which releases the guard), so idle eviction cannot reap the session
     /// while this job waits in the queue.
     _guard: InFlightGuard,
-}
-
-/// Monotonic service-wide counters (lock-free; written by workers and
-/// connection threads).
-#[derive(Default)]
-pub(crate) struct ServiceCounters {
-    pub(crate) http_requests: AtomicU64,
-    frames_rendered: AtomicU64,
-    advect_us: AtomicU64,
-    synthesize_us: AtomicU64,
-    render_us: AtomicU64,
-    pub(crate) streams_started: AtomicU64,
-    pub(crate) frames_streamed: AtomicU64,
-    pub(crate) streams_aborted: AtomicU64,
-    stale_serves: AtomicU64,
-    degraded_serves: AtomicU64,
-    deadline_shed: AtomicU64,
-    quarantined: AtomicU64,
-    pub(crate) panics_caught: AtomicU64,
-    /// Local misses answered out of a sibling node's cache.
-    peer_hits: AtomicU64,
-    /// Peer probes that found the frame cached nowhere.
-    peer_misses: AtomicU64,
-    /// Peer probes that failed at the transport (dead or slow sibling).
-    peer_errors: AtomicU64,
-    /// Cache entries this node served to a probing sibling.
-    peer_serves: AtomicU64,
 }
 
 /// Revalidation for a poisoned session lock. Render panics are caught
@@ -932,18 +906,8 @@ impl NodeCore {
                 job.frame,
                 self.options.max_advances_per_request,
                 |frame_key, bytes, timings| {
-                    self.counters
-                        .frames_rendered
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.counters
-                        .advect_us
-                        .fetch_add(timings.advect_us, Ordering::Relaxed);
-                    self.counters
-                        .synthesize_us
-                        .fetch_add(timings.synthesize_us, Ordering::Relaxed);
-                    self.counters
-                        .render_us
-                        .fetch_add(timings.render_us, Ordering::Relaxed);
+                    // The stage histograms double as the frame counters:
+                    // `frames.rendered` is the synthesize histogram's count.
                     self.telemetry.advect_us.record(timings.advect_us);
                     self.telemetry.synthesize_us.record(timings.synthesize_us);
                     self.telemetry.render_us.record(timings.render_us);
@@ -987,72 +951,65 @@ impl NodeCore {
         }
     }
 
-    /// One percentile block of the `/stats` latency section.
-    fn latency_json(histogram: &Histogram) -> Json {
-        let snap = histogram.snapshot();
-        Json::object([
-            ("count", Json::num(snap.count as f64)),
-            ("mean_us", Json::num(snap.mean())),
-            ("p50_us", Json::num(snap.percentile(50.0) as f64)),
-            ("p90_us", Json::num(snap.percentile(90.0) as f64)),
-            ("p99_us", Json::num(snap.percentile(99.0) as f64)),
-            ("max_us", Json::num(snap.max as f64)),
-        ])
-    }
-
-    /// The `/stats` document. Every subsystem is snapshotted exactly once
-    /// (one lock or atomic load per counter), so each block is internally
-    /// consistent — no torn multi-counter reads within a subsystem.
-    ///
-    /// When the router aggregates these documents across nodes, the
-    /// sum-vs-max-vs-skip decision per field comes from
-    /// [`cluster::stats_aggregation`](crate::cluster::stats_aggregation) —
-    /// new numeric fields added here should be classified there.
-    pub fn stats_json(&self) -> Json {
+    /// Reads every reported metric, taking each subsystem's lock once.
+    fn snapshot(&self) -> NodeSnapshot {
         let registry = lock_recover(&self.registry, |_| {});
         let reg = registry.stats();
-        let session_ids = registry.ids();
-        let handles: Vec<(u64, Arc<Mutex<Session>>)> = session_ids
-            .iter()
-            .filter_map(|&id| registry.get(id).map(|handle| (id, handle)))
+        let sessions = registry
+            .ids()
+            .into_iter()
+            .filter_map(|id| registry.get(id).map(|handle| (id, handle)))
             .collect();
         drop(registry);
         let cache = lock_recover(&self.cache, FrameCache::revalidate);
-        let (cache_len, cache_bytes, cache_cap, cache_stats) = (
+        let (cache_entries, cache_bytes, cache_capacity, cache_stats) = (
             cache.len(),
             cache.bytes(),
             cache.capacity_bytes(),
             cache.stats(),
         );
         drop(cache);
-        let channel_totals = lock_recover(&self.channels, |_| {}).totals();
-        let q = self.queue.stats();
-        let pressure_counters = self.pressure.counters();
-        // One load per counter, gathered up front: later JSON building never
-        // re-reads a counter it already reported.
-        let frames = self.counters.frames_rendered.load(Ordering::Relaxed);
-        let advect_us = self.counters.advect_us.load(Ordering::Relaxed);
-        let synthesize_us = self.counters.synthesize_us.load(Ordering::Relaxed);
-        let render_us = self.counters.render_us.load(Ordering::Relaxed);
-        let http_requests = self.counters.http_requests.load(Ordering::Relaxed);
-        let streams_started = self.counters.streams_started.load(Ordering::Relaxed);
-        let frames_streamed = self.counters.frames_streamed.load(Ordering::Relaxed);
-        let streams_aborted = self.counters.streams_aborted.load(Ordering::Relaxed);
-        let stale_serves = self.counters.stale_serves.load(Ordering::Relaxed);
-        let degraded_serves = self.counters.degraded_serves.load(Ordering::Relaxed);
-        let deadline_shed = self.counters.deadline_shed.load(Ordering::Relaxed);
-        let quarantined = self.counters.quarantined.load(Ordering::Relaxed);
-        let panics_caught = self.counters.panics_caught.load(Ordering::Relaxed);
-        let peer_hits = self.counters.peer_hits.load(Ordering::Relaxed);
-        let peer_misses = self.counters.peer_misses.load(Ordering::Relaxed);
-        let peer_errors = self.counters.peer_errors.load(Ordering::Relaxed);
-        let peer_serves = self.counters.peer_serves.load(Ordering::Relaxed);
-        let mean_synthesize_us = if frames > 0 {
-            synthesize_us as f64 / frames as f64
-        } else {
-            0.0
-        };
-        let per_session: Vec<Json> = handles
+        let t = &self.telemetry;
+        NodeSnapshot {
+            uptime_seconds: self.started.elapsed().as_secs_f64(),
+            node_id: self.node_id(),
+            peers: self.peers.len(),
+            counters: self.counters.snapshot(),
+            registry: reg,
+            sessions,
+            max_sessions: self.options.max_sessions,
+            channels: lock_recover(&self.channels, |_| {}).totals(),
+            cache_entries,
+            cache_bytes,
+            cache_capacity,
+            cache: cache_stats,
+            queue: self.queue.stats(),
+            watermark: self.options.admission.watermark,
+            per_session_cap: self.options.admission.per_session,
+            pressure_state: self.pressure.state(),
+            pressure: self.pressure.counters(),
+            lock_recoveries: softpipe::sync::recoveries(),
+            injected_panics: softpipe::fault::injected_panics(),
+            injected_delays: softpipe::fault::injected_delays(),
+            pipes: self.pools.pipes.as_ref().map(|pool| pool.stats()),
+            trace_recorded: t.trace.recorded(),
+            latency: LatencySnapshot {
+                request: t.request_us.snapshot(),
+                queue_wait: t.queue_wait_us.snapshot(),
+                advect: t.advect_us.snapshot(),
+                synthesize: t.synthesize_us.snapshot(),
+                render: t.render_us.snapshot(),
+                pipe_checkout: t.checkout_us.snapshot(),
+            },
+        }
+    }
+
+    /// The `/stats` document: every declared node metric with a `/stats`
+    /// path, read from one snapshot, plus one row per live session.
+    pub fn stats_json(&self) -> Json {
+        let snap = self.snapshot();
+        let per_session = snap
+            .sessions
             .iter()
             .map(|(id, handle)| match handle.try_lock() {
                 Ok(s) => {
@@ -1075,571 +1032,27 @@ impl NodeCore {
                         ),
                     ])
                 }
-                // A session mid-render holds its lock; report it busy
-                // rather than stalling /stats behind synthesis.
+                // A session mid-render holds its lock; report it busy rather
+                // than stalling /stats behind synthesis.
                 Err(_) => Json::object([
                     ("session", Json::str(format_session_id(*id))),
                     ("busy", Json::Bool(true)),
                 ]),
-            })
-            .collect();
-        Json::object([
-            ("schema", Json::str("spotnoise_service_stats/v1")),
-            (
-                "uptime_seconds",
-                Json::num(self.started.elapsed().as_secs_f64()),
-            ),
-            (
-                "node",
-                Json::object([
-                    ("id", Json::str(self.node_id())),
-                    ("peers", Json::num(self.peers.len() as f64)),
-                ]),
-            ),
-            (
-                "cluster",
-                Json::object([
-                    ("peer_hits", Json::num(peer_hits as f64)),
-                    ("peer_misses", Json::num(peer_misses as f64)),
-                    ("peer_errors", Json::num(peer_errors as f64)),
-                    ("peer_serves", Json::num(peer_serves as f64)),
-                ]),
-            ),
-            (
-                "sessions",
-                Json::object([
-                    ("live", Json::num(reg.live as f64)),
-                    ("created", Json::num(reg.created as f64)),
-                    ("evicted", Json::num(reg.evicted as f64)),
-                    ("closed", Json::num(reg.closed as f64)),
-                    ("quarantined", Json::num(quarantined as f64)),
-                    ("capacity", Json::num(self.options.max_sessions as f64)),
-                    (
-                        "ids",
-                        Json::array(
-                            session_ids
-                                .iter()
-                                .map(|&id| Json::str(format_session_id(id))),
-                        ),
-                    ),
-                ]),
-            ),
-            (
-                "frames",
-                Json::object([
-                    ("rendered", Json::num(frames as f64)),
-                    ("advect_us_total", Json::num(advect_us as f64)),
-                    ("synthesize_us_total", Json::num(synthesize_us as f64)),
-                    ("render_us_total", Json::num(render_us as f64)),
-                    ("mean_synthesize_us", Json::num(mean_synthesize_us)),
-                ]),
-            ),
-            (
-                "channels",
-                Json::object([
-                    ("live", Json::num(channel_totals.live as f64)),
-                    ("created", Json::num(channel_totals.created as f64)),
-                    ("subscribers", Json::num(channel_totals.subscribers as f64)),
-                    (
-                        "peak_subscribers",
-                        Json::num(channel_totals.peak_subscribers as f64),
-                    ),
-                    ("delivered", Json::num(channel_totals.delivered as f64)),
-                    ("synthesized", Json::num(channel_totals.synthesized as f64)),
-                    ("skips", Json::num(channel_totals.skips as f64)),
-                    (
-                        "delivery_ratio",
-                        Json::num(if channel_totals.synthesized > 0 {
-                            channel_totals.delivered as f64 / channel_totals.synthesized as f64
-                        } else {
-                            0.0
-                        }),
-                    ),
-                ]),
-            ),
-            (
-                "cache",
-                Json::object([
-                    ("entries", Json::num(cache_len as f64)),
-                    ("bytes", Json::num(cache_bytes as f64)),
-                    ("capacity_bytes", Json::num(cache_cap as f64)),
-                    ("hits", Json::num(cache_stats.hits as f64)),
-                    ("misses", Json::num(cache_stats.misses as f64)),
-                    ("insertions", Json::num(cache_stats.insertions as f64)),
-                    (
-                        "inserted_lookahead",
-                        Json::num(cache_stats.inserted_lookahead as f64),
-                    ),
-                    ("evictions", Json::num(cache_stats.evictions as f64)),
-                    ("hit_rate", Json::num(cache_stats.hit_rate())),
-                ]),
-            ),
-            (
-                "queue",
-                Json::object([
-                    ("depth", Json::num(q.depth as f64)),
-                    ("peak_depth", Json::num(q.peak_depth as f64)),
-                    (
-                        "watermark",
-                        Json::num(self.options.admission.watermark as f64),
-                    ),
-                    (
-                        "per_session_cap",
-                        Json::num(self.options.admission.per_session as f64),
-                    ),
-                    ("accepted", Json::num(q.accepted as f64)),
-                    ("shed_busy", Json::num(q.shed_busy as f64)),
-                    ("shed_session", Json::num(q.shed_session as f64)),
-                    ("completed", Json::num(q.completed as f64)),
-                ]),
-            ),
-            (
-                "pressure",
-                Json::object([
-                    ("state", Json::str(self.pressure.state().name())),
-                    (
-                        "entered_elevated",
-                        Json::num(pressure_counters.entered_elevated as f64),
-                    ),
-                    (
-                        "entered_saturated",
-                        Json::num(pressure_counters.entered_saturated as f64),
-                    ),
-                    ("recovered", Json::num(pressure_counters.recovered as f64)),
-                    ("stale_serves", Json::num(stale_serves as f64)),
-                    ("degraded_serves", Json::num(degraded_serves as f64)),
-                    ("deadline_shed", Json::num(deadline_shed as f64)),
-                ]),
-            ),
-            (
-                "faults",
-                Json::object([
-                    ("panics_caught", Json::num(panics_caught as f64)),
-                    (
-                        "lock_recoveries",
-                        Json::num(softpipe::sync::recoveries() as f64),
-                    ),
-                    (
-                        "injected_panics",
-                        Json::num(softpipe::fault::injected_panics() as f64),
-                    ),
-                    (
-                        "injected_delays",
-                        Json::num(softpipe::fault::injected_delays() as f64),
-                    ),
-                ]),
-            ),
-            (
-                "pipes",
-                match &self.pools.pipes {
-                    Some(pool) => {
-                        let p = pool.stats();
-                        Json::object([
-                            ("pooled", Json::Bool(true)),
-                            ("spawned", Json::num(p.spawned as f64)),
-                            ("reused", Json::num(p.reused as f64)),
-                            ("retired", Json::num(p.retired as f64)),
-                            ("discarded", Json::num(p.discarded as f64)),
-                            ("idle", Json::num(p.idle as f64)),
-                        ])
-                    }
-                    None => Json::object([("pooled", Json::Bool(false))]),
-                },
-            ),
-            (
-                "http",
-                Json::object([
-                    ("requests", Json::num(http_requests as f64)),
-                    ("streams", Json::num(streams_started as f64)),
-                    ("streamed_frames", Json::num(frames_streamed as f64)),
-                    ("streams_aborted", Json::num(streams_aborted as f64)),
-                ]),
-            ),
-            (
-                "latency",
-                Json::object([
-                    ("request", Self::latency_json(&self.telemetry.request_us)),
-                    (
-                        "queue_wait",
-                        Self::latency_json(&self.telemetry.queue_wait_us),
-                    ),
-                    ("advect", Self::latency_json(&self.telemetry.advect_us)),
-                    (
-                        "synthesize",
-                        Self::latency_json(&self.telemetry.synthesize_us),
-                    ),
-                    ("render", Self::latency_json(&self.telemetry.render_us)),
-                    (
-                        "pipe_checkout",
-                        Self::latency_json(&self.telemetry.checkout_us),
-                    ),
-                ]),
-            ),
-            ("per_session", Json::array(per_session)),
-        ])
+            });
+        let mut doc = vec![(
+            "schema".to_string(),
+            Json::str("spotnoise_service_stats/v1"),
+        )];
+        doc.extend(metrics::stats_object(metrics::NODE, &snap));
+        doc.push(("per_session".to_string(), Json::array(per_session)));
+        Json::Object(doc)
     }
 
-    /// The `/metrics` document: Prometheus text exposition of the latency
-    /// histograms and every service counter.
+    /// The `/metrics` document: Prometheus text exposition of every
+    /// declared node metric with a series name.
     pub fn metrics_text(&self) -> String {
         let mut out = String::with_capacity(8192);
-        let histograms: [(&str, &str, &Arc<Histogram>); 6] = [
-            (
-                "spotnoise_request_duration_us",
-                "End-to-end frame request latency (all outcomes)",
-                &self.telemetry.request_us,
-            ),
-            (
-                "spotnoise_queue_wait_us",
-                "Admission-to-pop wait in the frame queue",
-                &self.telemetry.queue_wait_us,
-            ),
-            (
-                "spotnoise_stage_advect_us",
-                "Per-frame particle-advection stage time",
-                &self.telemetry.advect_us,
-            ),
-            (
-                "spotnoise_stage_synthesize_us",
-                "Per-frame texture-synthesis stage time",
-                &self.telemetry.synthesize_us,
-            ),
-            (
-                "spotnoise_stage_render_us",
-                "Per-frame render stage time",
-                &self.telemetry.render_us,
-            ),
-            (
-                "spotnoise_pipe_checkout_wait_us",
-                "Pipe-pool checkout wait",
-                &self.telemetry.checkout_us,
-            ),
-        ];
-        for (name, help, histogram) in histograms {
-            write_prometheus_histogram(&mut out, name, help, &histogram.snapshot());
-        }
-        let reg = lock_recover(&self.registry, |_| {}).stats();
-        let cache = lock_recover(&self.cache, FrameCache::revalidate);
-        let (cache_len, cache_bytes, cache_stats) = (cache.len(), cache.bytes(), cache.stats());
-        drop(cache);
-        let channels = lock_recover(&self.channels, |_| {}).totals();
-        let q = self.queue.stats();
-        let pressure = self.pressure.counters();
-        let c = &self.counters;
-        let singles: [(&str, &str, &str, f64); 45] = [
-            // (name, type, help, value)
-            (
-                "spotnoise_http_requests_total",
-                "counter",
-                "HTTP requests handled",
-                c.http_requests.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_frames_rendered_total",
-                "counter",
-                "Frames synthesized",
-                c.frames_rendered.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_streams_started_total",
-                "counter",
-                "Frame streams started",
-                c.streams_started.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_frames_streamed_total",
-                "counter",
-                "Frames pushed over streams",
-                c.frames_streamed.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_sessions_live",
-                "gauge",
-                "Sessions currently live",
-                reg.live as f64,
-            ),
-            (
-                "spotnoise_sessions_created_total",
-                "counter",
-                "Sessions ever created",
-                reg.created as f64,
-            ),
-            (
-                "spotnoise_sessions_evicted_total",
-                "counter",
-                "Sessions removed by idle eviction",
-                reg.evicted as f64,
-            ),
-            (
-                "spotnoise_sessions_closed_total",
-                "counter",
-                "Sessions closed by clients",
-                reg.closed as f64,
-            ),
-            (
-                "spotnoise_cache_entries",
-                "gauge",
-                "Cached frames",
-                cache_len as f64,
-            ),
-            (
-                "spotnoise_cache_bytes",
-                "gauge",
-                "Bytes held by the frame cache",
-                cache_bytes as f64,
-            ),
-            (
-                "spotnoise_cache_hits_total",
-                "counter",
-                "Cache hits",
-                cache_stats.hits as f64,
-            ),
-            (
-                "spotnoise_cache_misses_total",
-                "counter",
-                "Cache misses",
-                cache_stats.misses as f64,
-            ),
-            (
-                "spotnoise_cache_insertions_total",
-                "counter",
-                "Cache insertions",
-                cache_stats.insertions as f64,
-            ),
-            (
-                "spotnoise_cache_inserted_lookahead_total",
-                "counter",
-                "Look-ahead cache insertions",
-                cache_stats.inserted_lookahead as f64,
-            ),
-            (
-                "spotnoise_cache_evictions_total",
-                "counter",
-                "Cache LRU evictions",
-                cache_stats.evictions as f64,
-            ),
-            (
-                "spotnoise_peer_cache_hits_total",
-                "counter",
-                "Local misses served out of a sibling node's cache",
-                c.peer_hits.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_peer_cache_misses_total",
-                "counter",
-                "Peer probes that found the frame cached nowhere",
-                c.peer_misses.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_peer_cache_errors_total",
-                "counter",
-                "Peer probes that failed at the transport",
-                c.peer_errors.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_peer_cache_serves_total",
-                "counter",
-                "Cache entries served to probing sibling nodes",
-                c.peer_serves.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_queue_depth",
-                "gauge",
-                "Jobs waiting in the frame queue",
-                q.depth as f64,
-            ),
-            (
-                "spotnoise_queue_peak_depth",
-                "gauge",
-                "Highest queue depth observed",
-                q.peak_depth as f64,
-            ),
-            (
-                "spotnoise_queue_accepted_total",
-                "counter",
-                "Jobs admitted",
-                q.accepted as f64,
-            ),
-            (
-                "spotnoise_queue_shed_busy_total",
-                "counter",
-                "Submissions shed at the watermark",
-                q.shed_busy as f64,
-            ),
-            (
-                "spotnoise_queue_shed_session_total",
-                "counter",
-                "Submissions shed at the per-session cap",
-                q.shed_session as f64,
-            ),
-            (
-                "spotnoise_queue_completed_total",
-                "counter",
-                "Jobs fully executed",
-                q.completed as f64,
-            ),
-            (
-                "spotnoise_channels_live",
-                "gauge",
-                "Broadcast channels live",
-                channels.live as f64,
-            ),
-            (
-                "spotnoise_channels_subscribers",
-                "gauge",
-                "Subscribers across live channels",
-                channels.subscribers as f64,
-            ),
-            (
-                "spotnoise_channels_delivered_total",
-                "counter",
-                "Frames delivered to channel subscribers",
-                channels.delivered as f64,
-            ),
-            (
-                "spotnoise_channels_synthesized_total",
-                "counter",
-                "Frames synthesized on channel clocks",
-                channels.synthesized as f64,
-            ),
-            (
-                "spotnoise_channels_skips_total",
-                "counter",
-                "Fallen-behind serves skipped to the frontier",
-                channels.skips as f64,
-            ),
-            (
-                "spotnoise_streams_aborted_total",
-                "counter",
-                "Streams cut short by a client disconnect mid-write",
-                c.streams_aborted.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_pressure_state",
-                "gauge",
-                "Pressure ladder state (0 healthy, 1 elevated, 2 saturated)",
-                self.pressure.state() as u8 as f64,
-            ),
-            (
-                "spotnoise_pressure_entered_elevated_total",
-                "counter",
-                "Transitions into the elevated pressure state",
-                pressure.entered_elevated as f64,
-            ),
-            (
-                "spotnoise_pressure_entered_saturated_total",
-                "counter",
-                "Transitions into the saturated pressure state",
-                pressure.entered_saturated as f64,
-            ),
-            (
-                "spotnoise_pressure_recovered_total",
-                "counter",
-                "Pressure de-escalations back down the ladder",
-                pressure.recovered as f64,
-            ),
-            (
-                "spotnoise_stale_serves_total",
-                "counter",
-                "Saturated serves answered with the cached channel frontier",
-                c.stale_serves.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_degraded_serves_total",
-                "counter",
-                "Frames served under pressure-degraded footprint sampling",
-                c.degraded_serves.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_deadline_shed_total",
-                "counter",
-                "Requests shed or dropped for missing their deadline",
-                c.deadline_shed.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_sessions_quarantined_total",
-                "counter",
-                "Sessions quarantined after a panicked render",
-                c.quarantined.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_panics_caught_total",
-                "counter",
-                "Panics contained by the service's unwind barriers",
-                c.panics_caught.load(Ordering::Relaxed) as f64,
-            ),
-            (
-                "spotnoise_lock_recoveries_total",
-                "counter",
-                "Poisoned locks recovered and revalidated",
-                softpipe::sync::recoveries() as f64,
-            ),
-            (
-                "spotnoise_fault_injected_panics_total",
-                "counter",
-                "Panics injected by the fault plan",
-                softpipe::fault::injected_panics() as f64,
-            ),
-            (
-                "spotnoise_fault_injected_delays_total",
-                "counter",
-                "Delays injected by the fault plan",
-                softpipe::fault::injected_delays() as f64,
-            ),
-            (
-                "spotnoise_uptime_seconds",
-                "gauge",
-                "Seconds since service start",
-                self.started.elapsed().as_secs_f64(),
-            ),
-            (
-                "spotnoise_trace_recorded_total",
-                "counter",
-                "Trace spans recorded",
-                self.telemetry.trace.recorded() as f64,
-            ),
-        ];
-        for (name, kind, help, value) in singles {
-            write_prometheus_single(&mut out, name, kind, help, value);
-        }
-        if let Some(pool) = &self.pools.pipes {
-            let p = pool.stats();
-            let pool_metrics: [(&str, &str, &str, f64); 5] = [
-                (
-                    "spotnoise_pipes_spawned_total",
-                    "counter",
-                    "Pipe workers spawned",
-                    p.spawned as f64,
-                ),
-                (
-                    "spotnoise_pipes_reused_total",
-                    "counter",
-                    "Checkouts served by a shelved worker",
-                    p.reused as f64,
-                ),
-                (
-                    "spotnoise_pipes_retired_total",
-                    "counter",
-                    "Returned pipes dropped at capacity",
-                    p.retired as f64,
-                ),
-                (
-                    "spotnoise_pipes_discarded_total",
-                    "counter",
-                    "Poisoned pipes discarded instead of reshelved",
-                    p.discarded as f64,
-                ),
-                (
-                    "spotnoise_pipes_idle",
-                    "gauge",
-                    "Idle pipes currently shelved",
-                    p.idle as f64,
-                ),
-            ];
-            for (name, kind, help, value) in pool_metrics {
-                write_prometheus_single(&mut out, name, kind, help, value);
-            }
-        }
+        metrics::write_prometheus(&mut out, metrics::NODE, &self.snapshot());
         out
     }
 
@@ -1677,48 +1090,5 @@ impl NodeCore {
                 })),
             ),
         ])
-    }
-}
-
-/// Appends one histogram in Prometheus text exposition format: cumulative
-/// `_bucket{le=...}` lines (ending at `+Inf`), `_sum` and `_count`, plus
-/// pre-computed `_p50`/`_p90`/`_p99` gauges so scrapers that do not compute
-/// `histogram_quantile` still get the headline percentiles.
-fn write_prometheus_histogram(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    snapshot: &HistogramSnapshot,
-) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    for (le, cumulative) in snapshot.cumulative_buckets() {
-        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-    }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", snapshot.count);
-    let _ = writeln!(out, "{name}_sum {}", snapshot.sum);
-    let _ = writeln!(out, "{name}_count {}", snapshot.count);
-    for (suffix, q) in [("p50", 50.0), ("p90", 90.0), ("p99", 99.0)] {
-        let _ = writeln!(out, "# TYPE {name}_{suffix} gauge");
-        let _ = writeln!(out, "{name}_{suffix} {}", snapshot.percentile(q));
-    }
-}
-
-/// Appends one counter or gauge in Prometheus text exposition format.
-pub(crate) fn write_prometheus_single(
-    out: &mut String,
-    name: &str,
-    kind: &str,
-    help: &str,
-    value: f64,
-) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    if value.fract() == 0.0 && value.abs() < 9.0e15 {
-        let _ = writeln!(out, "{name} {}", value as i64);
-    } else {
-        let _ = writeln!(out, "{name} {value}");
     }
 }

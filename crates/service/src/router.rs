@@ -21,10 +21,11 @@
 //!   down. Workers route *around* trouble before the cluster turns anyone
 //!   away, mirroring the per-node pressure ladder.
 //! * **Aggregated observability** — `/stats` serves a cluster view
-//!   (per-node documents plus counters folded per
-//!   [`stats_aggregation`](crate::cluster::stats_aggregation), so sums are
-//!   summed and peaks are maxed), `/metrics` re-exports every worker's
-//!   series under a `node` label, and `/healthz` degrades through
+//!   (per-node documents plus counters folded by
+//!   [`aggregate_stats`](crate::cluster::aggregate_stats) according to each
+//!   field's declared kind, so sums are summed and peaks are maxed),
+//!   `/metrics` re-exports every worker's series under a `node` label
+//!   next to the router's own counters, and `/healthz` degrades through
 //!   `ok`/`degraded`/`unavailable` as workers fall over.
 //!
 //! Frame responses and streams are relayed intact — `X-Frame-*`,
@@ -38,7 +39,7 @@ use crate::cluster::{aggregate_stats, ClusterSessionId, HashRing};
 use crate::http::{
     finish_chunked, write_frame_record, write_stream_head, FrameRecord, Request, Response,
 };
-use crate::node::write_prometheus_single;
+use crate::metrics::{self, RouterCounters, RouterSnapshot};
 use crate::server::{parse_stream_request, serve_front, FrontHandle, Frontend};
 use crate::spec::SessionSpec;
 use softpipe::sync::lock_recover;
@@ -121,24 +122,6 @@ struct WorkerNode {
 struct HealthEntry {
     state: NodeState,
     checked: Option<Instant>,
-}
-
-#[derive(Default)]
-struct RouterCounters {
-    http_requests: AtomicU64,
-    proxied: AtomicU64,
-    sessions_created: AtomicU64,
-    /// Placements that landed somewhere other than the ring-preferred node
-    /// because it was saturated or down.
-    rerouted: AtomicU64,
-    /// Requests shed with `503` because every worker was down.
-    shed: AtomicU64,
-    /// Proxied requests that failed at the transport (the worker was
-    /// marked down).
-    node_errors: AtomicU64,
-    streams_relayed: AtomicU64,
-    frames_relayed: AtomicU64,
-    panics_caught: AtomicU64,
 }
 
 /// The cluster router: consistent-hash placement over worker nodes plus a
@@ -554,6 +537,18 @@ impl Router {
         )
     }
 
+    /// Reads every declared router metric; `workers_up` is how many
+    /// workers answered the request being served.
+    fn snapshot(&self, workers_up: usize) -> RouterSnapshot {
+        RouterSnapshot {
+            uptime_seconds: self.started.elapsed().as_secs_f64(),
+            id: self.node_id(),
+            workers: self.nodes.len(),
+            workers_up,
+            counters: self.counters.snapshot(),
+        }
+    }
+
     /// The cluster `/stats` document (schema `spotnoise_cluster_stats/v1`):
     /// router counters, the aggregated cluster view, and every reachable
     /// worker's own document.
@@ -587,120 +582,36 @@ impl Router {
                 Json::Object(fields)
             })
             .collect();
-        Response::json(
-            200,
-            Json::object([
-                ("schema", Json::str("spotnoise_cluster_stats/v1")),
-                (
-                    "uptime_seconds",
-                    Json::num(self.started.elapsed().as_secs_f64()),
-                ),
-                (
-                    "router",
-                    Json::object([
-                        ("id", Json::str(self.node_id())),
-                        ("workers", Json::num(self.nodes.len() as f64)),
-                        ("workers_up", Json::num(docs.len() as f64)),
-                        (
-                            "requests",
-                            Json::num(self.counters.http_requests.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "proxied",
-                            Json::num(self.counters.proxied.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "sessions_created",
-                            Json::num(self.counters.sessions_created.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "rerouted",
-                            Json::num(self.counters.rerouted.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "shed",
-                            Json::num(self.counters.shed.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "node_errors",
-                            Json::num(self.counters.node_errors.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "streams_relayed",
-                            Json::num(self.counters.streams_relayed.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "frames_relayed",
-                            Json::num(self.counters.frames_relayed.load(Ordering::Relaxed) as f64),
-                        ),
-                        (
-                            "panics_caught",
-                            Json::num(self.counters.panics_caught.load(Ordering::Relaxed) as f64),
-                        ),
-                    ]),
-                ),
-                ("cluster", aggregate_stats(&docs)),
-                ("per_node", Json::array(per_node)),
-            ]),
-        )
+        let mut doc = vec![(
+            "schema".to_string(),
+            Json::str("spotnoise_cluster_stats/v1"),
+        )];
+        doc.extend(metrics::stats_object(
+            metrics::ROUTER,
+            &self.snapshot(docs.len()),
+        ));
+        doc.push(("cluster".to_string(), aggregate_stats(&docs)));
+        doc.push(("per_node".to_string(), Json::array(per_node)));
+        Response::json(200, Json::Object(doc))
     }
 
     /// The cluster `/metrics`: the router's own counters plus every
     /// reachable worker's exposition re-labeled with `node="<addr>"` so
     /// one scrape sees the whole cluster without series colliding.
     fn metrics_response(&self) -> Response {
+        let texts: Vec<(String, String)> = self
+            .nodes
+            .iter()
+            .filter_map(|node| {
+                let reply = node.pool.request("GET", "/metrics", b"").ok()?;
+                let text = String::from_utf8(reply.body).ok()?;
+                Some((node.addr.to_string(), text))
+            })
+            .collect();
         let mut out = String::with_capacity(16384);
-        let singles: [(&str, &str, &str, u64); 6] = [
-            (
-                "spotnoise_router_requests_total",
-                "counter",
-                "Requests handled by the router front end",
-                self.counters.http_requests.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_proxied_total",
-                "counter",
-                "Requests proxied to worker nodes",
-                self.counters.proxied.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_rerouted_total",
-                "counter",
-                "Placements routed around a saturated or down node",
-                self.counters.rerouted.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_shed_total",
-                "counter",
-                "Requests shed because every worker was down",
-                self.counters.shed.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_node_errors_total",
-                "counter",
-                "Proxied requests that failed at the transport",
-                self.counters.node_errors.load(Ordering::Relaxed),
-            ),
-            (
-                "spotnoise_router_frames_relayed_total",
-                "counter",
-                "Frame records relayed through stream proxying",
-                self.counters.frames_relayed.load(Ordering::Relaxed),
-            ),
-        ];
-        for (name, kind, help, value) in singles {
-            write_prometheus_single(&mut out, name, kind, help, value as f64);
-        }
-        let mut first = true;
-        for node in &self.nodes {
-            let Ok(reply) = node.pool.request("GET", "/metrics", b"") else {
-                continue;
-            };
-            let Ok(text) = String::from_utf8(reply.body) else {
-                continue;
-            };
-            relabel_metrics(&mut out, &text, &node.addr.to_string(), first);
-            first = false;
+        metrics::write_prometheus(&mut out, metrics::ROUTER, &self.snapshot(texts.len()));
+        for (i, (label, text)) in texts.iter().enumerate() {
+            relabel_metrics(&mut out, text, label, i == 0);
         }
         Response::text(200, "text/plain; version=0.0.4", out)
     }

@@ -404,9 +404,25 @@ fn cluster_stats_aggregate_and_streams_relay_bit_identically() {
         rendered >= 3.0,
         "cluster view must sum worker render counters (got {rendered})"
     );
-    // The router's own metrics expose per-node relabeled series.
+    // The router's own metrics expose every router counter, next to the
+    // per-node relabeled series.
     let metrics = client.metrics().expect("router metrics");
     assert!(metrics.contains("spotnoise_router_requests_total"));
+    for (name, at_least) in [
+        ("spotnoise_router_sessions_created_total", 1),
+        ("spotnoise_router_streams_relayed_total", 1),
+        ("spotnoise_router_panics_caught_total", 0),
+    ] {
+        let value = metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(&format!("{name} ")))
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("router /metrics lacks {name}"));
+        assert!(
+            value >= at_least,
+            "{name} = {value}, expected >= {at_least}"
+        );
+    }
     assert!(metrics.contains("node=\""));
     router.shutdown();
     for w in workers {
