@@ -35,6 +35,10 @@
 //! banked under `avx2` are meaningless floors for a `SPOTNOISE_SIMD=off`
 //! run (and vice versa — a scalar bank would let an AVX2 regression hide).
 //! A committed artifact predating the `simd` field must be regenerated.
+//! Likewise it measures at the committed artifact's worker count
+//! (`"threads"`), not the host's parallelism: the parallel gather's
+//! speedup depends on the count, so a bank recorded at one thread is no
+//! floor for a two-thread run.
 //!
 //! `--threads 1,2,4` switches to sweep mode: the whole case list runs once
 //! per listed worker count and the artifact becomes one
@@ -67,6 +71,8 @@ struct ParsedRun {
     /// Recorded SIMD dispatch level; `None` for artifacts written before
     /// the field existed.
     simd: Option<String>,
+    /// Worker threads the run measured with.
+    threads: usize,
     /// `(case name, speedup)` pairs.
     cases: Vec<(String, f64)>,
 }
@@ -104,7 +110,11 @@ fn parse_run(doc: &Json) -> Result<ParsedRun, String> {
             .ok_or_else(|| format!("case {name}: missing speedup"))?;
         out.push((name.to_string(), speedup));
     }
-    Ok(ParsedRun { simd, cases: out })
+    Ok(ParsedRun {
+        simd,
+        threads: threads as usize,
+        cases: out,
+    })
 }
 
 /// Parses a single-run artifact from disk.
@@ -301,6 +311,23 @@ fn main() -> ExitCode {
     }
     if let Some(f) = &filter {
         println!("measuring only cases containing {f:?}");
+    }
+    // Measure at the bank's worker count, so its speedups are comparable.
+    if let Some(committed) = &ratchet {
+        match parse_artifact(committed) {
+            Ok(bank) => {
+                rayon::set_current_num_threads(bank.threads);
+                println!(
+                    "ratchet: measuring at {} worker thread(s), as banked in {}",
+                    bank.threads,
+                    committed.display()
+                );
+            }
+            Err(e) => {
+                eprintln!("ratchet FAILED: {}: {e}", committed.display());
+                return ExitCode::FAILURE;
+            }
+        }
     }
     if let Some(counts) = &threads {
         // Sweep mode: the whole case list once per worker count, one report

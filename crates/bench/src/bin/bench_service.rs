@@ -16,12 +16,13 @@
 //! cache-hot path — a p99 within 64× of its p50 (a wider tail means
 //! something stalls the pure-cache-hit common case),
 //! cache-hot p50 at least 5× below cache-cold at every concurrency,
-//! broadcast fan-out delivering more frames than it synthesizes (≥ 10× with
-//! 64+ subscribers) at a steady-state gap within 2× of the hot single-client
-//! p50, and overload shed with `Busy` while the queue never grew past its
-//! watermark — with the degradation ladder engaged first: the pre-burst
-//! snapshot must show `entered_saturated ≥ 1` and stale + degraded serves
-//! > 0 before any request was refused. A failed check exits non-zero.
+//! broadcast fan-out delivering more fresh frames (deliveries that were not
+//! skip-forwards) than it synthesizes (≥ 10× with 64+ subscribers) at a
+//! steady-state gap within 2× of the hot single-client p50, and overload
+//! shed with `Busy` while the queue never grew past its watermark — with
+//! the degradation ladder engaged first: the pre-burst snapshot must show
+//! `entered_saturated ≥ 1` and stale + degraded serves > 0 before any
+//! request was refused. A failed check exits non-zero.
 //!
 //! `--threads 1,2,4` switches to sweep mode: the whole phase list runs once
 //! per worker count — the rayon shim override and the server's synthesis
@@ -40,6 +41,24 @@ use spotnoise_bench::json::Json;
 use spotnoise_bench::{cluster_bench, service_bench};
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// Broadcast leverage over fresh frames: deliveries that were not
+/// skip-forwards, per synthesized frame. The server's `delivery_ratio`
+/// counts a skip-forward as a delivery, so when subscribers fall behind it
+/// measures the pressure ladder skipping frames, not channels sharing them.
+fn fresh_leverage(fanout: &Json) -> Result<f64, String> {
+    let num = |key: &str| {
+        fanout
+            .get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("fanout missing numeric {key}"))
+    };
+    let synthesized = num("synthesized")?;
+    if synthesized <= 0.0 {
+        return Err("fanout synthesized no frame".to_string());
+    }
+    Ok((num("delivered")? - num("skipped")?) / synthesized)
+}
 
 /// Validates the written artifact against the acceptance criteria.
 fn check_artifact(path: &PathBuf) -> Result<String, String> {
@@ -143,22 +162,24 @@ fn check_artifact(path: &PathBuf) -> Result<String, String> {
     let fields = f_field("fields")?;
     let subscribers = f_field("subscribers")?;
     let ratio = f_field("delivery_ratio")?;
+    let fresh = fresh_leverage(fanout)?;
     let fanout_p50 = f_field("p50_us")?;
     if subscribers < 8.0 {
         return Err(format!(
             "fanout ran with only {subscribers} subscribers, need at least 8"
         ));
     }
-    if ratio <= 1.0 {
+    if fresh <= 1.0 {
         return Err(format!(
-            "fanout delivered/synthesized ratio {ratio:.2} is not > 1: the broadcast \
-             layer is synthesizing per subscriber"
+            "fanout fresh leverage {fresh:.2} (server ratio {ratio:.2}) is not > 1: the \
+             broadcast layer is synthesizing per subscriber"
         ));
     }
     if subscribers >= 64.0 {
-        if ratio < 10.0 {
+        if fresh < 10.0 {
             return Err(format!(
-                "fanout ratio {ratio:.2} below 10x with {subscribers} subscribers"
+                "fanout fresh leverage {fresh:.2} (server ratio {ratio:.2}) below 10x with \
+                 {subscribers} subscribers"
             ));
         }
         if fields > 4.0 {
@@ -215,7 +236,8 @@ fn check_artifact(path: &PathBuf) -> Result<String, String> {
         return Err("requests were shed without the gauge ever reaching saturated".to_string());
     }
     Ok(format!(
-        "{} cases, hot/cold p50 gaps [{}], fanout {ratio:.1}x over {fields} fields, \
+        "{} cases, hot/cold p50 gaps [{}], fanout {fresh:.1}x fresh ({ratio:.1}x with \
+         skip-forwards) over {fields} fields, \
          ladder {stale} stale + {degraded} degraded before overload shed {busy} of {} \
          with queue depth <= {watermark}",
         cases.len(),
@@ -225,7 +247,7 @@ fn check_artifact(path: &PathBuf) -> Result<String, String> {
 }
 
 /// Validates a `--threads` sweep artifact: the envelope schema, one run per
-/// swept count, and a real broadcast leverage in every run.
+/// swept count, and a real fresh-frame broadcast leverage in every run.
 fn check_sweep_artifact(path: &PathBuf, expected_runs: usize) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
     let doc = Json::parse(&text)?;
@@ -253,13 +275,14 @@ fn check_sweep_artifact(path: &PathBuf, expected_runs: usize) -> Result<usize, S
             .and_then(Json::as_array)
             .ok_or_else(|| format!("run {i} has no cases array"))?
             .len();
-        let ratio = run
+        let fanout = run
             .get("fanout")
-            .and_then(|f| f.get("delivery_ratio"))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("run {i} has no fanout delivery_ratio"))?;
-        if ratio <= 1.0 {
-            return Err(format!("run {i}: fanout ratio {ratio:.2} is not > 1"));
+            .ok_or_else(|| format!("run {i} has no fanout object"))?;
+        let fresh = fresh_leverage(fanout).map_err(|e| format!("run {i}: {e}"))?;
+        if fresh <= 1.0 {
+            return Err(format!(
+                "run {i}: fanout fresh leverage {fresh:.2} is not > 1"
+            ));
         }
     }
     Ok(cases)
@@ -434,7 +457,7 @@ fn main() -> ExitCode {
         if check {
             match check_sweep_artifact(&out, reports.len()) {
                 Ok(cases) => println!(
-                    "check OK: {} runs, {cases} cases total, schema valid, fanout > 1x in each",
+                    "check OK: {} runs, {cases} cases total, schema valid, fresh fanout > 1x in each",
                     reports.len()
                 ),
                 Err(e) => {

@@ -25,7 +25,6 @@ pub mod service_bench;
 
 use flowfield::{Rect, RegularGrid, Vec2, VectorField};
 use flowsim::{DnsConfig, DnsSolver, SmogModel};
-use serde::{Deserialize, Serialize};
 use softpipe::machine::MachineConfig;
 use spotnoise::config::{SpotKind, SynthesisConfig};
 use spotnoise::dnc::synthesize_dnc;
@@ -157,7 +156,7 @@ pub fn analytic_small() -> Workload {
 
 /// One cell of a reproduced table: machine shape plus the simulated and
 /// measured throughput.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepCell {
     /// Number of processors (table row).
     pub processors: usize,

@@ -145,7 +145,8 @@ pub struct FanoutResult {
     /// Frames the server actually synthesized (`/stats` channels counter).
     pub synthesized: u64,
     /// delivered / synthesized as the server accounts it — the broadcast
-    /// leverage; O(fields) synthesis makes this scale with subscribers.
+    /// leverage, skip-forwards included; O(fields) synthesis makes this
+    /// scale with subscribers.
     pub delivery_ratio: f64,
     /// Median steady-state inter-frame gap of a subscriber's stream, in
     /// microseconds (the first frame of each stream — which pays the

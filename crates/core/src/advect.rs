@@ -12,10 +12,9 @@
 use crate::spot::Spot;
 use flowfield::particles::{AdvectionStats, ParticleEnsemble, ParticleOptions};
 use flowfield::{Rect, VectorField};
-use serde::{Deserialize, Serialize};
 
 /// How spot positions evolve from frame to frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PositionMode {
     /// Default spot noise: positions are re-randomised every frame, so
     /// successive frames are statistically independent.

@@ -9,11 +9,10 @@
 //! are what the ablation benchmarks sweep.
 
 use flowfield::Integrator;
-use serde::{Deserialize, Serialize};
 pub use softpipe::SamplingMode;
 
 /// The geometric representation used for each spot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpotKind {
     /// A standard spot: one textured polygon with four vertices, rotated to
     /// the local flow direction and stretched by the local speed.
@@ -48,7 +47,7 @@ impl SpotKind {
 }
 
 /// Parameters of a spot-noise texture synthesis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisConfig {
     /// Final texture resolution (square, texels per side). Paper: 512.
     pub texture_size: usize,

@@ -1,7 +1,7 @@
 //! Minimal JSON emission and parsing.
 //!
-//! The container this repository builds in has no registry access, so
-//! `serde_json` is unavailable; the JSON artifacts the workspace produces
+//! The workspace builds without registry access, so it carries no JSON
+//! crate; the JSON artifacts the workspace produces
 //! (`tableN.json`, `BENCH_raster.json`, `BENCH_service.json`, the synthesis
 //! server's `/stats` document and request bodies) are emitted and read
 //! through this small value type instead. Output is pretty-printed with
@@ -18,8 +18,8 @@ pub enum Json {
     Null,
     /// Boolean.
     Bool(bool),
-    /// Finite number (non-finite values are emitted as `null`, like
-    /// serde_json's default behaviour for f64).
+    /// Finite number (non-finite values are emitted as `null`, the usual
+    /// JSON encoding of a non-finite f64).
     Number(f64),
     /// String.
     Str(String),

@@ -87,7 +87,7 @@ pub use synth::{synthesize_sequential, SequentialOutput, SynthesisContext};
 #[cfg(test)]
 mod proptests {
     use crate::config::{SamplingMode, SpotKind, SynthesisConfig};
-    use crate::dnc::synthesize_dnc_with_context;
+    use crate::dnc::synthesize_dnc;
     use crate::partition::{partition_round_robin, partition_tiled, TilingOptions};
     use crate::quality::sampling_quality;
     use crate::spot::{generate_spots, FieldToPixel};
@@ -118,7 +118,7 @@ mod proptests {
             let ctx = SynthesisContext::new(&field, &cfg);
             let seq = synthesize_sequential_with_context(&field, &spots, &cfg, &ctx);
             let machine = MachineConfig::new(processors, pipes);
-            let dnc = synthesize_dnc_with_context(&field, &spots, &cfg, &machine, &ctx);
+            let dnc = synthesize_dnc(&field, &spots, &cfg, &machine);
             let mean_diff = seq.texture.absolute_difference(&dnc.texture) / (64.0 * 64.0);
             prop_assert!(mean_diff < 1e-4, "mean texel difference {mean_diff}");
         }

@@ -8,11 +8,10 @@
 //! side by side.
 
 use crate::perfmodel::PerfPrediction;
-use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
 /// Wall-clock durations of the four pipeline stages of one frame.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Step 1: reading / producing the data set (microseconds).
     pub read_us: u64,
@@ -133,7 +132,7 @@ impl ThroughputMeter {
 /// without a counted lookup (so `insertions` can exceed `misses`) and are
 /// additionally counted in `inserted_lookahead` — the measure of how much
 /// future-serving work each synthesis burst banks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Frame requests served straight from the cache.
     pub hits: u64,
@@ -172,7 +171,7 @@ impl CacheStats {
 
 /// A frame's complete measurement record: wall-clock stage times plus (when
 /// the divide-and-conquer executor ran) the simulated-machine prediction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrameMetrics {
     /// Wall-clock stage timings on the host.
     pub timings: StageTimings,

@@ -17,7 +17,6 @@
 
 use crate::config::SynthesisConfig;
 use crate::spot::{FieldToPixel, Spot};
-use serde::{Deserialize, Serialize};
 use softpipe::PixelTile;
 
 /// Result of a tiled partition.
@@ -94,7 +93,7 @@ pub fn tile_grid_shape(groups: usize) -> (usize, usize) {
 }
 
 /// Options of the tiled partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TilingOptions {
     /// Extra margin (in pixels) added to every spot's footprint when deciding
     /// which tiles it may affect; covers the stretching of spots by the flow.

@@ -13,7 +13,6 @@
 //! balanced-resource behaviour the paper describes (≈4 processors saturate a
 //! pipe, more pipes only help when there are enough processors).
 
-use serde::{Deserialize, Serialize};
 use softpipe::cost::{CostModel, CpuWork, PipeWork};
 use softpipe::machine::MachineConfig;
 
@@ -40,7 +39,7 @@ pub fn eq_3_2(
 }
 
 /// The measured work of one process group during a synthesis run.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GroupWork {
     /// CPU-side spot shape work of the group.
     pub cpu: CpuWork,
@@ -51,7 +50,7 @@ pub struct GroupWork {
 }
 
 /// The model's prediction for one machine configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfPrediction {
     /// Simulated seconds spent in each process group (max of its CPU and
     /// pipe time, since they overlap).

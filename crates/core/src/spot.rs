@@ -13,13 +13,12 @@ use flowfield::stats::SpeedNormalizer;
 use flowfield::{Mat2, Rect, Vec2, VectorField};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use softpipe::cost::CpuWork;
 use softpipe::{TexturedMesh, Vertex};
 
 /// One spot instance: a position in field coordinates and its random,
 /// zero-mean intensity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Spot {
     /// Spot position `xᵢ` in field coordinates.
     pub position: Vec2,
@@ -44,7 +43,7 @@ pub fn generate_spots(count: usize, domain: Rect, amplitude: f64, seed: u64) -> 
 }
 
 /// Maps between field coordinates and texture pixel coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FieldToPixel {
     domain: Rect,
     texture_size: usize,
@@ -94,7 +93,7 @@ impl FieldToPixel {
 
 /// The shape parameters of a transformed standard spot: an ellipse aligned
 /// with the local flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpotTransform {
     /// Rotation angle of the major axis (radians).
     pub angle: f64,

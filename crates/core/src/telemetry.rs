@@ -21,6 +21,7 @@
 //!   code (the scheduler, the cache) can tag spans with the session/channel
 //!   and frame they belong to without threading ids through every call.
 
+use softpipe::sync::lock_recover;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -396,7 +397,9 @@ pub struct TraceEvent {
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// Ring slot: the event plus its 1-based sequence number, so readers can
-/// reassemble wrapped slots in recording order.
+/// reassemble wrapped slots in recording order. A slot is only ever written
+/// whole (one assignment of a `Copy` value), so a poisoned slot still holds
+/// a complete event or `None` and needs no revalidation.
 type TraceSlot = Mutex<Option<(u64, TraceEvent)>>;
 
 struct SinkInner {
@@ -440,8 +443,7 @@ impl TraceSink {
             TraceMode::Ring => false,
             TraceMode::Stderr => true,
         };
-        let slots: Vec<Mutex<Option<(u64, TraceEvent)>>> =
-            (0..capacity.max(1)).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<TraceSlot> = (0..capacity.max(1)).map(|_| Mutex::new(None)).collect();
         TraceSink {
             inner: Some(Arc::new(SinkInner {
                 stderr,
@@ -502,7 +504,7 @@ impl TraceSink {
         };
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let idx = ((seq - 1) % inner.slots.len() as u64) as usize;
-        *inner.slots[idx].lock().expect("trace slot poisoned") = Some((seq, event));
+        *lock_recover(&inner.slots[idx], |_| {}) = Some((seq, event));
         if inner.stderr {
             eprintln!(
                 "[trace] {} actor={} frame={} start_us={} dur_us={} detail={}",
@@ -524,7 +526,7 @@ impl TraceSink {
         let mut tagged: Vec<(u64, TraceEvent)> = inner
             .slots
             .iter()
-            .filter_map(|s| *s.lock().expect("trace slot poisoned"))
+            .filter_map(|s| *lock_recover(s, |_| {}))
             .collect();
         tagged.sort_by_key(|(seq, _)| *seq);
         let skip = tagged.len().saturating_sub(last);
@@ -700,6 +702,28 @@ mod tests {
         );
         assert_eq!(sink.recent(3).len(), 3);
         assert_eq!(sink.recent(3)[2].frame, 19);
+    }
+
+    #[test]
+    fn poisoned_trace_slot_is_recovered_and_counted() {
+        let sink = TraceSink::with_mode(TraceMode::Ring, 2);
+        let t0 = Instant::now();
+        let ctx = TraceCtx { actor: 1, frame: 0 };
+        sink.record_with(TraceStage::Advect, ctx, t0, Duration::ZERO, 0);
+        let inner = Arc::clone(sink.inner.as_ref().unwrap());
+        let _ = std::thread::spawn(move || {
+            let _guard = inner.slots[0].lock().unwrap();
+            panic!("poison the slot");
+        })
+        .join();
+
+        let before = softpipe::sync::recoveries();
+        assert_eq!(sink.recent(10).len(), 1, "the poisoned slot still reads");
+        assert!(softpipe::sync::recoveries() > before);
+        sink.record_with(TraceStage::Advect, ctx, t0, Duration::ZERO, 1);
+        sink.record_with(TraceStage::Advect, ctx, t0, Duration::ZERO, 2);
+        let details: Vec<u64> = sink.recent(10).iter().map(|e| e.detail).collect();
+        assert_eq!(details, vec![1, 2], "recording continues past the poison");
     }
 
     #[test]

@@ -7,10 +7,9 @@
 
 use crate::grid::VectorField;
 use crate::vec2::{Rect, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Constant (uniform) flow.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Uniform {
     /// The constant velocity.
     pub velocity: Vec2,
@@ -28,7 +27,7 @@ impl VectorField for Uniform {
 }
 
 /// Simple shear flow `v = (k * y, 0)`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Shear {
     /// Shear rate.
     pub rate: f64,
@@ -49,7 +48,7 @@ impl VectorField for Shear {
 ///
 /// Divergence-free; particles move on circles, which makes it a good test
 /// case for integrator accuracy (the radius must be conserved).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Vortex {
     /// Angular velocity (radians per unit time).
     pub omega: f64,
@@ -70,7 +69,7 @@ impl VectorField for Vortex {
 }
 
 /// Saddle (stagnation-point) flow `v = k * (x-cx, -(y-cy))`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Saddle {
     /// Strain rate.
     pub rate: f64,
@@ -92,7 +91,7 @@ impl VectorField for Saddle {
 
 /// The classic double-gyre benchmark field on `[0,2] x [0,1]` (scaled to an
 /// arbitrary domain), optionally time dependent.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DoubleGyre {
     /// Velocity amplitude.
     pub amplitude: f64,
@@ -143,7 +142,7 @@ impl VectorField for DoubleGyre {
 
 /// A Lamb–Oseen (viscous) vortex with finite core radius, useful for
 /// exercising the "bent spot" path in regions of strong curvature.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LambOseen {
     /// Circulation of the vortex.
     pub circulation: f64,
@@ -172,7 +171,7 @@ impl VectorField for LambOseen {
 /// A synthetic von Kármán-like vortex street: a uniform stream with a row of
 /// alternating-sign Lamb–Oseen vortices superimposed, mimicking the wake
 /// behind a block without running the DNS solver.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VortexStreet {
     /// Free-stream velocity (along +x).
     pub free_stream: f64,
@@ -239,7 +238,7 @@ impl VectorField for VortexStreet {
 }
 
 /// Taylor–Green cellular vortex array, a standard divergence-free test field.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TaylorGreen {
     /// Velocity amplitude.
     pub amplitude: f64,

@@ -13,7 +13,6 @@
 //! to know which kind it is sampling.
 
 use crate::vec2::{Rect, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// A continuous vector field over a rectangular domain.
 ///
@@ -100,7 +99,7 @@ fn locate(coords: &[f64], x: f64) -> (usize, f64) {
 
 /// A vector field sampled on a uniform (regular) grid, bilinearly
 /// interpolated between samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegularGrid {
     nx: usize,
     ny: usize,
@@ -227,7 +226,7 @@ impl VectorField for RegularGrid {
 }
 
 /// A scalar field sampled on a uniform grid with bilinear interpolation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalarGrid {
     nx: usize,
     ny: usize,
@@ -342,7 +341,7 @@ impl ScalarField for ScalarGrid {
 
 /// A vector field sampled on a rectilinear grid: per-axis monotone coordinate
 /// arrays with possibly non-uniform spacing, as produced by the DNS solver.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RectilinearGrid {
     xs: Vec<f64>,
     ys: Vec<f64>,

@@ -8,10 +8,9 @@
 
 use crate::grid::VectorField;
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// Explicit integration scheme for `dx/dt = v(x)`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum Integrator {
     /// Forward Euler: first order, one field evaluation per step.
     Euler,

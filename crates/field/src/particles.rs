@@ -13,11 +13,10 @@ use crate::vec2::{Rect, Vec2};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A single particle: a position, the random intensity of its spot and its
 /// remaining life span.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Particle {
     /// Current position in field coordinates.
     pub position: Vec2,
@@ -40,7 +39,7 @@ impl Particle {
 }
 
 /// Parameters of the particle ensemble / spot life cycle.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ParticleOptions {
     /// Number of particles (spots per texture).
     pub count: usize,
@@ -74,7 +73,7 @@ impl Default for ParticleOptions {
 }
 
 /// Summary of what happened during one advection step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvectionStats {
     /// Particles whose lifetime expired this frame.
     pub expired: usize,

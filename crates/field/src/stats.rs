@@ -8,10 +8,9 @@
 
 use crate::grid::{RegularGrid, ScalarGrid, VectorField};
 use crate::vec2::{Rect, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a vector field sampled on a lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FieldStats {
     /// Minimum velocity magnitude over the sample lattice.
     pub min_speed: f64,
@@ -148,7 +147,7 @@ pub fn speed_grid(grid: &RegularGrid) -> ScalarGrid {
 }
 
 /// A normalisation helper mapping speeds into `[0, 1]` given field statistics.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpeedNormalizer {
     lo: f64,
     hi: f64,

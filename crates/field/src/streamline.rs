@@ -9,10 +9,9 @@
 use crate::grid::VectorField;
 use crate::integrate::Integrator;
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// Parameters controlling stream-line tracing.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StreamlineOptions {
     /// Integration step size expressed as a fraction of the requested
     /// stream-line length.
@@ -39,7 +38,7 @@ impl Default for StreamlineOptions {
 
 /// A traced stream line: an ordered polyline through the field, with the
 /// index of the vertex corresponding to the original seed point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Streamline {
     /// Polyline vertices ordered upstream to downstream.
     pub points: Vec<Vec2>,

@@ -5,11 +5,10 @@
 //! The type is deliberately minimal: only the operations the visualization
 //! pipeline actually needs (affine maps, rotation, norms, lerp) are provided.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A 2-D vector (also used as a point) with `f64` components.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// Horizontal component.
     pub x: f64,
@@ -233,7 +232,7 @@ impl From<Vec2> for (f64, f64) {
 
 /// A 2x2 matrix used for spot transformations (scaling along the flow
 /// direction, rotation into the flow frame).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat2 {
     /// Row-major entry (0,0).
     pub a: f64,
@@ -336,7 +335,7 @@ impl Mul<Mat2> for Mat2 {
 }
 
 /// Axis-aligned bounding rectangle in field coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Vec2,

@@ -5,11 +5,9 @@
 //! machine also supports the other modes a graphics pipe provides, which the
 //! presentation layer uses when compositing overlays.
 
-use serde::{Deserialize, Serialize};
-
 /// How an incoming fragment value is combined with the value already stored
 /// in the target texture.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum BlendMode {
     /// Destination is replaced by the source.
     Replace,
@@ -25,7 +23,7 @@ pub enum BlendMode {
 
 /// A blend factor in `[0, 1]`, wrapped so that `BlendMode` stays `Eq` and
 /// hashable while still carrying a floating-point alpha.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlphaFactor(u16);
 
 impl AlphaFactor {

@@ -9,12 +9,11 @@
 //! backends that bypass the graphics subsystem (the CPU-only executor)
 //! record nothing, so their uniform reports show zero bus traffic.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use crate::sync::lock_recover;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Categories of bus traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Traffic {
     /// Vertex data streamed from processors to a pipe.
     Vertices,
@@ -25,7 +24,7 @@ pub enum Traffic {
 }
 
 /// A snapshot of the accumulated traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusStats {
     /// Bytes of vertex traffic.
     pub vertex_bytes: u64,
@@ -75,9 +74,17 @@ impl BusTracker {
         BusTracker::default()
     }
 
+    /// Locks the counters. Each counter is bumped by one statement, so a
+    /// writer that panicked mid-`record` leaves at most one transfer counted
+    /// in its category but not in `transfers`; the totals stay usable and
+    /// no revalidation is needed.
+    fn stats(&self) -> MutexGuard<'_, BusStats> {
+        lock_recover(&self.inner, |_| {})
+    }
+
     /// Records a transfer of `bytes` in the given traffic category.
     pub fn record(&self, traffic: Traffic, bytes: u64) {
-        let mut s = self.inner.lock();
+        let mut s = self.stats();
         match traffic {
             Traffic::Vertices => s.vertex_bytes += bytes,
             Traffic::Textures => s.texture_bytes += bytes,
@@ -88,12 +95,12 @@ impl BusTracker {
 
     /// Returns a snapshot of the counters.
     pub fn snapshot(&self) -> BusStats {
-        *self.inner.lock()
+        *self.stats()
     }
 
     /// Clears all counters.
     pub fn reset(&self) {
-        *self.inner.lock() = BusStats::default();
+        *self.stats() = BusStats::default();
     }
 }
 

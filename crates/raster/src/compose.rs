@@ -43,7 +43,6 @@
 use crate::arena::FrameArena;
 use crate::texture::Texture;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Rows per parallel task when composing textures.
@@ -67,7 +66,7 @@ fn compose_chunk_len(width: usize, height: usize) -> usize {
 
 /// A pixel-space tile: the half-open region `[x0, x1) x [y0, y1)` of the
 /// final texture owned by one process group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PixelTile {
     /// Left edge (inclusive).
     pub x0: usize,

@@ -15,11 +15,9 @@
 //! Real wall-clock measurements of the host are reported *alongside* the
 //! simulated numbers by the benchmark harness; see `EXPERIMENTS.md`.
 
-use serde::{Deserialize, Serialize};
-
 /// Work performed on a general-purpose processor for one spot (pipeline step
 /// "advect particles" + spot shape computation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuWork {
     /// Stream-line integration steps (bent spots) or particle advection steps.
     pub streamline_steps: u64,
@@ -39,7 +37,7 @@ impl CpuWork {
 }
 
 /// Work performed by a graphics pipe (pipeline step "generate texture").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipeWork {
     /// Vertices transformed by the pipe.
     pub vertices: u64,
@@ -62,7 +60,7 @@ impl PipeWork {
 }
 
 /// Per-unit simulated costs of the modelled machine (all in seconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// CPU seconds per stream-line integration step (RK4 + bilinear lookups).
     pub cpu_per_streamline_step: f64,

@@ -6,12 +6,11 @@
 //! render target of that step; it also provides the PPM export used by the
 //! examples and the figure-reproduction harness.
 
-use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
 use std::path::Path;
 
 /// An 8-bit-per-channel RGB colour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Rgb {
     /// Red channel.
     pub r: u8,
@@ -51,7 +50,7 @@ impl Rgb {
 }
 
 /// A simple RGB framebuffer with origin at the bottom-left.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Framebuffer {
     width: usize,
     height: usize,

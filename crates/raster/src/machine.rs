@@ -9,10 +9,9 @@
 //! each pipe getting a process group of one master and zero or more slaves.
 
 use crate::cost::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the simulated workstation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineConfig {
     /// Number of general-purpose processors (`nP`).
     pub processors: usize,

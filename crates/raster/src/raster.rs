@@ -46,7 +46,6 @@ use crate::blend::BlendMode;
 use crate::simd::{self, SimdLevel};
 use crate::texture::{FootprintPyramid, Texture};
 use flowfield::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// Fragments per lane block of the vectorized span fills. The fills compute
 /// `LANES` samples into a stack array and blend the block in one
@@ -58,7 +57,7 @@ const LANES: usize = 8;
 
 /// A vertex as submitted to the graphics pipe: a position in *texture pixel
 /// coordinates* and a texture coordinate into the bound spot texture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vertex {
     /// Position in target-texture pixel coordinates.
     pub position: Vec2,
@@ -78,7 +77,7 @@ impl Vertex {
 
 /// Counters of the geometry and fragment work a pipe performed; inputs of
 /// the simulated-time cost model and of the bus-bandwidth accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RasterStats {
     /// Vertices transformed (as submitted on the bus: 3 per lone triangle,
     /// 4 per quad, one per mesh node).

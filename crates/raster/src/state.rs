@@ -11,7 +11,6 @@
 
 use crate::blend::BlendMode;
 use flowfield::{Mat2, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a texture object bound to the pipe.
 pub type TextureId = u32;
@@ -26,7 +25,7 @@ pub type TextureId = u32;
 /// kernel with a single fetch. Spot statistics survive this coarsening (the
 /// speckle-measurement literature's license), which the quality metrics
 /// gate; callers that need bit-exact output keep `Exact`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingMode {
     /// Per-fragment bilinear sampling of the base texture (bit-exact mode).
     #[default]
@@ -37,7 +36,7 @@ pub enum SamplingMode {
 
 /// Counters of state-machine transitions, the input of the state-change
 /// overhead term in the cost model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StateChangeStats {
     /// Number of blend-mode changes applied.
     pub blend_changes: u64,
@@ -70,7 +69,7 @@ impl StateChangeStats {
 
 /// An affine 2-D transform (linear part + translation) as loaded into the
 /// pipe's "model-view matrix".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transform2 {
     /// Linear part (rotation, scaling, shear).
     pub linear: Mat2,
@@ -106,7 +105,7 @@ impl Default for Transform2 {
 }
 
 /// The mutable OpenGL-like state of one graphics pipe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateMachine {
     blend: BlendMode,
     bound_texture: Option<TextureId>,

@@ -5,12 +5,11 @@
 //! small pre-rendered image of the spot function `h(x)` that is mapped onto
 //! each rendered quad or bent-spot mesh.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A single-channel floating-point texture, row-major, origin at the
 /// bottom-left (matching OpenGL texture conventions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Texture {
     width: usize,
     height: usize,

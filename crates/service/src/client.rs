@@ -18,11 +18,12 @@
 
 use crate::cache::FrameKey;
 use crate::http::{read_chunk, FrameRecord, FRAME_RECORD_HEADER};
+use softpipe::sync::lock_recover;
 use spotnoise::json::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::{Deref, DerefMut};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// A parsed HTTP response.
@@ -741,11 +742,12 @@ impl ClientPool {
         self.idle_shelf().len()
     }
 
-    fn idle_shelf(&self) -> std::sync::MutexGuard<'_, Vec<ServiceClient>> {
-        // A panic while a connection is checked *out* cannot poison the
-        // shelf (the lock is never held across a request), so recovering
-        // the guard is always sound.
-        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    fn idle_shelf(&self) -> MutexGuard<'_, Vec<ServiceClient>> {
+        // The lock is never held across a request, so a panic while a
+        // connection is checked *out* cannot poison the shelf. Should it be
+        // poisoned anyway, the shelf is emptied: idle connections are only a
+        // cache of fresh connects, so dropping them costs a reconnect each.
+        lock_recover(&self.idle, Vec::clear)
     }
 
     fn connect_fresh(&self) -> io::Result<ServiceClient> {
@@ -852,5 +854,29 @@ impl Drop for PooledClient<'_> {
                 shelf.push(client);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn poisoned_idle_shelf_is_recovered_and_counted() {
+        let pool = ClientPool::new("127.0.0.1:9".parse().unwrap());
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let _guard = pool.idle.lock().unwrap();
+                    panic!("poison the shelf");
+                })
+                .join();
+        });
+        assert!(pool.idle.is_poisoned());
+
+        let before = softpipe::sync::recoveries();
+        assert_eq!(pool.idle(), 0);
+        assert!(softpipe::sync::recoveries() > before);
+        assert!(!pool.idle.is_poisoned(), "poison flag cleared");
     }
 }

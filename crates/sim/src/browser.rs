@@ -15,12 +15,11 @@ use flowfield::io::{load_vector_grid, save_vector_grid};
 use flowfield::RegularGrid;
 #[cfg(test)]
 use flowfield::Vec2;
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::PathBuf;
 
 /// Metadata describing one stored frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameInfo {
     /// Frame index within the data base.
     pub index: usize,

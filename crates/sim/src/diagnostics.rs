@@ -10,10 +10,9 @@
 
 use crate::dns::DnsSolver;
 use flowfield::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// A single probe sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeSample {
     /// Simulation time of the sample.
     pub time: f64,
@@ -22,7 +21,7 @@ pub struct ProbeSample {
 }
 
 /// A velocity probe at a fixed position, accumulating a time series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WakeProbe {
     /// Probe position in world coordinates.
     pub position: Vec2,
@@ -140,7 +139,7 @@ impl WakeProbe {
 }
 
 /// Per-frame energy statistics of the DNS state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Mean kinetic energy per node (0.5 * |u|^2).
     pub mean_kinetic_energy: f64,

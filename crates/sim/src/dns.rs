@@ -13,10 +13,9 @@
 
 use crate::obstacle::Block;
 use flowfield::{Rect, RectilinearGrid, RegularGrid, Vec2, VectorField};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the DNS substitute solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DnsConfig {
     /// Grid nodes along the channel.
     pub nx: usize,

@@ -5,10 +5,9 @@
 //! behind it are exactly what the spot-noise images show (Figures 2 and 7).
 
 use flowfield::{Rect, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// A rectangular solid obstacle inside the flow domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Block {
     /// The obstacle's extent in world coordinates.
     pub rect: Rect,

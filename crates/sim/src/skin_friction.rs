@@ -20,10 +20,9 @@
 
 use crate::dns::DnsSolver;
 use flowfield::{Rect, RegularGrid, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// The parameters of the reconstructed skin-friction pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkinFrictionPattern {
     /// Height (0..1, fraction of the face) of the attachment line at the
     /// left edge of the face patch.

@@ -21,10 +21,9 @@
 use crate::steering::SmogParameters;
 use crate::wind::WindModel;
 use flowfield::{Integrator, Rect, RegularGrid, ScalarGrid, Vec2, VectorField};
-use serde::{Deserialize, Serialize};
 
 /// An emission source (a city or industrial area).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmissionSource {
     /// Location of the source.
     pub position: Vec2,

@@ -7,11 +7,10 @@
 //! the steerable parameter set and a small command queue that decouples the
 //! UI (or script) issuing changes from the simulation loop applying them.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// The steerable parameters of the smog model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmogParameters {
     /// Scales all emission sources (the "emission parameters" of the paper).
     pub emission_multiplier: f64,
@@ -36,7 +35,7 @@ impl Default for SmogParameters {
 }
 
 /// A single steering command.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SteeringCommand {
     /// Replace the whole parameter set.
     SetParameters(SmogParameters),

@@ -13,11 +13,10 @@
 use flowfield::{Rect, RegularGrid, Vec2, VectorField};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// A drifting pressure system contributing a Gaussian bump to the
 /// streamfunction (positive strength = anticyclone, negative = cyclone).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PressureSystem {
     /// Centre position at time zero.
     pub center: Vec2,
@@ -50,7 +49,7 @@ impl PressureSystem {
 }
 
 /// The synthetic wind model: background westerlies plus drifting systems.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindModel {
     /// Domain of the atmospheric slice ("Europe").
     pub domain: Rect,

@@ -5,11 +5,10 @@
 //! rainbow map is reproduced here together with a few better-behaved
 //! alternatives used by the examples.
 
-use serde::{Deserialize, Serialize};
 use softpipe::Rgb;
 
 /// Available colour maps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Colormap {
     /// Plain grayscale (used for the spot-noise texture itself).
     Grayscale,

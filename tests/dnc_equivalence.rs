@@ -6,7 +6,7 @@
 use flowsim::{DnsConfig, DnsSolver, SmogModel};
 use softpipe::machine::MachineConfig;
 use spotnoise::config::{SpotKind, SynthesisConfig};
-use spotnoise::dnc::{synthesize_cpu_only, synthesize_dnc_with_context};
+use spotnoise::dnc::{synthesize_cpu_only, synthesize_dnc};
 use spotnoise::spot::generate_spots;
 use spotnoise::synth::{synthesize_sequential_with_context, SynthesisContext};
 
@@ -36,7 +36,7 @@ fn dnc_matches_sequential_on_smog_wind_field() {
         MachineConfig::new(4, 2),
         MachineConfig::new(8, 4),
     ] {
-        let dnc = synthesize_dnc_with_context(field, &spots, &cfg, &machine, &ctx);
+        let dnc = synthesize_dnc(field, &spots, &cfg, &machine);
         let d = mean_diff(&seq.texture, &dnc.texture);
         assert!(d < 1e-4, "machine {machine:?}: mean texel difference {d}");
         // Vertex accounting matches the configuration exactly (no spots lost
@@ -70,7 +70,7 @@ fn tiled_dnc_matches_sequential_on_dns_slice() {
     let ctx = SynthesisContext::new(&slice, &cfg);
     let seq = synthesize_sequential_with_context(&slice, &spots, &cfg, &ctx);
     let machine = MachineConfig::new(8, 4);
-    let dnc = synthesize_dnc_with_context(&slice, &spots, &cfg, &machine, &ctx);
+    let dnc = synthesize_dnc(&slice, &spots, &cfg, &machine);
     let d = mean_diff(&seq.texture, &dnc.texture);
     assert!(d < 1e-4, "mean texel difference {d}");
     // Tiling duplicated some boundary spots and reported them.

@@ -7,10 +7,11 @@ use flowfield::Vec2;
 use flowsim::{DnsConfig, DnsSolver, SmogModel};
 use softpipe::machine::MachineConfig;
 use spotnoise::config::{SpotKind, SynthesisConfig};
-use spotnoise::dnc::{synthesize_dnc_with_context, synthesize_dnc_with_options};
+use spotnoise::dnc::{synthesize_dnc, synthesize_dnc_with_telemetry};
 use spotnoise::scheduler::{ScheduleMode, SchedulerOptions};
 use spotnoise::spot::{generate_spots, Spot};
 use spotnoise::synth::{synthesize_sequential_with_context, SynthesisContext};
+use spotnoise::telemetry::TraceSink;
 
 fn mean_diff(a: &softpipe::Texture, b: &softpipe::Texture) -> f64 {
     a.absolute_difference(b) / a.data().len() as f64
@@ -33,13 +34,16 @@ fn dynamic_spot_queue_matches_sequential_on_smog_wind_field() {
     let ctx = SynthesisContext::new(field, &cfg);
     let seq = synthesize_sequential_with_context(field, &spots, &cfg, &ctx);
     let machine = MachineConfig::new(8, 4);
-    let dnc = synthesize_dnc_with_options(
+    let dnc = synthesize_dnc_with_telemetry(
         field,
         &spots,
         &cfg,
         &machine,
         &ctx,
         &SchedulerOptions::dynamic(),
+        None,
+        None,
+        &TraceSink::disabled(),
     );
     let d = mean_diff(&seq.texture, &dnc.texture);
     assert!(d < 1e-4, "mean texel difference {d}");
@@ -77,14 +81,17 @@ fn tiled_compose_bit_identical_across_schedules_on_dns_slice() {
     // deterministic: the composed textures must agree bit for bit no matter
     // which pipe rendered which tile.
     let machine = MachineConfig::new(4, 4);
-    let static_out = synthesize_dnc_with_context(&slice, &spots, &cfg, &machine, &ctx);
-    let dynamic_out = synthesize_dnc_with_options(
+    let static_out = synthesize_dnc(&slice, &spots, &cfg, &machine);
+    let dynamic_out = synthesize_dnc_with_telemetry(
         &slice,
         &spots,
         &cfg,
         &machine,
         &ctx,
         &SchedulerOptions::dynamic(),
+        None,
+        None,
+        &TraceSink::disabled(),
     );
     assert_eq!(
         static_out.texture.absolute_difference(&dynamic_out.texture),
@@ -128,7 +135,17 @@ fn dynamic_tile_queue_rebalances_a_clustered_spot_distribution() {
         mode: ScheduleMode::Dynamic { chunk: None },
         tiles: Some(16),
     };
-    let out = synthesize_dnc_with_options(&field, &spots, &cfg, &machine, &ctx, &opts);
+    let out = synthesize_dnc_with_telemetry(
+        &field,
+        &spots,
+        &cfg,
+        &machine,
+        &ctx,
+        &opts,
+        None,
+        None,
+        &TraceSink::disabled(),
+    );
     let d = mean_diff(&seq.texture, &out.texture);
     assert!(d < 1e-4, "mean texel difference {d}");
     // All 16 tiles were leased exactly once across the 4 groups, and no
