@@ -18,6 +18,7 @@ use flowfield::{Rect, Vec2};
 use softpipe::machine::MachineConfig;
 use spotnoise::config::{SamplingMode, SpotKind, SynthesisConfig};
 use spotnoise::dnc::synthesize_dnc;
+use spotnoise::filter::standard_postprocess;
 use spotnoise::hash::StableHasher;
 use spotnoise::pipeline::{ExecutionMode, Pipeline};
 use spotnoise::quality::sampling_quality;
@@ -88,6 +89,56 @@ fn exact_mode_is_bit_identical_to_seed_output() {
             texture_hash(&out.texture),
             0x1d922e165ddf7bd8,
             "bent-mesh Exact synthesis drifted from the seed output at SIMD level {}",
+            level.name()
+        );
+    }
+    softpipe::simd::force(None);
+}
+
+/// The paper's atmospheric bent-spot shape (`Bent { rows: 32, cols: 17 }`,
+/// sub-pixel mesh cells) pinned in both sampling modes, plus the display
+/// post-processing of the footprint frame. Recorded before the mesh cell
+/// walker and the vectorized box blur landed; both must reproduce these
+/// texels bit for bit at every SIMD level.
+#[test]
+fn paper_bent_mesh_frames_are_bit_identical_to_pinned_output() {
+    let field = vortex();
+    let exact = SynthesisConfig {
+        texture_size: 128,
+        spot_count: 300,
+        ..SynthesisConfig::atmospheric_paper()
+    };
+    let footprint = SynthesisConfig {
+        sampling: SamplingMode::Footprint,
+        ..exact
+    };
+    let spots = generate_spots(
+        exact.spot_count,
+        domain(),
+        exact.intensity_amplitude,
+        exact.seed,
+    );
+    for level in softpipe::simd::available() {
+        softpipe::simd::force(Some(level));
+        let out = synthesize_sequential(&field, &spots, &exact);
+        assert_eq!(
+            texture_hash(&out.texture),
+            0x6a158db7f63187ed,
+            "32x17 Exact synthesis drifted from the pinned output at SIMD level {}",
+            level.name()
+        );
+        let out = synthesize_sequential(&field, &spots, &footprint);
+        assert_eq!(
+            texture_hash(&out.texture),
+            0xb7aef87b85c13eca,
+            "32x17 Footprint synthesis drifted from the pinned output at SIMD level {}",
+            level.name()
+        );
+        let display = standard_postprocess(&out.texture, footprint.spot_radius_pixels());
+        assert_eq!(
+            texture_hash(&display),
+            0x66fe6ea0affef272,
+            "32x17 Footprint display drifted from the pinned output at SIMD level {}",
             level.name()
         );
     }
