@@ -95,6 +95,31 @@ fn exact_mode_is_bit_identical_to_seed_output() {
     softpipe::simd::force(None);
 }
 
+/// The Footprint twin of the pinned `small_test` disc frame: disc quads
+/// through nearest sampling of the footprint pyramid, whose narrow
+/// triangles had no frame-level pin of their own. Recorded before the
+/// scanline span search changed; every SIMD level must reproduce it.
+#[test]
+fn disc_footprint_frame_is_bit_identical_to_pinned_output() {
+    let field = vortex();
+    let cfg = SynthesisConfig {
+        sampling: SamplingMode::Footprint,
+        ..SynthesisConfig::small_test()
+    };
+    let spots = generate_spots(cfg.spot_count, domain(), cfg.intensity_amplitude, cfg.seed);
+    for level in softpipe::simd::available() {
+        softpipe::simd::force(Some(level));
+        let out = synthesize_sequential(&field, &spots, &cfg);
+        assert_eq!(
+            texture_hash(&out.texture),
+            0x9da1b741e87eb0c6,
+            "disc Footprint synthesis drifted from the pinned output at SIMD level {}",
+            level.name()
+        );
+    }
+    softpipe::simd::force(None);
+}
+
 /// The paper's atmospheric bent-spot shape (`Bent { rows: 32, cols: 17 }`,
 /// sub-pixel mesh cells) pinned in both sampling modes, plus the display
 /// post-processing of the footprint frame. Recorded before the mesh cell
