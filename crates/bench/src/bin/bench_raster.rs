@@ -22,7 +22,11 @@
 //! 90 % of its committed speedup, so a future change cannot silently lose
 //! an optimization this repository has already banked. Speedups are
 //! within-run ratios (reference vs optimized on the same host), so the
-//! comparison is robust to absolute machine speed. Committed cases the
+//! comparison is robust to absolute machine speed. With `--ratchet` the
+//! case list runs [`RATCHET_RUNS`] times and each case's speedup (and the
+//! written artifact) is the lower quartile of those runs, the estimator
+//! the committed banks were recorded with; a single run on a shared host
+//! misses its floor on noise alone. Committed cases the
 //! fresh (possibly filtered) run did not measure are ignored — but a fresh
 //! case **missing from the committed artifact fails the ratchet** (listing
 //! every unbanked name): a newly added case (or a typo'd rename) would
@@ -64,6 +68,11 @@ const RATCHET_FLOOR: f64 = 0.9;
 /// headroom (banked 1.12× would fail at 1.01×), so the absolute slack keeps
 /// the gate on genuine pessimization instead of environment drift.
 const RATCHET_SLACK: f64 = 0.15;
+
+/// Runs of the case list a `--ratchet` check measures; each case keeps
+/// the lower quartile of them (see
+/// [`spotnoise_bench::raster_bench::lower_quartile_report`]).
+const RATCHET_RUNS: usize = 9;
 
 /// One parsed `bench_raster/v1` document (or sweep section): the dispatch
 /// metadata plus `(name, speedup)` pairs.
@@ -367,7 +376,16 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let report = spotnoise_bench::raster_bench::run_raster_bench_filtered(filter.as_deref());
+    let runs = if ratchet.is_some() { RATCHET_RUNS } else { 1 };
+    let reports = (0..runs)
+        .map(|run| {
+            if runs > 1 {
+                println!("--- ratchet run {} of {runs} ---", run + 1);
+            }
+            spotnoise_bench::raster_bench::run_raster_bench_filtered(filter.as_deref())
+        })
+        .collect();
+    let report = spotnoise_bench::raster_bench::lower_quartile_report(reports);
     if report.cases.is_empty() {
         eprintln!("filter matched no benchmark case");
         return ExitCode::FAILURE;
