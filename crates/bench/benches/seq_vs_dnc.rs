@@ -1,5 +1,5 @@
 //! Baseline comparison: sequential synthesis (eq. 2.1) vs divide-and-conquer
-//! (eq. 3.2) vs the CPU-only rayon executor that bypasses the graphics
+//! (eq. 3.2) vs the CPU-only executor that bypasses the graphics
 //! subsystem (the paper's "different architectures" discussion).
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -30,7 +30,7 @@ fn bench_workload(c: &mut Criterion, workload: &Workload, label: &str) {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    group.bench_function("cpu_only_rayon", |b| {
+    group.bench_function("cpu_only", |b| {
         b.iter(|| {
             synthesize_cpu_only(
                 workload.field.as_ref(),

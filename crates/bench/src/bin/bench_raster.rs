@@ -6,7 +6,7 @@
 //! ```text
 //! cargo run --release -p spotnoise-bench --bin bench_raster -- \
 //!     [--out BENCH_raster.json] [--check] [--filter <substring>] \
-//!     [--ratchet <committed BENCH_raster.json>] [--threads 1,2,4]
+//!     [--ratchet <committed BENCH_raster.json> [--allow-new]]
 //! ```
 //!
 //! `--check` re-reads the written artifact, parses it and asserts the
@@ -39,17 +39,10 @@
 //! banked under `avx2` are meaningless floors for a `SPOTNOISE_SIMD=off`
 //! run (and vice versa — a scalar bank would let an AVX2 regression hide).
 //! A committed artifact predating the `simd` field must be regenerated.
-//! Likewise it measures at the committed artifact's worker count
-//! (`"threads"`), not the host's parallelism: the parallel gather's
-//! speedup depends on the count, so a bank recorded at one thread is no
-//! floor for a two-thread run.
+//! No case depends on a worker count the bench sets; older banks carry a
+//! `"threads"` key, which the parser ignores.
 //!
-//! `--threads 1,2,4` switches to sweep mode: the whole case list runs once
-//! per listed worker count and the artifact becomes one
-//! `bench_raster_sweep/v1` document with a `runs` array (one
-//! `bench_raster/v1` section per count). Sweep artifacts are measurement
-//! data, not regression banks, so `--threads` excludes `--ratchet`;
-//! `--check` still validates every section.
+//! An unknown argument prints the usage line and exits non-zero.
 
 use spotnoise_bench::json::Json;
 use std::path::PathBuf;
@@ -74,14 +67,15 @@ const RATCHET_SLACK: f64 = 0.15;
 /// [`spotnoise_bench::raster_bench::lower_quartile_report`]).
 const RATCHET_RUNS: usize = 9;
 
-/// One parsed `bench_raster/v1` document (or sweep section): the dispatch
-/// metadata plus `(name, speedup)` pairs.
+const USAGE: &str = "usage: bench_raster [--out <path>] [--check] [--filter <substrings>] \
+                     [--ratchet <committed BENCH_raster.json> [--allow-new]]";
+
+/// One parsed `bench_raster/v1` document: the dispatch metadata plus
+/// `(name, speedup)` pairs.
 struct ParsedRun {
     /// Recorded SIMD dispatch level; `None` for artifacts written before
     /// the field existed.
     simd: Option<String>,
-    /// Worker threads the run measured with.
-    threads: usize,
     /// `(case name, speedup)` pairs.
     cases: Vec<(String, f64)>,
 }
@@ -94,13 +88,6 @@ fn parse_run(doc: &Json) -> Result<ParsedRun, String> {
         .ok_or("missing schema field")?;
     if schema != "bench_raster/v1" {
         return Err(format!("unexpected schema {schema:?}"));
-    }
-    let threads = doc
-        .get("threads")
-        .and_then(Json::as_f64)
-        .ok_or("missing threads field")?;
-    if threads < 1.0 {
-        return Err(format!("implausible thread count {threads}"));
     }
     let simd = doc.get("simd").and_then(Json::as_str).map(str::to_string);
     let cases = doc
@@ -119,21 +106,19 @@ fn parse_run(doc: &Json) -> Result<ParsedRun, String> {
             .ok_or_else(|| format!("case {name}: missing speedup"))?;
         out.push((name.to_string(), speedup));
     }
-    Ok(ParsedRun {
-        simd,
-        threads: threads as usize,
-        cases: out,
-    })
+    Ok(ParsedRun { simd, cases: out })
 }
 
-/// Parses a single-run artifact from disk.
+/// Parses an artifact from disk.
 fn parse_artifact(path: &PathBuf) -> Result<ParsedRun, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
     parse_run(&Json::parse(&text)?)
 }
 
-/// Validates one run's cases: non-empty, every speedup positive.
-fn check_run(run: &ParsedRun) -> Result<usize, String> {
+/// Validates the written artifact: it must parse, carry the expected
+/// schema, and every case must report a positive speedup.
+fn check_artifact(path: &PathBuf) -> Result<usize, String> {
+    let run = parse_artifact(path)?;
     if run.cases.is_empty() {
         return Err("no benchmark cases recorded".to_string());
     }
@@ -143,43 +128,6 @@ fn check_run(run: &ParsedRun) -> Result<usize, String> {
         }
     }
     Ok(run.cases.len())
-}
-
-/// Validates the written single-run artifact: it must parse, carry the
-/// expected schema, and every case must report a positive speedup.
-fn check_artifact(path: &PathBuf) -> Result<usize, String> {
-    check_run(&parse_artifact(path)?)
-}
-
-/// Validates a written `bench_raster_sweep/v1` artifact: the envelope, the
-/// expected number of runs, and every section's cases. Returns the total
-/// case count across all runs.
-fn check_sweep_artifact(path: &PathBuf, expected_runs: usize) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    let doc = Json::parse(&text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing schema field")?;
-    if schema != "bench_raster_sweep/v1" {
-        return Err(format!("unexpected schema {schema:?}"));
-    }
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_array)
-        .ok_or("missing runs array")?;
-    if runs.len() != expected_runs {
-        return Err(format!(
-            "expected {expected_runs} sweep runs, artifact has {}",
-            runs.len()
-        ));
-    }
-    let mut total = 0;
-    for (i, run) in runs.iter().enumerate() {
-        total += check_run(&parse_run(run).map_err(|e| format!("run {i}: {e}"))?)
-            .map_err(|e| format!("run {i}: {e}"))?;
-    }
-    Ok(total)
 }
 
 /// The regression ratchet: every freshly measured case that also exists in
@@ -261,7 +209,6 @@ fn main() -> ExitCode {
     let mut filter: Option<String> = None;
     let mut ratchet: Option<PathBuf> = None;
     let mut allow_new = false;
-    let mut threads: Option<Vec<usize>> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -286,32 +233,16 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--threads" => match args.next().map(|list| {
-                list.split(',')
-                    .map(|n| n.trim().parse::<usize>())
-                    .collect::<Result<Vec<usize>, _>>()
-            }) {
-                Some(Ok(counts)) if !counts.is_empty() && counts.iter().all(|&n| n >= 1) => {
-                    threads = Some(counts);
-                }
-                _ => {
-                    eprintln!("--threads needs a comma-separated list of counts >= 1, e.g. 1,2,4");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => eprintln!("unknown argument: {other}"),
+            other => {
+                eprintln!("unknown argument: {other}\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
         }
     }
     // The ratchet is a --check extension; a bare --ratchet would silently
     // verify nothing, so reject it up front.
     if ratchet.is_some() && !check {
         eprintln!("--ratchet requires --check (the ratchet runs as part of the check phase)");
-        return ExitCode::FAILURE;
-    }
-    // A sweep artifact is measurement data across worker counts, not a
-    // regression bank — there is no single speedup per case to ratchet.
-    if threads.is_some() && ratchet.is_some() {
-        eprintln!("--threads sweeps cannot be ratcheted; run them without --ratchet");
         return ExitCode::FAILURE;
     }
     // Fail on an unwritable destination before spending minutes measuring.
@@ -321,60 +252,12 @@ fn main() -> ExitCode {
     if let Some(f) = &filter {
         println!("measuring only cases containing {f:?}");
     }
-    // Measure at the bank's worker count, so its speedups are comparable.
+    // Fail on an unreadable bank before spending minutes measuring.
     if let Some(committed) = &ratchet {
-        match parse_artifact(committed) {
-            Ok(bank) => {
-                rayon::set_current_num_threads(bank.threads);
-                println!(
-                    "ratchet: measuring at {} worker thread(s), as banked in {}",
-                    bank.threads,
-                    committed.display()
-                );
-            }
-            Err(e) => {
-                eprintln!("ratchet FAILED: {}: {e}", committed.display());
-                return ExitCode::FAILURE;
-            }
+        if let Err(e) = parse_artifact(committed) {
+            eprintln!("ratchet FAILED: {}: {e}", committed.display());
+            return ExitCode::FAILURE;
         }
-    }
-    if let Some(counts) = &threads {
-        // Sweep mode: the whole case list once per worker count, one report
-        // section each. The override is cleared afterwards even though the
-        // process is about to exit — the invariant is cheap to keep.
-        let mut reports = Vec::with_capacity(counts.len());
-        for &n in counts {
-            rayon::set_current_num_threads(n);
-            println!("--- sweep: {n} worker thread(s) ---");
-            let report =
-                spotnoise_bench::raster_bench::run_raster_bench_filtered(filter.as_deref());
-            if report.cases.is_empty() {
-                rayon::set_current_num_threads(0);
-                eprintln!("filter matched no benchmark case");
-                return ExitCode::FAILURE;
-            }
-            println!("{}", spotnoise_bench::raster_bench::format_report(&report));
-            reports.push(report);
-        }
-        rayon::set_current_num_threads(0);
-        std::fs::write(&out, spotnoise_bench::raster_bench::sweep_to_json(&reports))
-            .expect("write sweep artifact");
-        println!("wrote {}", out.display());
-        if check {
-            match check_sweep_artifact(&out, reports.len()) {
-                Ok(cases) => {
-                    println!(
-                        "check OK: {} runs, {cases} cases total, schema valid, every speedup > 0",
-                        reports.len()
-                    );
-                }
-                Err(e) => {
-                    eprintln!("check FAILED: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
     }
     let runs = if ratchet.is_some() { RATCHET_RUNS } else { 1 };
     let reports = (0..runs)

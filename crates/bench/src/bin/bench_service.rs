@@ -25,9 +25,10 @@
 //! request was refused. A failed check exits non-zero.
 //!
 //! `--threads 1,2,4` switches to sweep mode: the whole phase list runs once
-//! per worker count — the rayon shim override and the server's synthesis
-//! worker pool both pinned to the count — and the runs are written as one
-//! `bench_service_sweep/v1` artifact.
+//! per count, with the server's synthesis worker pool (`workers`) pinned to
+//! it, and the runs are written as one `bench_service_sweep/v1` artifact.
+//!
+//! An unknown argument prints the usage line and exits non-zero.
 //!
 //! `--cluster` switches to the cluster-tier bench instead: two peer-linked
 //! worker processes behind a router, measuring the routed-vs-direct hot
@@ -41,6 +42,9 @@ use spotnoise_bench::json::Json;
 use spotnoise_bench::{cluster_bench, service_bench};
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str =
+    "usage: bench_service [--out <path>] [--check] [--quick] [--threads 1,2,4] [--cluster]";
 
 /// Broadcast leverage over fresh frames: deliveries that were not
 /// skip-forwards, per synthesized frame. The server's `delivery_ratio`
@@ -388,7 +392,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            other => eprintln!("unknown argument: {other}"),
+            other => {
+                eprintln!("unknown argument: {other}\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
         }
     }
     let out = out.unwrap_or_else(|| {
@@ -435,15 +442,10 @@ fn main() -> ExitCode {
         service_bench::ServiceBenchOptions::standard()
     };
     if let Some(counts) = &threads {
-        // Sweep mode: every phase once per worker count. Both sides of the
-        // server scale together — the rayon shim override pins the synthesis
-        // kernels' parallelism, the `workers` knob pins the service's worker
-        // pool. The override is cleared afterwards even though the process
-        // is about to exit — the invariant is cheap to keep.
+        // Sweep mode: every phase once per count of synthesis workers.
         let mut reports = Vec::with_capacity(counts.len());
         for &n in counts {
-            rayon::set_current_num_threads(n);
-            println!("--- sweep: {n} worker thread(s) ---");
+            println!("--- sweep: {n} synthesis worker(s) ---");
             let report = service_bench::run_service_bench(service_bench::ServiceBenchOptions {
                 workers: n,
                 ..options
@@ -451,7 +453,6 @@ fn main() -> ExitCode {
             println!("{}", service_bench::format_report(&report));
             reports.push(report);
         }
-        rayon::set_current_num_threads(0);
         std::fs::write(&out, service_bench::sweep_to_json(&reports)).expect("write sweep artifact");
         println!("wrote {}", out.display());
         if check {

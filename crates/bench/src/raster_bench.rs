@@ -61,8 +61,6 @@ impl BenchCase {
 /// The full report.
 #[derive(Debug, Clone)]
 pub struct RasterBenchReport {
-    /// Worker threads available to the parallel gather.
-    pub threads: usize,
     /// SIMD dispatch level the run's kernels executed at
     /// ([`softpipe::simd::active`]), recorded so banked numbers are only
     /// compared against runs of the same kernels.
@@ -795,7 +793,7 @@ fn gather_case() -> BenchCase {
     assert_eq!(
         fast.texture.absolute_difference(&sequential(&partials)),
         0.0,
-        "parallel gather diverged from sequential"
+        "fused gather diverged from sequential"
     );
     let texels = (partials.len() - 1) as u64 * 512 * 512;
     let (reference_ns, optimized) = time_pair_best(
@@ -810,7 +808,7 @@ fn gather_case() -> BenchCase {
     );
     BenchCase {
         name: "gather_additive_512x4",
-        description: "blend 4 full 512x512 partials (sequential c term, parallel host impl)",
+        description: "blend 4 full 512x512 partials (sequential c term, fused host fold)",
         fragments_per_op: texels,
         reference_ns_per_op: reference_ns,
         optimized_ns_per_op: optimized,
@@ -1115,9 +1113,6 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
         cases.extend(spot_batch_cases().into_iter().filter(|c| matches(c.name)));
     }
     RasterBenchReport {
-        // The shim honours `rayon::set_current_num_threads`, so thread
-        // sweeps record the count they actually ran with.
-        threads: rayon::current_num_threads(),
         simd: softpipe::simd::active().name().to_string(),
         simd_override: softpipe::simd::env_override().map(str::to_string),
         cases,
@@ -1161,10 +1156,7 @@ pub fn lower_quartile_report(runs: Vec<RasterBenchReport>) -> RasterBenchReport 
 /// Human-readable table for stdout.
 pub fn format_report(report: &RasterBenchReport) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "rasterizer before/after ({} threads)\n",
-        report.threads
-    ));
+    out.push_str("rasterizer before/after\n");
     out.push_str(&format!(
         "{:<24} {:>12} {:>14} {:>14} {:>9}\n",
         "case", "fragments", "reference", "optimized", "speedup"
@@ -1186,15 +1178,12 @@ pub fn format_report(report: &RasterBenchReport) -> String {
     out
 }
 
-/// Builds the JSON value for one report: the shared body of the single-run
-/// `bench_raster/v1` artifact and each entry of the `--threads` sweep's
-/// `runs` array. `simd_override` is emitted only when the process was
-/// actually started with `SPOTNOISE_SIMD`, so unforced artifacts stay
-/// byte-stable against earlier schema revisions plus the two new keys.
-fn report_json_value(report: &RasterBenchReport) -> Json {
+/// Serializes the report in the `BENCH_raster.json` schema.
+/// `simd_override` is emitted only when the process was actually started
+/// with `SPOTNOISE_SIMD`.
+pub fn report_to_json(report: &RasterBenchReport) -> String {
     let mut pairs: Vec<(&'static str, Json)> = vec![
         ("schema", Json::str("bench_raster/v1")),
-        ("threads", Json::num(report.threads as f64)),
         ("simd", Json::str(report.simd.clone())),
     ];
     if let Some(forced) = &report.simd_override {
@@ -1217,24 +1206,7 @@ fn report_json_value(report: &RasterBenchReport) -> Json {
             ])
         })),
     ));
-    Json::object(pairs)
-}
-
-/// Serializes the report in the `BENCH_raster.json` schema.
-pub fn report_to_json(report: &RasterBenchReport) -> String {
-    report_json_value(report).to_string_pretty()
-}
-
-/// Serializes a `--threads` sweep: one `bench_raster/v1` report per swept
-/// worker count, wrapped in a `bench_raster_sweep/v1` envelope so the sweep
-/// artifact can never be mistaken for (or ratcheted against) a single-run
-/// bank.
-pub fn sweep_to_json(reports: &[RasterBenchReport]) -> String {
-    Json::object([
-        ("schema", Json::str("bench_raster_sweep/v1")),
-        ("runs", Json::array(reports.iter().map(report_json_value))),
-    ])
-    .to_string_pretty()
+    Json::object(pairs).to_string_pretty()
 }
 
 #[cfg(test)]
@@ -1261,7 +1233,6 @@ mod tests {
         // with an empty report instead of measuring and discarding.
         let report = run_raster_bench_filtered(Some("no_such_case"));
         assert!(report.cases.is_empty());
-        assert!(report.threads >= 1);
         // Comma-separated alternatives that all miss also run nothing.
         let report = run_raster_bench_filtered(Some("nope,also_nope,"));
         assert!(report.cases.is_empty());
@@ -1269,7 +1240,6 @@ mod tests {
 
     fn sample_report() -> RasterBenchReport {
         RasterBenchReport {
-            threads: 4,
             simd: "avx2".to_string(),
             simd_override: None,
             cases: vec![BenchCase {
@@ -1319,16 +1289,5 @@ mod tests {
         assert_eq!(report.cases.len(), 1);
         assert_eq!(report.cases[0].optimized_ns_per_op, 7.0);
         assert_eq!(lower_quartile_report(vec![sample_report()]).cases.len(), 1);
-    }
-
-    #[test]
-    fn sweep_json_wraps_one_report_per_run() {
-        let mut second = sample_report();
-        second.threads = 2;
-        let json = sweep_to_json(&[sample_report(), second]);
-        assert!(json.contains("\"schema\": \"bench_raster_sweep/v1\""));
-        assert!(json.contains("\"schema\": \"bench_raster/v1\""));
-        assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"threads\": 2"));
     }
 }

@@ -49,8 +49,7 @@ pub struct ServiceBenchOptions {
     /// Frames each fan-out subscriber streams.
     pub fanout_frames: u64,
     /// Synthesis worker threads per server (0 = one per available core);
-    /// set by the `--threads` sweep so the service side scales with the
-    /// rayon worker override.
+    /// set per run by the `--threads` sweep.
     pub workers: usize,
 }
 

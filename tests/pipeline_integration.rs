@@ -82,7 +82,7 @@ fn pipeline_throughput_counts_synthesis_stages_only() {
 fn sequential_and_dnc_pipelines_agree_on_the_same_animator_seed() {
     // Two pipelines with the same configuration and seed produce the same
     // first-frame texture regardless of the execution mode (up to float
-    // reassociation in the parallel gather).
+    // reassociation in the divide-and-conquer gather).
     let mut model = SmogModel::new(27, 28, 13);
     model.step(0.2);
     let cfg = small_cfg();
