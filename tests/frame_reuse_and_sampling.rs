@@ -170,6 +170,34 @@ fn paper_bent_mesh_frames_are_bit_identical_to_pinned_output() {
     softpipe::simd::force(None);
 }
 
+/// The paper's 32×17 bent spots at the pixel scale of the Table 1 frame:
+/// the 512² `atmospheric_paper` spot radius of about 18 px, kept at 256² by
+/// doubling the radius, so mesh cells are 1–5 px across as in `steer_paper`
+/// (the 128² pin above has sub-pixel cells). Exact sampling, pinned at every
+/// SIMD level before the mesh edge table landed.
+#[test]
+fn paper_scale_bent_mesh_exact_frame_is_bit_identical_to_pinned_output() {
+    let field = vortex();
+    let cfg = SynthesisConfig {
+        texture_size: 256,
+        spot_count: 300,
+        spot_radius: 0.07,
+        ..SynthesisConfig::atmospheric_paper()
+    };
+    let spots = generate_spots(cfg.spot_count, domain(), cfg.intensity_amplitude, cfg.seed);
+    for level in softpipe::simd::available() {
+        softpipe::simd::force(Some(level));
+        let out = synthesize_sequential(&field, &spots, &cfg);
+        assert_eq!(
+            texture_hash(&out.texture),
+            0x5187ffa37f9b1406,
+            "256² 32x17 Exact synthesis drifted from the pinned output at SIMD level {}",
+            level.name()
+        );
+    }
+    softpipe::simd::force(None);
+}
+
 /// Two consecutive frames from one pooled pipeline are bit-identical to the
 /// same frames from a fresh-allocation pipeline — buffer reuse must be
 /// completely invisible in the output.
