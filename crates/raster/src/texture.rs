@@ -30,6 +30,64 @@ pub(crate) fn ceil_index(x: impl Into<f64>) -> usize {
     t + ((t as f64) < x) as usize
 }
 
+/// Bilinear sampling of one texture, with the per-texture `f32` constants
+/// hoisted out of the per-fragment work: build once, then [`sample`] every
+/// fragment. The crate's single bilinear kernel, behind
+/// [`Texture::sample_bilinear`], the general span fill and the mesh cell
+/// walker.
+///
+/// [`sample`]: Bilinear::sample
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Bilinear<'a> {
+    data: &'a [f32],
+    width: usize,
+    height: usize,
+    /// `width` and `height` as `f32`.
+    scale: (f32, f32),
+    /// The largest texel coordinates, `width - 1` and `height - 1`, as `f32`.
+    max: (f32, f32),
+}
+
+impl<'a> Bilinear<'a> {
+    /// The kernel over `tex`, which must be narrower and lower than 2³¹
+    /// texels.
+    #[inline(always)]
+    pub(crate) fn new(tex: &'a Texture) -> Self {
+        debug_assert!(tex.width <= i32::MAX as usize && tex.height <= i32::MAX as usize);
+        Bilinear {
+            data: &tex.data,
+            width: tex.width,
+            height: tex.height,
+            scale: (tex.width as f32, tex.height as f32),
+            max: (tex.width as f32 - 1.0, tex.height as f32 - 1.0),
+        }
+    }
+
+    /// The sample at texture coordinates `(u, v)` in `[0,1]`, clamped at the
+    /// edges.
+    #[inline(always)]
+    pub(crate) fn sample(&self, u: f32, v: f32) -> f32 {
+        let fx = (u * self.scale.0 - 0.5).clamp(0.0, self.max.0);
+        let fy = (v * self.scale.1 - 0.5).clamp(0.0, self.max.1);
+        // On the clamped range truncation is the floor, and NaN truncates
+        // to 0 as in `floor_index`; `i32` converts both ways in one
+        // instruction each.
+        let (ix, iy) = (fx as i32, fy as i32);
+        let tx = fx - ix as f32;
+        let ty = fy - iy as f32;
+        let (x0, y0) = (ix as usize, iy as usize);
+        let x1 = (x0 + 1).min(self.width - 1);
+        let y1 = (y0 + 1).min(self.height - 1);
+        let row0 = &self.data[y0 * self.width..][..self.width];
+        let row1 = &self.data[y1 * self.width..][..self.width];
+        let (a, b) = (row0[x0], row0[x1]);
+        let (c, d) = (row1[x0], row1[x1]);
+        let bottom = a + (b - a) * tx;
+        let top = c + (d - c) * tx;
+        bottom + (top - bottom) * ty
+    }
+}
+
 /// A single-channel floating-point texture, row-major, origin at the
 /// bottom-left (matching OpenGL texture conventions).
 #[derive(Debug, Clone, PartialEq)]
@@ -142,23 +200,11 @@ impl Texture {
     }
 
     /// Bilinear sample at texture coordinates `(u, v)` in `[0,1]`, clamped at
-    /// the edges.
+    /// the edges, for a texture narrower and lower than 2³¹ texels. Every
+    /// bilinear sample the rasterizer takes is this kernel, set up once per
+    /// span or mesh cell instead of once per call.
     pub fn sample_bilinear(&self, u: f32, v: f32) -> f32 {
-        let fx = (u * self.width as f32 - 0.5).clamp(0.0, self.width as f32 - 1.0);
-        let fy = (v * self.height as f32 - 0.5).clamp(0.0, self.height as f32 - 1.0);
-        let x0 = floor_index(fx);
-        let y0 = floor_index(fy);
-        let x1 = (x0 + 1).min(self.width - 1);
-        let y1 = (y0 + 1).min(self.height - 1);
-        let tx = fx - x0 as f32;
-        let ty = fy - y0 as f32;
-        let a = self.texel(x0, y0);
-        let b = self.texel(x1, y0);
-        let c = self.texel(x0, y1);
-        let d = self.texel(x1, y1);
-        let bottom = a + (b - a) * tx;
-        let top = c + (d - c) * tx;
-        bottom + (top - bottom) * ty
+        Bilinear::new(self).sample(u, v)
     }
 
     /// Adds `other` texel-wise into `self` (the gather/blend step that
@@ -478,6 +524,43 @@ mod tests {
         // Samples at texel centres hit the stored value exactly.
         let center_u = (5.0 + 0.5) / 32.0;
         assert!((t.sample_bilinear(center_u, 0.5) - t.texel(5, 3)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn bilinear_truncation_equals_the_floor_on_and_off_the_texture() {
+        // The kernel truncates the clamped coordinate through `i32`; the
+        // oracle takes `f32::floor` of it. Coordinates inside, on the
+        // border of, far outside and not on the texture (NaN, which both
+        // read as texel 0 with a NaN weight) must agree bit for bit.
+        let t = Texture::from_fn(7, 5, |u, v| (u * 3.1).sin() + v * v);
+        let oracle = |u: f32, v: f32| {
+            let fx = (u * 7.0 - 0.5).clamp(0.0, 6.0);
+            let fy = (v * 5.0 - 0.5).clamp(0.0, 4.0);
+            let (x0, y0) = (fx.floor().max(0.0) as usize, fy.floor().max(0.0) as usize);
+            let (x1, y1) = ((x0 + 1).min(6), (y0 + 1).min(4));
+            let (tx, ty) = (fx - x0 as f32, fy - y0 as f32);
+            let bottom = t.texel(x0, y0) + (t.texel(x1, y0) - t.texel(x0, y0)) * tx;
+            let top = t.texel(x0, y1) + (t.texel(x1, y1) - t.texel(x0, y1)) * tx;
+            bottom + (top - bottom) * ty
+        };
+        let mut coords = vec![
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1e30,
+            1e30,
+            -0.0,
+        ];
+        coords.extend((-40..=80).map(|k| k as f32 / 40.0 + 1e-3));
+        for &u in &coords {
+            for &v in &coords {
+                let (got, want) = (t.sample_bilinear(u, v), oracle(u, v));
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "({u}, {v}): {got} vs {want}"
+                );
+            }
+        }
     }
 
     #[test]
