@@ -498,15 +498,16 @@ fn frame_arena_case() -> BenchCase {
     let build = |pooled: bool| {
         let mut p = Pipeline::new(cfg, mode, domain);
         p.set_display_enabled(false);
-        // This case isolates the frame arena: pipe pooling is disabled in
-        // BOTH legs (it is measured by its own pipe_pool_* cases), so the
-        // reference leg stays the classic spawn-per-frame +
-        // allocate-per-frame baseline the banked speedup was measured
-        // against.
+        // This case isolates the frame arena: BOTH legs spawn their pipe
+        // workers per frame from a capacity-0 pool (worker reuse is
+        // measured by its own pipe_pool_* cases), so the reference leg
+        // stays the classic spawn-per-frame + allocate-per-frame baseline
+        // the banked speedup was measured against.
         if !pooled {
             p.set_frame_arena(None);
         }
-        p.set_pipe_pool(None);
+        let arena = p.frame_arena().cloned();
+        p.set_pipe_pool(Arc::new(softpipe::PipePool::with_capacity(arena, 0)));
         p
     };
 
@@ -560,11 +561,11 @@ fn frame_arena_case() -> BenchCase {
 
 /// Measures persistent pooled pipes against spawn-per-frame: two identical
 /// divide-and-conquer pipelines advance in lockstep, both with the default
-/// frame arena, one checking pipe workers out of a [`softpipe::PipePool`]
-/// and one spawning (and joining) its workers every frame. Output equality
-/// is asserted on fresh pipelines before timing — worker reuse must be
-/// invisible in the texels — and the pooled pipeline is asserted to spawn
-/// zero threads once warm.
+/// frame arena, one reusing pipe workers from a [`softpipe::PipePool`] and
+/// one spawning (and joining) its workers every frame from a capacity-0
+/// pool. Output equality is asserted on fresh pipelines before timing —
+/// worker reuse must be invisible in the texels — and the pooled pipeline
+/// is asserted to spawn zero threads once warm.
 fn pipe_pool_case(
     name: &'static str,
     description: &'static str,
@@ -594,17 +595,10 @@ fn pipe_pool_case(
         let mut p = Pipeline::new(cfg, mode, domain);
         p.set_display_enabled(false);
         if !pooled {
-            // The bit-identical opt-out: spawn one worker per group per
-            // frame, exactly as before the pool existed.
-            p.set_pipe_pool(None);
-        } else if p.pipe_pool().is_none() {
-            // Under SPOTNOISE_PIPE_POOL=off the *default* flips to
-            // spawn-per-frame; this case measures the pool itself, so pin
-            // one explicitly — both legs stay meaningful in either CI
-            // matrix leg.
-            p.set_pipe_pool(Some(
-                softpipe::PipePool::new(p.frame_arena().cloned()).into(),
-            ));
+            // Spawn one worker per group per frame, exactly as before the
+            // pool existed.
+            let arena = p.frame_arena().cloned();
+            p.set_pipe_pool(Arc::new(softpipe::PipePool::with_capacity(arena, 0)));
         }
         p
     };
@@ -627,7 +621,7 @@ fn pipe_pool_case(
         if let Some(arena) = pooled.frame_arena() {
             arena.recycle_texture(a.texture);
         }
-        let spawned = pooled.pipe_pool().expect("pooled").stats().spawned;
+        let spawned = pooled.pipe_pool().stats().spawned;
         if frame == 0 {
             spawned_after_warmup = spawned;
         } else {

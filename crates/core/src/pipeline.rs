@@ -63,7 +63,7 @@ pub struct Pipeline {
     postprocess: bool,
     display: bool,
     arena: Option<Arc<FrameArena>>,
-    pool: Option<Arc<PipePool>>,
+    pool: Arc<PipePool>,
     /// The persistent synthesis context, refreshed (not rebuilt) per frame
     /// so the spot texture and pyramid survive across frames.
     ctx: Option<SynthesisContext>,
@@ -74,13 +74,11 @@ pub struct Pipeline {
     sink: TraceSink,
 }
 
-/// Whether pipelines (and the service) pool pipe workers by default. The
-/// `SPOTNOISE_PIPE_POOL=off` environment switch flips the *default* to
-/// spawn-per-frame — this is what the CI matrix uses to run the whole test
-/// suite down the opt-out path; explicit [`Pipeline::set_pipe_pool`] calls
-/// always win.
+/// Always `true`: every pipe worker comes from a [`PipePool`]. Kept only
+/// because the repository benchmark records it in its run header; it goes
+/// when the benchmark stops reading it.
 pub fn pipe_pool_default_enabled() -> bool {
-    std::env::var("SPOTNOISE_PIPE_POOL").map_or(true, |v| v != "off")
+    true
 }
 
 impl Pipeline {
@@ -89,7 +87,7 @@ impl Pipeline {
         // The default pool shares the pipeline's arena so pooled workers
         // recycle their partial readbacks into the same buffers the gather
         // composes with.
-        let pool = pipe_pool_default_enabled().then(|| Arc::new(PipePool::new(arena.clone())));
+        let pool = Arc::new(PipePool::new(arena.clone()));
         Pipeline {
             cfg,
             mode,
@@ -148,30 +146,27 @@ impl Pipeline {
     /// behaviour (the `frame_arena_reuse` bench baseline), or share one
     /// arena across pipelines. Outputs are bit-identical either way.
     ///
-    /// When the pipeline owns a pipe pool, the pool is rebuilt against the
-    /// new arena (pooled workers bake their arena in at spawn); a pool
-    /// installed explicitly via [`Pipeline::set_pipe_pool`] afterwards is
-    /// left alone, so set the arena *before* sharing a pool.
+    /// The pipe pool is rebuilt against the new arena (pooled workers bake
+    /// their arena in at spawn), replacing any pool installed earlier, so
+    /// set the arena *before* [`Pipeline::set_pipe_pool`].
     pub fn set_frame_arena(&mut self, arena: Option<Arc<FrameArena>>) {
         self.arena = arena;
-        if self.pool.is_some() {
-            self.pool = Some(Arc::new(PipePool::new(self.arena.clone())));
-        }
+        self.pool = Arc::new(PipePool::new(self.arena.clone()));
     }
 
     /// Replaces the pipeline's pipe pool. Pipelines keep pipe workers alive
-    /// across frames by default; pass `None` to reproduce the classic
-    /// spawn-per-frame behaviour bit-identically (the `pipe_pool_reuse`
-    /// bench baseline), or share one pool across pipelines — the service
-    /// shares a single pool over all sessions. Build shared pools against
-    /// the same arena the pipelines compose with.
-    pub fn set_pipe_pool(&mut self, pool: Option<Arc<PipePool>>) {
+    /// across frames in a pool of their own by default; share one pool
+    /// across pipelines (the service shares a single pool over all
+    /// sessions), or pass a capacity-0 pool to spawn and join the workers
+    /// every frame (the `pipe_pool_reuse` bench baseline, bit-identical).
+    /// Build the pool against the same arena the pipeline composes with.
+    pub fn set_pipe_pool(&mut self, pool: Arc<PipePool>) {
         self.pool = pool;
     }
 
-    /// The pipeline's pipe pool, when worker pooling is enabled.
-    pub fn pipe_pool(&self) -> Option<&Arc<PipePool>> {
-        self.pool.as_ref()
+    /// The pipeline's pipe pool.
+    pub fn pipe_pool(&self) -> &Arc<PipePool> {
+        &self.pool
     }
 
     /// The persistent synthesis context, once a divide-and-conquer frame
@@ -272,7 +267,7 @@ impl Pipeline {
         let cfg = self.cfg;
         let sched = self.sched;
         let arena = self.arena.as_ref();
-        let pool = self.pool.as_ref();
+        let pool = Some(&self.pool);
         let sink = &self.sink;
         let ctx_slot = &mut self.ctx;
         let synthesize_start = Instant::now();

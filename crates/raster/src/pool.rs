@@ -91,12 +91,6 @@ impl std::fmt::Debug for PipePool {
     }
 }
 
-impl Default for PipePool {
-    fn default() -> Self {
-        PipePool::new(None)
-    }
-}
-
 impl PipePool {
     /// Creates a pool whose workers recycle buffers through `arena` (pass
     /// the same arena the engine composes with, so partial readbacks stay
@@ -329,6 +323,25 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.idle, 1);
         assert_eq!(stats.retired, 1);
+
+        // Capacity 0 is spawn-per-frame: every checkout spawns a worker and
+        // every check-in retires (joins) it, and its frames match a reused
+        // worker's bit for bit.
+        let _ = frame(&pool.checkout(0, 16, 16, None), -6.0);
+        let reused = frame(&pool.checkout(0, 16, 16, None), -2.0);
+        assert_eq!(pool.stats().reused, 2);
+        let fresh_pool = Arc::new(PipePool::with_capacity(None, 0));
+        for round in 1..=3 {
+            let fresh = frame(&fresh_pool.checkout(0, 16, 16, None), -2.0);
+            let stats = fresh_pool.stats();
+            assert_eq!(
+                (stats.spawned, stats.reused, stats.retired, stats.idle),
+                (round, 0, round, 0)
+            );
+            assert_eq!(fresh.texture.absolute_difference(&reused.texture), 0.0);
+            assert_eq!(fresh.raster, reused.raster);
+            assert_eq!(fresh.state, reused.state);
+        }
     }
 
     #[test]

@@ -151,9 +151,8 @@ impl std::fmt::Display for ClusterSessionId {
 /// declared node metric with a `/stats` path, combined by its kind alone —
 /// counters and gauges are summed, peaks take the max, and per-node-only
 /// fields (identity, configuration, ratios, latency histograms) are
-/// omitted. A field no node reports (the pipe-pool counters with the pool
-/// off) is omitted too. The router's `/stats` carries the per-node
-/// documents alongside this view.
+/// omitted, and so is a field no node reports. The router's `/stats`
+/// carries the per-node documents alongside this view.
 pub fn aggregate_stats(per_node: &[Json]) -> Json {
     let mut doc = Vec::new();
     for metric in metrics::NODE {

@@ -62,9 +62,6 @@ pub(crate) enum Value {
     Json(Json),
     /// A latency histogram.
     Hist(HistogramSnapshot),
-    /// Not reported by this process (the pipe-pool counters when the pool
-    /// is switched off).
-    Absent,
 }
 
 /// One declared metric over snapshots of type `S`.
@@ -215,8 +212,7 @@ pub(crate) struct NodeSnapshot {
     pub(crate) lock_recoveries: u64,
     pub(crate) injected_panics: u64,
     pub(crate) injected_delays: u64,
-    /// `None` when the pipe pool is switched off.
-    pub(crate) pipes: Option<PoolStats>,
+    pub(crate) pipes: PoolStats,
     pub(crate) trace_recorded: u64,
     pub(crate) latency: LatencySnapshot,
 }
@@ -232,14 +228,10 @@ pub(crate) struct RouterSnapshot {
 }
 
 use Kind::{Counter, Gauge, Histogram, Info, Peak};
-use Value::{Absent, Hist, Num};
+use Value::{Hist, Num};
 
 fn num(v: impl TryInto<u64>) -> Value {
     Num(v.try_into().unwrap_or(u64::MAX) as f64)
-}
-
-fn pipe(s: &NodeSnapshot, read: fn(&PoolStats) -> Value) -> Value {
-    s.pipes.as_ref().map_or(Absent, read)
 }
 
 fn ratio(part: u64, whole: u64) -> Value {
@@ -309,12 +301,11 @@ pub(crate) static NODE: &[Metric<NodeSnapshot>] = &[
     Metric::new(Counter, "faults.lock_recoveries", "spotnoise_lock_recoveries_total", "Poisoned locks recovered and revalidated", |s| num(s.lock_recoveries)),
     Metric::new(Counter, "faults.injected_panics", "spotnoise_fault_injected_panics_total", "Panics injected by the fault plan", |s| num(s.injected_panics)),
     Metric::new(Counter, "faults.injected_delays", "spotnoise_fault_injected_delays_total", "Delays injected by the fault plan", |s| num(s.injected_delays)),
-    Metric::new(Info, "pipes.pooled", "", "Whether pipes come from the persistent pool", |s| Value::Json(Json::Bool(s.pipes.is_some()))),
-    Metric::new(Counter, "pipes.spawned", "spotnoise_pipes_spawned_total", "Pipe workers spawned", |s| pipe(s, |p| num(p.spawned))),
-    Metric::new(Counter, "pipes.reused", "spotnoise_pipes_reused_total", "Checkouts served by a shelved worker", |s| pipe(s, |p| num(p.reused))),
-    Metric::new(Counter, "pipes.retired", "spotnoise_pipes_retired_total", "Returned pipes dropped at capacity", |s| pipe(s, |p| num(p.retired))),
-    Metric::new(Counter, "pipes.discarded", "spotnoise_pipes_discarded_total", "Poisoned pipes discarded instead of reshelved", |s| pipe(s, |p| num(p.discarded))),
-    Metric::new(Gauge, "pipes.idle", "spotnoise_pipes_idle", "Idle pipes currently shelved", |s| pipe(s, |p| num(p.idle))),
+    Metric::new(Counter, "pipes.spawned", "spotnoise_pipes_spawned_total", "Pipe workers spawned", |s| num(s.pipes.spawned)),
+    Metric::new(Counter, "pipes.reused", "spotnoise_pipes_reused_total", "Checkouts served by a shelved worker", |s| num(s.pipes.reused)),
+    Metric::new(Counter, "pipes.retired", "spotnoise_pipes_retired_total", "Returned pipes dropped at capacity", |s| num(s.pipes.retired)),
+    Metric::new(Counter, "pipes.discarded", "spotnoise_pipes_discarded_total", "Poisoned pipes discarded instead of reshelved", |s| num(s.pipes.discarded)),
+    Metric::new(Gauge, "pipes.idle", "spotnoise_pipes_idle", "Idle pipes currently shelved", |s| num(s.pipes.idle)),
     Metric::new(Counter, "http.requests", "spotnoise_http_requests_total", "HTTP requests handled", |s| num(s.counters.http_requests)),
     Metric::new(Counter, "http.streams", "spotnoise_streams_started_total", "Frame streams started", |s| num(s.counters.streams_started)),
     Metric::new(Counter, "http.streamed_frames", "spotnoise_frames_streamed_total", "Frames pushed over streams", |s| num(s.counters.frames_streamed)),
@@ -387,7 +378,6 @@ pub(crate) fn stats_object<S>(table: &[Metric<S>], snapshot: &S) -> Vec<(String,
                 ("p99_us", Json::num(h.percentile(99.0) as f64)),
                 ("max_us", Json::num(h.max as f64)),
             ]),
-            Absent => continue,
         };
         insert(&mut doc, path, value);
     }
@@ -400,7 +390,7 @@ pub(crate) fn write_prometheus<S>(out: &mut String, table: &[Metric<S>], snapsho
     for metric in table {
         let Some(name) = metric.prom else { continue };
         let value = (metric.read)(snapshot);
-        if matches!(value, Value::Json(_) | Absent) {
+        if matches!(value, Value::Json(_)) {
             continue;
         }
         let _ = writeln!(out, "# HELP {name} {}", metric.help);
@@ -428,7 +418,7 @@ pub(crate) fn write_prometheus<S>(out: &mut String, table: &[Metric<S>], snapsho
                     let _ = writeln!(out, "{name}_{suffix} {}", h.percentile(q));
                 }
             }
-            Value::Json(_) | Absent => {}
+            Value::Json(_) => {}
         }
     }
 }

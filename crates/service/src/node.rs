@@ -34,7 +34,6 @@ use crate::spec::{FieldSpec, SessionSpec};
 use softpipe::sync::lock_recover;
 use softpipe::{FrameArena, PipePool};
 use spotnoise::json::Json;
-use spotnoise::pipeline::pipe_pool_default_enabled;
 use spotnoise::telemetry::{
     self, Histogram, TraceCtx, TraceSink, TraceStage, DEFAULT_TRACE_CAPACITY,
 };
@@ -276,34 +275,29 @@ impl NodeCore {
         let arena = Arc::new(FrameArena::new());
         // One persistent-pipe pool for the whole service, sized by the
         // session cap: every admitted session can keep one warm pipe per
-        // typical process group. `SPOTNOISE_PIPE_POOL=off` reverts the
-        // service to spawn-per-frame (the CI opt-out matrix leg).
-        let pipes = pipe_pool_default_enabled().then(|| {
-            Arc::new(PipePool::with_capacity(
-                Some(Arc::clone(&arena)),
-                options.max_sessions.saturating_mul(2).max(8),
-            ))
-        });
-        if let Some(pool) = &pipes {
-            // Bridge pool checkouts into the checkout histogram and the
-            // trace ring (the raster crate cannot depend on telemetry, so
-            // the pool exposes a plain observer hook instead).
-            let checkout_us = Arc::clone(&service_telemetry.checkout_us);
-            let trace = service_telemetry.trace.clone();
-            pool.set_observer(Some(Arc::new(move |reused, wait| {
-                checkout_us.record_duration(wait);
-                let start = Instant::now()
-                    .checked_sub(wait)
-                    .unwrap_or_else(Instant::now);
-                trace.record_with(
-                    TraceStage::PipeCheckout,
-                    telemetry::ctx(),
-                    start,
-                    wait,
-                    reused as u64,
-                );
-            })));
-        }
+        // typical process group.
+        let pipes = Arc::new(PipePool::with_capacity(
+            Some(Arc::clone(&arena)),
+            options.max_sessions.saturating_mul(2).max(8),
+        ));
+        // Bridge pool checkouts into the checkout histogram and the trace
+        // ring (the raster crate cannot depend on telemetry, so the pool
+        // exposes a plain observer hook instead).
+        let checkout_us = Arc::clone(&service_telemetry.checkout_us);
+        let trace = service_telemetry.trace.clone();
+        pipes.set_observer(Some(Arc::new(move |reused, wait| {
+            checkout_us.record_duration(wait);
+            let start = Instant::now()
+                .checked_sub(wait)
+                .unwrap_or_else(Instant::now);
+            trace.record_with(
+                TraceStage::PipeCheckout,
+                telemetry::ctx(),
+                start,
+                wait,
+                reused as u64,
+            );
+        })));
         let pools = SharedPools {
             arena: Some(arena),
             pipes,
@@ -991,7 +985,7 @@ impl NodeCore {
             lock_recoveries: softpipe::sync::recoveries(),
             injected_panics: softpipe::fault::injected_panics(),
             injected_delays: softpipe::fault::injected_delays(),
-            pipes: self.pools.pipes.as_ref().map(|pool| pool.stats()),
+            pipes: self.pools.pipes.stats(),
             trace_recorded: t.trace.recorded(),
             latency: LatencySnapshot {
                 request: t.request_us.snapshot(),

@@ -39,17 +39,28 @@ use std::time::{Duration, Instant};
 /// pipeline. Sharing one arena and one pipe pool across sessions keeps the
 /// steady state zero-alloc and zero-spawn even as sessions come and go —
 /// both pools are size-keyed, so sessions with different frame sizes never
-/// exchange buffers or pipes. A `None` member leaves the pipeline's own
-/// per-session default in place.
-#[derive(Debug, Clone, Default)]
+/// exchange buffers or pipes. A `None` arena leaves the pipeline's own
+/// per-session arena in place.
+#[derive(Debug, Clone)]
 pub struct SharedPools {
     /// Frame-buffer arena shared by all sessions.
     pub arena: Option<Arc<FrameArena>>,
     /// Persistent pipe-worker pool shared by all sessions.
-    pub pipes: Option<Arc<PipePool>>,
+    pub pipes: Arc<PipePool>,
     /// Trace sink every attached pipeline reports its stage spans to (the
     /// default disabled sink records nothing).
     pub trace: TraceSink,
+}
+
+/// No shared arena (every pipeline keeps its own) and a fresh pipe pool.
+impl Default for SharedPools {
+    fn default() -> Self {
+        SharedPools {
+            arena: None,
+            pipes: Arc::new(PipePool::new(None)),
+            trace: TraceSink::default(),
+        }
+    }
 }
 
 /// Why a frame could not be rendered.
@@ -167,15 +178,13 @@ pub(crate) fn build_pipeline(spec: &SessionSpec, shared: &SharedPools) -> Pipeli
     pipeline.set_postprocess(false);
     pipeline.set_display_enabled(false);
     // Attach the service-wide pools (arena first: replacing the arena
-    // rebuilds a pipeline-owned pipe pool, which the shared pool then
+    // rebuilds the pipeline's own pipe pool, which the shared pool then
     // replaces). A session rebuilt after a steer or rewind lands back on
     // the same warm buffers and workers.
     if let Some(arena) = &shared.arena {
         pipeline.set_frame_arena(Some(Arc::clone(arena)));
     }
-    if let Some(pool) = &shared.pipes {
-        pipeline.set_pipe_pool(Some(Arc::clone(pool)));
-    }
+    pipeline.set_pipe_pool(Arc::clone(&shared.pipes));
     pipeline.set_trace_sink(shared.trace.clone());
     pipeline
 }

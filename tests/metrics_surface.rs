@@ -10,7 +10,6 @@
 //! dashboard.
 
 use spotnoise::json::Json;
-use spotnoise::pipeline::pipe_pool_default_enabled;
 use spotnoise_service::{serve, serve_router, RouterOptions, ServiceClient, ServiceOptions};
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
@@ -100,7 +99,6 @@ const NODE_STATS: &[&str] = &[
     "per_session[].steers",
     "pipes.discarded",
     "pipes.idle",
-    "pipes.pooled",
     "pipes.retired",
     "pipes.reused",
     "pipes.spawned",
@@ -344,22 +342,8 @@ fn type_lines(text: &str) -> BTreeSet<String> {
         .collect()
 }
 
-/// The expected list, minus the pipe-pool surfaces when the pool is
-/// switched off (`SPOTNOISE_PIPE_POOL=off` keeps only `pipes.pooled`).
-fn expected(list: &[&str]) -> BTreeSet<String> {
-    let pooled = pipe_pool_default_enabled();
-    list.iter()
-        .filter(|line| {
-            pooled
-                || !(line.contains("pipes.") && !line.ends_with("pipes.pooled")
-                    || line.contains("spotnoise_pipes_"))
-        })
-        .map(|line| line.to_string())
-        .collect()
-}
-
 fn assert_surface(what: &str, actual: &BTreeSet<String>, list: &[&str]) {
-    let want = expected(list);
+    let want: BTreeSet<String> = list.iter().map(|line| line.to_string()).collect();
     let missing: Vec<_> = want.difference(actual).collect();
     let extra: Vec<_> = actual.difference(&want).collect();
     assert!(

@@ -1,9 +1,9 @@
 //! Workspace-level guarantees of the persistent pipe pool:
 //!
-//! * **Pooling is invisible.** Frames produced by a pipeline that checks
-//!   pipe workers out of a [`softpipe::PipePool`] are bit-identical to
-//!   spawn-per-frame synthesis, frame after frame, for additive and tiled
-//!   partitioning alike.
+//! * **Pooling is invisible.** Frames produced by a pipeline that reuses
+//!   pipe workers from a [`softpipe::PipePool`] are bit-identical to
+//!   spawn-per-frame synthesis (a capacity-0 pool), frame after frame, for
+//!   additive and tiled partitioning alike.
 //! * **Steady state is zero-spawn and zero-alloc.** After warm-up, a
 //!   pooled pipeline's frames spawn no worker threads (pool spawn counter
 //!   flat) and perform no framebuffer-sized allocations (arena allocation
@@ -66,12 +66,8 @@ fn pooled_frames_are_bit_identical_to_spawn_per_frame() {
         };
         let mut pooled = pipeline(cfg, 4);
         let mut spawning = pipeline(cfg, 4);
-        spawning.set_pipe_pool(None);
-        if pooled.pipe_pool().is_none() {
-            // The opt-out CI matrix leg (SPOTNOISE_PIPE_POOL=off): force a
-            // pool onto one side so the comparison still tests reuse.
-            pooled.set_pipe_pool(Some(Arc::new(PipePool::new(pooled.frame_arena().cloned()))));
-        }
+        let arena = spawning.frame_arena().cloned();
+        spawning.set_pipe_pool(Arc::new(PipePool::with_capacity(arena, 0)));
         for frame in 0..4 {
             let a = pooled.advance(&field, 0.05, 0);
             let b = spawning.advance(&field, 0.05, 0);
@@ -84,9 +80,12 @@ fn pooled_frames_are_bit_identical_to_spawn_per_frame() {
                 arena.recycle_texture(a.texture);
             }
         }
-        // Reuse actually happened: only the first frame spawned workers.
-        let stats = pooled.pipe_pool().expect("pool installed").stats();
+        // Reuse actually happened on one side and never on the other.
+        let stats = pooled.pipe_pool().stats();
         assert!(stats.reused > 0, "tiled={tiled}: no worker was ever reused");
+        let stats = spawning.pipe_pool().stats();
+        assert_eq!(stats.reused, 0, "tiled={tiled}: the capacity-0 pool reused");
+        assert_eq!(stats.spawned, stats.retired);
     }
 }
 
@@ -97,22 +96,19 @@ fn steady_state_spawns_zero_threads_and_allocates_zero_framebuffers() {
     // is fully deterministic (the master runs inline on the calling
     // thread), so the strict "never again" assertions are exact.
     let mut p = pipeline(quick_cfg(64), 1);
-    if p.pipe_pool().is_none() {
-        p.set_pipe_pool(Some(Arc::new(PipePool::new(p.frame_arena().cloned()))));
-    }
     // Warm-up: the first frames fault in pipes and buffers.
     for _ in 0..2 {
         let out = p.advance(&field, 0.05, 0);
         p.frame_arena().unwrap().recycle_texture(out.texture);
     }
     let arena_after_warmup = p.frame_arena().unwrap().stats();
-    let pool_after_warmup = p.pipe_pool().unwrap().stats();
+    let pool_after_warmup = p.pipe_pool().stats();
     for _ in 0..6 {
         let out = p.advance(&field, 0.05, 0);
         p.frame_arena().unwrap().recycle_texture(out.texture);
     }
     let arena = p.frame_arena().unwrap().stats();
-    let pool = p.pipe_pool().unwrap().stats();
+    let pool = p.pipe_pool().stats();
     assert_eq!(
         pool.spawned, pool_after_warmup.spawned,
         "a steady-state frame spawned a pipe worker thread: {pool:?}"
@@ -130,14 +126,11 @@ fn steady_state_spawns_zero_threads_and_allocates_zero_framebuffers() {
     // replacement, plus the served frame), and pipe spawns stay exactly
     // one per (size, group) key.
     let mut p = pipeline(quick_cfg(64), 2);
-    if p.pipe_pool().is_none() {
-        p.set_pipe_pool(Some(Arc::new(PipePool::new(p.frame_arena().cloned()))));
-    }
     for _ in 0..12 {
         let out = p.advance(&field, 0.05, 0);
         p.frame_arena().unwrap().recycle_texture(out.texture);
     }
-    let pool = p.pipe_pool().unwrap().stats();
+    let pool = p.pipe_pool().stats();
     assert_eq!(pool.spawned, 2, "one persistent worker per group: {pool:?}");
     let arena = p.frame_arena().unwrap().stats();
     assert!(
@@ -156,7 +149,7 @@ fn shared_pools_serve_mixed_frame_sizes_without_thrash_or_crosstalk() {
     let attach = |cfg: SynthesisConfig, groups: usize| {
         let mut p = pipeline(cfg, groups);
         p.set_frame_arena(Some(Arc::clone(&arena)));
-        p.set_pipe_pool(Some(Arc::clone(&pool)));
+        p.set_pipe_pool(Arc::clone(&pool));
         p
     };
     // Single-group pipelines: the deterministic buffer cycle makes the
@@ -249,7 +242,8 @@ fn service_sessions_share_one_pool_across_frame_sizes() {
     }
     let arena = service.pools().arena.as_ref().expect("shared arena");
     let warm_arena = arena.stats();
-    let warm_pool = service.pools().pipes.as_ref().map(|p| p.stats());
+    let pool = &service.pools().pipes;
+    let warm_pool = pool.stats();
     for frame in 3..6 {
         service.fetch_frame(small, frame).unwrap();
         service.fetch_frame(large, frame).unwrap();
@@ -259,14 +253,12 @@ fn service_sessions_share_one_pool_across_frame_sizes() {
         final_arena.texture_allocations, warm_arena.texture_allocations,
         "steady-state service frames allocated framebuffers: {final_arena:?}"
     );
-    if let (Some(warm), Some(pool)) = (warm_pool, &service.pools().pipes) {
-        assert_eq!(
-            pool.stats().spawned,
-            warm.spawned,
-            "steady-state service frames spawned pipe workers"
-        );
-        assert!(pool.stats().reused > warm.reused);
-    }
+    assert_eq!(
+        pool.stats().spawned,
+        warm_pool.spawned,
+        "steady-state service frames spawned pipe workers"
+    );
+    assert!(pool.stats().reused > warm_pool.reused);
     handle.shutdown();
 }
 
