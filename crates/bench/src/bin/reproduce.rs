@@ -5,14 +5,23 @@
 //! cargo run --release -p spotnoise-bench --bin reproduce -- table1 table2
 //! cargo run --release -p spotnoise-bench --bin reproduce -- figure6 --out results
 //! cargo run --release -p spotnoise-bench --bin reproduce -- table1 --quick
+//! cargo run --release -p spotnoise-bench --bin reproduce -- ablations --out results
 //! ```
 //!
 //! Outputs:
 //! * tables are printed to stdout (simulated Onyx2 throughput next to the
 //!   paper's published numbers and the measured host throughput) and written
 //!   as JSON to `<out>/tableN.json`;
-//! * figures are written as PPM images to `<out>/figureN*.ppm`.
+//! * figures are written as PPM images to `<out>/figureN*.ppm`;
+//! * `ablations` sweeps the design choices the paper argues from (mesh
+//!   resolution, spot count, tiling, transform placement, executor) on the
+//!   scaled workloads, prints host and simulated textures/s per variant and
+//!   writes `<out>/ablations.json`.
+//!
+//! An unknown target, or `--out` without a directory, prints the usage line
+//! and exits non-zero before any target runs.
 
+use flowfield::analytic::Vortex;
 use flowfield::particles::ParticleOptions;
 use flowfield::{Rect, Vec2};
 use flowsim::{pattern_from_dns, skin_friction_field, DnsConfig, DnsSolver, SmogModel};
@@ -23,53 +32,91 @@ use softpipe::machine::MachineConfig;
 use softpipe::Rgb;
 use spotnoise::advect::PositionMode;
 use spotnoise::config::{SpotKind, SynthesisConfig};
-use spotnoise::dnc::synthesize_dnc;
+use spotnoise::dnc::{synthesize_cpu_only, synthesize_dnc, DncOutput};
 use spotnoise::filter::standard_postprocess;
+use spotnoise::perfmodel::eq_2_1;
 use spotnoise::pipeline::{ExecutionMode, Pipeline};
 use spotnoise::spot::generate_spots;
 use spotnoise::synth::synthesize_sequential;
+use spotnoise_bench::json::Json;
 use spotnoise_bench::{
-    atmospheric_paper, atmospheric_scaled, format_table, paper_table1, paper_table2,
-    run_table_sweep, turbulence_paper, turbulence_scaled, SweepCell, Workload,
+    analytic_small, atmospheric_paper, atmospheric_scaled, format_table, paper_table1,
+    paper_table2, run_table_sweep, turbulence_paper, turbulence_scaled, SweepCell, Workload,
 };
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+use std::time::Instant;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut targets = Vec::new();
-    let mut out_dir = PathBuf::from("results");
-    let mut quick = false;
-    let mut iter = args.iter().peekable();
+/// Every target, in the order `all` (or no target) runs them.
+const TARGETS: [&str; 9] = [
+    "table1",
+    "table2",
+    "figure1",
+    "figure2",
+    "figure6",
+    "figure7",
+    "bandwidth",
+    "pipeline",
+    "ablations",
+];
+
+const USAGE: &str = "usage: reproduce [all|table1|table2|figure1|figure2|figure6|figure7|\
+                     bandwidth|pipeline|ablations]... [--quick] [--out <dir>]";
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    targets: Vec<&'static str>,
+    out_dir: PathBuf,
+    quick: bool,
+}
+
+/// Parses the arguments after the program name. An unknown target or a
+/// `--out` without a directory is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        targets: Vec::new(),
+        out_dir: PathBuf::from("results"),
+        quick: false,
+    };
+    let mut all = false;
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--out" => {
-                if let Some(dir) = iter.next() {
-                    out_dir = PathBuf::from(dir);
-                }
+                parsed.out_dir = PathBuf::from(iter.next().ok_or("--out needs a directory")?);
             }
-            "--quick" => quick = true,
-            other => targets.push(other.to_string()),
+            "--quick" => parsed.quick = true,
+            "all" => all = true,
+            other => match TARGETS.into_iter().find(|t| *t == other) {
+                Some(target) => parsed.targets.push(target),
+                None => return Err(format!("unknown target: {other}")),
+            },
         }
     }
-    if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        targets = vec![
-            "table1",
-            "table2",
-            "figure1",
-            "figure2",
-            "figure6",
-            "figure7",
-            "bandwidth",
-            "pipeline",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+    if all || parsed.targets.is_empty() {
+        parsed.targets = TARGETS.to_vec();
     }
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        targets,
+        out_dir,
+        quick,
+    } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     std::fs::create_dir_all(&out_dir).expect("cannot create output directory");
 
-    for target in &targets {
-        match target.as_str() {
+    for target in targets {
+        match target {
             "table1" => reproduce_table(1, quick, &out_dir),
             "table2" => reproduce_table(2, quick, &out_dir),
             "figure1" => figure1(&out_dir),
@@ -78,9 +125,11 @@ fn main() {
             "figure7" => figure7(&out_dir, quick),
             "bandwidth" => bandwidth(quick),
             "pipeline" => pipeline_breakdown(),
-            unknown => eprintln!("unknown target: {unknown}"),
+            "ablations" => ablations(&out_dir),
+            _ => unreachable!("parse_args admits only TARGETS"),
         }
     }
+    ExitCode::SUCCESS
 }
 
 fn reproduce_table(which: u8, quick: bool, out_dir: &Path) {
@@ -434,6 +483,200 @@ fn pipeline_breakdown() {
     println!();
 }
 
+/// One variant of an ablation sweep: host wall-clock textures/s and the
+/// simulated Onyx2 textures/s (`None` where the cost model has no term for
+/// the variant).
+struct AblationRow {
+    sweep: &'static str,
+    variant: String,
+    measured: f64,
+    simulated: Option<f64>,
+}
+
+impl AblationRow {
+    fn dnc(sweep: &'static str, variant: String, out: &DncOutput) -> Self {
+        AblationRow {
+            sweep,
+            variant,
+            measured: out.measured_textures_per_second(),
+            simulated: Some(out.predicted.textures_per_second),
+        }
+    }
+}
+
+/// Paper §5.1: "Lower resolution meshes will result in less accurate
+/// renderings, but can increase performance substantially." Bent-spot
+/// meshes from the paper's 32x17 down to 4x3 on 4 processors and 2 pipes.
+fn mesh_resolution_sweep(base: &Workload) -> Vec<AblationRow> {
+    let machine = MachineConfig::new(4, 2);
+    [(32, 17), (16, 9), (12, 7), (8, 5), (4, 3)]
+        .into_iter()
+        .map(|(rows, cols)| {
+            let cfg = SynthesisConfig {
+                spot_kind: SpotKind::Bent { rows, cols },
+                ..base.config
+            };
+            let out = synthesize_dnc(base.field.as_ref(), &base.spots, &cfg, &machine);
+            AblationRow::dnc("mesh_resolution", format!("{rows}x{cols}"), &out)
+        })
+        .collect()
+}
+
+/// Paper §5.2: "Using less spots will result in less accurate renderings,
+/// but can increase performance substantially." 500 to 8000 spots on 4
+/// processors and 2 pipes.
+fn spot_count_sweep(base: &Workload) -> Vec<AblationRow> {
+    let machine = MachineConfig::new(4, 2);
+    [500, 1000, 2000, 4000, 8000]
+        .into_iter()
+        .map(|spot_count| {
+            let cfg = SynthesisConfig {
+                spot_count,
+                ..base.config
+            };
+            let spots = generate_spots(
+                spot_count,
+                base.field.domain(),
+                cfg.intensity_amplitude,
+                cfg.seed,
+            );
+            let out = synthesize_dnc(base.field.as_ref(), &spots, &cfg, &machine);
+            AblationRow::dnc("spot_count", spot_count.to_string(), &out)
+        })
+        .collect()
+}
+
+/// Paper §3–4: texture tiling (less texture space, duplicated boundary
+/// spots) vs round-robin partitioning, on 8 processors with 2 and 4 pipes.
+fn tiling_sweep(base: &Workload) -> Vec<AblationRow> {
+    let mut rows = Vec::new();
+    for pipes in [2, 4] {
+        let machine = MachineConfig::new(8, pipes);
+        for (use_tiling, label) in [(false, "round_robin"), (true, "tiled")] {
+            let cfg = SynthesisConfig {
+                use_tiling,
+                ..base.config
+            };
+            let out = synthesize_dnc(base.field.as_ref(), &base.spots, &cfg, &machine);
+            rows.push(AblationRow::dnc(
+                "tiling",
+                format!("{pipes}pipes_{label}"),
+                &out,
+            ));
+        }
+    }
+    rows
+}
+
+/// Paper §4: spot transformation in software by the processors vs a matrix
+/// load per spot on the pipe, which the cost model charges the
+/// InfiniteReality synchronisation penalty. 4000 disc spots over a vortex
+/// on 4 processors and 2 pipes.
+fn transform_sweep() -> Vec<AblationRow> {
+    let domain = Rect::new(Vec2::ZERO, Vec2::new(1.0, 1.0));
+    let field = Vortex {
+        omega: 1.5,
+        center: domain.center(),
+        domain,
+    };
+    let base = SynthesisConfig {
+        texture_size: 256,
+        spot_count: 4000,
+        spot_radius: 0.02,
+        spot_kind: SpotKind::Disc,
+        ..SynthesisConfig::small_test()
+    };
+    let spots = generate_spots(base.spot_count, domain, 1.0, 1);
+    let machine = MachineConfig::new(4, 2);
+    [
+        (false, "software_transform"),
+        (true, "on_pipe_matrix_loads"),
+    ]
+    .into_iter()
+    .map(|(transform_on_pipe, label)| {
+        let cfg = SynthesisConfig {
+            transform_on_pipe,
+            ..base
+        };
+        let out = synthesize_dnc(&field, &spots, &cfg, &machine);
+        AblationRow::dnc("transform", label.to_string(), &out)
+    })
+    .collect()
+}
+
+/// Sequential synthesis (eq. 2.1, one processor and one pipe) vs
+/// divide-and-conquer on the full Onyx2 (eq. 3.2) vs the CPU-only executor
+/// that bypasses the pipes (the paper's "different architectures"
+/// discussion). The cost model prices pipes, so the CPU-only variant has no
+/// simulated figure.
+fn executor_sweep(workload: &Workload, label: &str) -> Vec<AblationRow> {
+    let (field, spots, cfg) = (workload.field.as_ref(), &workload.spots, &workload.config);
+    let start = Instant::now();
+    let seq = synthesize_sequential(field, spots, cfg);
+    let seq_seconds = start.elapsed().as_secs_f64();
+    let cost = MachineConfig::new(1, 1).cost;
+    let seq_simulated = eq_2_1(
+        cost.cpu_seconds(&seq.cpu_work),
+        cost.pipe_seconds(&seq.pipe.pipe_work()),
+    );
+    let dnc = synthesize_dnc(field, spots, cfg, &MachineConfig::onyx2_full());
+    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let cpu = synthesize_cpu_only(field, spots, cfg, threads);
+    vec![
+        AblationRow {
+            sweep: "seq_vs_dnc",
+            variant: format!("{label}/sequential"),
+            measured: 1.0 / seq_seconds,
+            simulated: Some(1.0 / seq_simulated),
+        },
+        AblationRow::dnc("seq_vs_dnc", format!("{label}/dnc_8p_4g"), &dnc),
+        AblationRow {
+            sweep: "seq_vs_dnc",
+            variant: format!("{label}/cpu_only"),
+            measured: 1.0 / cpu.wall_seconds,
+            simulated: None,
+        },
+    ]
+}
+
+/// The paper's ablations on the scaled workloads: one row per variant with
+/// host and simulated textures/s, also written to `<out>/ablations.json`.
+fn ablations(out_dir: &Path) {
+    println!("=== Ablations (paper sections 3-5): textures/second per variant ===");
+    let atmospheric = atmospheric_scaled();
+    let mut rows = mesh_resolution_sweep(&atmospheric);
+    rows.extend(spot_count_sweep(&turbulence_scaled()));
+    rows.extend(tiling_sweep(&atmospheric));
+    rows.extend(transform_sweep());
+    rows.extend(executor_sweep(&analytic_small(), "analytic_small"));
+    rows.extend(executor_sweep(&atmospheric, "atmospheric_scaled"));
+    println!(
+        "{:<16} {:<30} {:>10} {:>10}",
+        "sweep", "variant", "host", "simulated"
+    );
+    for row in &rows {
+        let simulated = row.simulated.map_or("-".to_string(), |v| format!("{v:.2}"));
+        println!(
+            "{:<16} {:<30} {:>10.2} {:>10}",
+            row.sweep, row.variant, row.measured, simulated
+        );
+    }
+    let json = Json::array(rows.iter().map(|row| {
+        Json::object([
+            ("sweep", Json::str(row.sweep)),
+            ("variant", Json::str(row.variant.as_str())),
+            ("measured_textures_per_second", Json::num(row.measured)),
+            (
+                "simulated_textures_per_second",
+                row.simulated.map_or(Json::Null, Json::num),
+            ),
+        ])
+    }));
+    let path = out_dir.join("ablations.json");
+    std::fs::write(&path, json.to_string_pretty()).expect("write ablations json");
+    println!("wrote {}\n", path.display());
+}
+
 fn save_gray(texture: &softpipe::Texture, out_dir: &Path, name: &str) {
     let fb = texture_to_framebuffer(
         texture,
@@ -444,4 +687,61 @@ fn save_gray(texture: &softpipe::Texture, out_dir: &Path, name: &str) {
     let path = out_dir.join(name);
     fb.save_ppm(&path).expect("write image");
     println!("wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_args_reads_targets_and_flags() {
+        assert_eq!(
+            parse(&["ablations", "--quick", "--out", "dir"]),
+            Ok(Args {
+                targets: vec!["ablations"],
+                out_dir: PathBuf::from("dir"),
+                quick: true,
+            })
+        );
+    }
+
+    #[test]
+    fn parse_args_rejects_an_unknown_target() {
+        assert_eq!(
+            parse(&["table1", "--bogus"]),
+            Err("unknown target: --bogus".to_string())
+        );
+    }
+
+    #[test]
+    fn parse_args_rejects_out_without_a_directory() {
+        assert_eq!(
+            parse(&["table1", "--out"]),
+            Err("--out needs a directory".to_string())
+        );
+    }
+
+    fn simulated(rows: &[AblationRow]) -> Vec<f64> {
+        rows.iter().map(|row| row.simulated.unwrap()).collect()
+    }
+
+    /// Paper §5.1: the cost model's textures/s rises strictly as the bent
+    /// mesh coarsens from 32x17 to 4x3.
+    #[test]
+    fn simulated_throughput_rises_as_the_mesh_coarsens() {
+        let rates = simulated(&mesh_resolution_sweep(&atmospheric_scaled()));
+        assert!(rates.windows(2).all(|w| w[0] < w[1]), "{rates:?}");
+    }
+
+    /// Paper §5.2: the cost model's textures/s rises strictly as the spot
+    /// count falls from 8000 to 500.
+    #[test]
+    fn simulated_throughput_rises_as_the_spot_count_falls() {
+        let rates = simulated(&spot_count_sweep(&turbulence_scaled()));
+        assert!(rates.windows(2).all(|w| w[0] > w[1]), "{rates:?}");
+    }
 }

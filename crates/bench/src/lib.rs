@@ -3,8 +3,8 @@
 //! Every table and figure of the paper is regenerated from the workloads
 //! defined here. A [`Workload`] bundles a vector field (produced by the
 //! application substrates in `flowsim`), a spot population and a synthesis
-//! configuration; the benchmark binaries and Criterion benches then run the
-//! sequential, divide-and-conquer and CPU-only executors over it.
+//! configuration; the `reproduce` targets and the benchmark binaries then run
+//! the sequential, divide-and-conquer and CPU-only executors over it.
 //!
 //! Two sizes exist for each workload:
 //!
@@ -13,8 +13,8 @@
 //!   the turbulence case). Used by the `reproduce` binary that regenerates
 //!   Tables 1 and 2 through the calibrated cost model.
 //! * `*_scaled()` — reduced versions (smaller texture, fewer spots, coarser
-//!   meshes) with the same *structure*, used by the Criterion wall-clock
-//!   benches so a full sweep completes in minutes on a laptop.
+//!   meshes) with the same *structure*, used by `reproduce --quick` and
+//!   `reproduce ablations` so a full sweep completes in seconds.
 
 #![warn(missing_docs)]
 
@@ -232,7 +232,7 @@ pub fn format_table(cells: &[SweepCell], simulated: bool) -> String {
 }
 
 /// The paper's published Table 1 (textures/second), used for the
-/// shape-comparison in EXPERIMENTS.md and the regression tests.
+/// shape comparison `reproduce table1` prints and the regression tests.
 pub fn paper_table1() -> Vec<(usize, usize, f64)> {
     vec![
         (1, 1, 1.0),

@@ -130,46 +130,59 @@ mod proptests {
     use flowfield::analytic::Vortex;
     use flowfield::particles::ParticleOptions;
     use flowfield::Vec2;
-    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The service's frame-advance path leans on the spot life cycle:
-        /// whatever the field, step size or lifetime, after any number of
-        /// steps every live spot must still be inside the domain, no
-        /// particle may outlive its lifetime, and a respawned particle must
-        /// carry a freshly drawn phase (position and random intensity), not
-        /// its predecessor's.
-        #[test]
-        fn life_cycle_keeps_spots_in_domain_and_respawns_fresh(
-            seed in 0u64..200,
-            steps in 1usize..25,
-            mean_lifetime in 2u32..12,
-            dt in 0.01f64..0.4,
-            omega in -6.0f64..6.0,
-        ) {
+    /// The service's frame-advance path leans on the spot life cycle:
+    /// whatever the field, step size or lifetime, after any number of
+    /// steps every live spot must still be inside the domain, no
+    /// particle may outlive its lifetime, and a respawned particle must
+    /// carry a freshly drawn phase (position and random intensity), not
+    /// its predecessor's.
+    #[test]
+    fn life_cycle_keeps_spots_in_domain_and_respawns_fresh() {
+        let seed = 0x11FE;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..24 {
+            let animator_seed = rng.gen_range(0u64..200);
+            let steps = rng.gen_range(1usize..25);
+            let mean_lifetime = rng.gen_range(2u32..12);
+            let dt = rng.gen_range(0.01..0.4);
+            let omega = rng.gen_range(-6.0..6.0);
+            let context = format!(
+                "seed {seed:#x}, case {case}: animator seed {animator_seed}, steps {steps}, \
+                 mean lifetime {mean_lifetime}, dt {dt}, omega {omega}"
+            );
             let domain = Rect::new(Vec2::ZERO, Vec2::new(1.0, 1.0));
-            let field = Vortex { omega, center: Vec2::new(0.8, 0.8), domain };
-            let options = ParticleOptions { count: 120, mean_lifetime, ..Default::default() };
+            let field = Vortex {
+                omega,
+                center: Vec2::new(0.8, 0.8),
+                domain,
+            };
+            let options = ParticleOptions {
+                count: 120,
+                mean_lifetime,
+                ..Default::default()
+            };
             let mut animator =
-                SpotAnimator::with_options(domain, options, PositionMode::Advected, seed);
+                SpotAnimator::with_options(domain, options, PositionMode::Advected, animator_seed);
             let mut respawns_seen = 0usize;
             for step in 0..steps {
                 let before = animator.ensemble.particles().to_vec();
                 animator.advance(&field, dt);
                 let after = animator.ensemble.particles();
-                prop_assert_eq!(after.len(), before.len());
+                assert_eq!(after.len(), before.len(), "{context}");
                 for (slot, (prev, p)) in before.iter().zip(after).enumerate() {
-                    prop_assert!(
+                    assert!(
                         domain.contains(p.position),
-                        "step {} slot {}: position {:?} escaped the domain",
-                        step, slot, p.position
+                        "{context}, step {step} slot {slot}: position {:?} escaped the domain",
+                        p.position
                     );
-                    prop_assert!(
+                    assert!(
                         p.age < p.lifetime,
-                        "step {} slot {}: age {} not below lifetime {}",
-                        step, slot, p.age, p.lifetime
+                        "{context}, step {step} slot {slot}: age {} not below lifetime {}",
+                        p.age,
+                        p.lifetime
                     );
                     // Survivors aged by exactly one frame; a particle whose
                     // age reset to 0 was respawned this step and must have a
@@ -177,26 +190,37 @@ mod proptests {
                     // not the dead particle's values carried over.
                     if p.age == 0 {
                         respawns_seen += 1;
-                        prop_assert!(
+                        assert!(
                             p.position != prev.position && p.intensity != prev.intensity,
-                            "step {} slot {}: respawn kept stale phase",
-                            step, slot
+                            "{context}, step {step} slot {slot}: respawn kept stale phase"
                         );
                     } else {
-                        prop_assert_eq!(p.age, prev.age + 1);
-                        prop_assert_eq!(p.intensity, prev.intensity);
-                        prop_assert_eq!(p.lifetime, prev.lifetime);
+                        assert_eq!(p.age, prev.age + 1, "{context}, step {step} slot {slot}");
+                        assert_eq!(
+                            p.intensity, prev.intensity,
+                            "{context}, step {step} slot {slot}"
+                        );
+                        assert_eq!(
+                            p.lifetime, prev.lifetime,
+                            "{context}, step {step} slot {slot}"
+                        );
                     }
                 }
                 // The spots handed to synthesis mirror the ensemble.
                 let spots = animator.spots();
-                prop_assert!(spots.iter().all(|s| domain.contains(s.position)));
+                assert!(
+                    spots.iter().all(|s| domain.contains(s.position)),
+                    "{context}, step {step}"
+                );
             }
             // With lifetimes far below the step count the cycle must have
             // actually recycled particles, otherwise the property above
             // never exercised the respawn arm.
             if steps as u32 > 2 * mean_lifetime {
-                prop_assert!(respawns_seen > 0, "no particle was ever recycled");
+                assert!(
+                    respawns_seen > 0,
+                    "{context}: no particle was ever recycled"
+                );
             }
         }
     }

@@ -96,43 +96,62 @@ mod proptests {
     };
     use flowfield::analytic::Vortex;
     use flowfield::{Rect, Vec2};
-    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use softpipe::machine::MachineConfig;
 
     fn domain() -> Rect {
         Rect::new(Vec2::ZERO, Vec2::new(1.0, 1.0))
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-
-        /// The central correctness property of the paper: for any machine
-        /// shape, divide-and-conquer synthesis matches the sequential result
-        /// up to floating-point reassociation.
-        #[test]
-        fn dnc_equals_sequential(processors in 1usize..6, pipes in 1usize..4, seed in 0u64..50) {
+    /// The central correctness property of the paper: for any machine
+    /// shape, divide-and-conquer synthesis matches the sequential result
+    /// up to floating-point reassociation.
+    #[test]
+    fn dnc_equals_sequential() {
+        let seed = 0xD0C;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..12 {
+            let processors = rng.gen_range(1usize..6);
+            let pipes = rng.gen_range(1usize..4);
+            let spots_seed = rng.gen_range(0u64..50);
             let pipes = pipes.min(processors);
-            let cfg = SynthesisConfig { spot_count: 120, texture_size: 64, ..SynthesisConfig::small_test() };
-            let field = Vortex { omega: 1.0, center: Vec2::new(0.5, 0.5), domain: domain() };
-            let spots = generate_spots(cfg.spot_count, domain(), 1.0, seed);
+            let cfg = SynthesisConfig {
+                spot_count: 120,
+                texture_size: 64,
+                ..SynthesisConfig::small_test()
+            };
+            let field = Vortex {
+                omega: 1.0,
+                center: Vec2::new(0.5, 0.5),
+                domain: domain(),
+            };
+            let spots = generate_spots(cfg.spot_count, domain(), 1.0, spots_seed);
             let ctx = SynthesisContext::new(&field, &cfg);
             let seq = synthesize_sequential_with_context(&field, &spots, &cfg, &ctx);
             let machine = MachineConfig::new(processors, pipes);
             let dnc = synthesize_dnc(&field, &spots, &cfg, &machine);
             let mean_diff = seq.texture.absolute_difference(&dnc.texture) / (64.0 * 64.0);
-            prop_assert!(mean_diff < 1e-4, "mean texel difference {mean_diff}");
+            assert!(
+                mean_diff < 1e-4,
+                "seed {seed:#x}, case {case}: processors {processors}, pipes {pipes}, \
+                 spots seed {spots_seed}: mean texel difference {mean_diff}"
+            );
         }
+    }
 
-        /// Footprint sampling stays within the quality tolerances of Exact
-        /// across random fields, spot sizes and spot kinds — the license
-        /// for the speed-for-quality trade, enforced as a property.
-        #[test]
-        fn footprint_sampling_within_quality_tolerance(
-            seed in 0u64..1000,
-            omega in 0.5f64..2.5,
-            radius in 0.02f64..0.08,
-            bent in 0u8..2,
-        ) {
+    /// Footprint sampling stays within the quality tolerances of Exact
+    /// across random fields, spot sizes and spot kinds — the license
+    /// for the speed-for-quality trade, enforced as a property.
+    #[test]
+    fn footprint_sampling_within_quality_tolerance() {
+        let seed = 0xF007;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..12 {
+            let spots_seed = rng.gen_range(0u64..1000);
+            let omega = rng.gen_range(0.5..2.5);
+            let radius = rng.gen_range(0.02..0.08);
+            let bent = rng.gen_range(0u8..2);
             let cfg = SynthesisConfig {
                 texture_size: 96,
                 spot_count: 220,
@@ -144,41 +163,74 @@ mod proptests {
                 },
                 ..SynthesisConfig::small_test()
             };
-            let footprint_cfg = SynthesisConfig { sampling: SamplingMode::Footprint, ..cfg };
-            let field = Vortex { omega, center: Vec2::new(0.5, 0.5), domain: domain() };
-            let spots = generate_spots(cfg.spot_count, domain(), 1.0, seed);
+            let footprint_cfg = SynthesisConfig {
+                sampling: SamplingMode::Footprint,
+                ..cfg
+            };
+            let field = Vortex {
+                omega,
+                center: Vec2::new(0.5, 0.5),
+                domain: domain(),
+            };
+            let spots = generate_spots(cfg.spot_count, domain(), 1.0, spots_seed);
             let exact = synthesize_sequential(&field, &spots, &cfg);
             let approx = synthesize_sequential(&field, &spots, &footprint_cfg);
             let q = sampling_quality(&exact.texture, &approx.texture);
-            prop_assert!(
+            assert!(
                 q.within_footprint_tolerance(),
-                "seed {seed}, radius {radius}, bent {bent}: {q:?}"
+                "seed {seed:#x}, case {case}: spots seed {spots_seed}, omega {omega}, \
+                 radius {radius}, bent {bent}: {q:?}"
             );
         }
+    }
 
-        /// Round-robin partitioning is a true partition for any group count.
-        #[test]
-        fn round_robin_is_partition(n_spots in 1usize..400, groups in 1usize..9) {
+    /// Round-robin partitioning is a true partition for any group count.
+    #[test]
+    fn round_robin_is_partition() {
+        let seed = 0x2B2;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..12 {
+            let n_spots = rng.gen_range(1usize..400);
+            let groups = rng.gen_range(1usize..9);
+            let context =
+                format!("seed {seed:#x}, case {case}: n_spots {n_spots}, groups {groups}");
             let spots = generate_spots(n_spots, domain(), 1.0, 7);
             let parts = partition_round_robin(&spots, groups);
-            prop_assert_eq!(parts.len(), groups);
+            assert_eq!(parts.len(), groups, "{context}");
             let total: usize = parts.iter().map(Vec::len).sum();
-            prop_assert_eq!(total, n_spots);
+            assert_eq!(total, n_spots, "{context}");
             let max = parts.iter().map(Vec::len).max().unwrap();
             let min = parts.iter().map(Vec::len).min().unwrap();
-            prop_assert!(max - min <= 1);
+            assert!(max - min <= 1, "{context}");
         }
+    }
 
-        /// Tiled partitioning never loses a spot, and the duplicate count is
-        /// consistent with the per-group totals.
-        #[test]
-        fn tiling_never_loses_spots(n_spots in 1usize..400, groups in 1usize..9, margin in 0.0f64..30.0) {
+    /// Tiled partitioning never loses a spot, and the duplicate count is
+    /// consistent with the per-group totals.
+    #[test]
+    fn tiling_never_loses_spots() {
+        let seed = 0x711E;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..12 {
+            let n_spots = rng.gen_range(1usize..400);
+            let groups = rng.gen_range(1usize..9);
+            let margin = rng.gen_range(0.0..30.0);
+            let context = format!(
+                "seed {seed:#x}, case {case}: n_spots {n_spots}, groups {groups}, margin {margin}"
+            );
             let spots = generate_spots(n_spots, domain(), 1.0, 11);
             let mapper = FieldToPixel::new(domain(), 128);
-            let part = partition_tiled(&spots, &mapper, groups, &TilingOptions { overlap_margin_pixels: margin });
+            let part = partition_tiled(
+                &spots,
+                &mapper,
+                groups,
+                &TilingOptions {
+                    overlap_margin_pixels: margin,
+                },
+            );
             let total: usize = part.groups.iter().map(Vec::len).sum();
-            prop_assert_eq!(total, n_spots + part.duplicated);
-            prop_assert!(total >= n_spots);
+            assert_eq!(total, n_spots + part.duplicated, "{context}");
+            assert!(total >= n_spots, "{context}");
         }
     }
 }

@@ -13,7 +13,8 @@
 //! step limits scaling at high pipe counts.
 //!
 //! Real wall-clock measurements of the host are reported *alongside* the
-//! simulated numbers by the benchmark harness; see `EXPERIMENTS.md`.
+//! simulated numbers by the `reproduce` targets `table1`, `table2` and
+//! `ablations` (README, *Quickstart* and *Benchmarks*).
 
 /// Work performed on a general-purpose processor for one spot (pipeline step
 /// "advect particles" + spot shape computation).

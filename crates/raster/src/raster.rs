@@ -2818,12 +2818,11 @@ mod tests {
         //! The root-guided search against the bisection it replaced, row by
         //! row, and the span walkers against the
         //! per-pixel reference, over seeded adversarial triangles. The
-        //! proptest shim does not shrink, so failures print the seed and
-        //! the triangle.
+        //! loops do not shrink a failing case, so failures print the seed,
+        //! the case and the triangle.
 
         use super::*;
         use crate::blend::AlphaFactor;
-        use proptest::prelude::*;
         use rand::{Rng, SeedableRng};
         use rand_chacha::ChaCha8Rng;
         use std::sync::Arc;
@@ -3026,49 +3025,53 @@ mod tests {
             assert!(off.iter().all(|&n| n > 0), "misrounded starts {off:?}");
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(4000))]
-
-            #[test]
-            fn root_search_equals_bisection_on_every_row(seed in 0u64..u64::MAX) {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let tri = triangle(&mut rng);
+        #[test]
+        fn root_search_equals_bisection_on_every_row() {
+            let seed = 0x5EA2C;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for case in 0..4000 {
+                let tri_seed = rng.gen_range(0u64..u64::MAX);
+                let mut tri_rng = ChaCha8Rng::seed_from_u64(tri_seed);
+                let tri = triangle(&mut tri_rng);
                 let target = Texture::new(W, H);
                 let mut stats = RasterStats::default();
                 let Some(setup) = TriSetup::new(&target, tri[0], tri[1], tri[2], &mut stats) else {
-                    return Ok(());
+                    continue;
                 };
                 for py in setup.y0..=setup.y1 {
                     let want = bisected_span(&setup, py);
                     let got = covered_span(&setup, py);
-                    prop_assert_eq!(
+                    assert_eq!(
                         got, want,
-                        "seed {} row {}: {:?} vs bisection {:?}, triangle {:?}",
-                        seed, py, got, want, tri
+                        "seed {seed:#x}, case {case}: triangle seed {tri_seed}, row {py}: \
+                         {got:?} vs bisection {want:?}, triangle {tri:?}"
                     );
                 }
             }
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(300))]
-
-            #[test]
-            fn span_walkers_equal_the_per_pixel_reference(seed in 0u64..u64::MAX) {
-                let spot = disc_spot_texture(16, 0.5);
-                let pyramid = FootprintPyramid::build(Arc::new(spot.clone()));
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let tri = triangle(&mut rng);
+        #[test]
+        fn span_walkers_equal_the_per_pixel_reference() {
+            let seed = 0x5A1C;
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let spot = disc_spot_texture(16, 0.5);
+            let pyramid = FootprintPyramid::build(Arc::new(spot.clone()));
+            for case in 0..300 {
+                let tri_seed = rng.gen_range(0u64..u64::MAX);
+                let mut tri_rng = ChaCha8Rng::seed_from_u64(tri_seed);
+                let tri = triangle(&mut tri_rng);
                 // The fourth corner completes a parallelogram, as a spot
                 // quad does.
                 let d = tri[0].position + tri[2].position - tri[1].position;
-                let quad = [tri[0], tri[1], tri[2], vertex(&mut rng, d.x, d.y)];
+                let quad = [tri[0], tri[1], tri[2], vertex(&mut tri_rng, d.x, d.y)];
                 let mut base = Texture::new(W, H);
                 for v in base.data_mut() {
-                    *v = rng.gen_range(-1.0f32..1.0);
+                    *v = tri_rng.gen_range(-1.0f32..1.0);
                 }
-                let intensity = rng.gen_range(-1.5f32..1.5);
-                let _serial = simd::FORCE_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+                let intensity = tri_rng.gen_range(-1.5f32..1.5);
+                let _serial = simd::FORCE_LOCK
+                    .lock()
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
                 let mut failure = None;
                 for level in simd::available() {
                     simd::force(Some(level));
@@ -3083,13 +3086,21 @@ mod tests {
                         let checks = [
                             (
                                 "triangle",
-                                run(&|t, s| rasterize_triangle(t, &spot, a, b, c, intensity, mode, s)),
-                                run(&|t, s| reference::rasterize_triangle(t, &spot, a, b, c, intensity, mode, s)),
+                                run(&|t, s| {
+                                    rasterize_triangle(t, &spot, a, b, c, intensity, mode, s)
+                                }),
+                                run(&|t, s| {
+                                    reference::rasterize_triangle(
+                                        t, &spot, a, b, c, intensity, mode, s,
+                                    )
+                                }),
                             ),
                             (
                                 "quad",
                                 run(&|t, s| rasterize_quad(t, &spot, quad, intensity, mode, s)),
-                                run(&|t, s| reference::rasterize_quad(t, &spot, quad, intensity, mode, s)),
+                                run(&|t, s| {
+                                    reference::rasterize_quad(t, &spot, quad, intensity, mode, s)
+                                }),
                             ),
                             (
                                 "footprint triangle",
@@ -3103,10 +3114,15 @@ mod tests {
                             ),
                         ];
                         for (what, got, want) in checks {
-                            if failure.is_none() && !(same_bits(&got.0, &want.0) && got.1 == want.1) {
+                            if failure.is_none() && !(same_bits(&got.0, &want.0) && got.1 == want.1)
+                            {
                                 failure = Some(format!(
                                     "{} {} {:?}: texels or stats {:?} vs {:?} differ",
-                                    level.name(), what, mode, got.1, want.1
+                                    level.name(),
+                                    what,
+                                    mode,
+                                    got.1,
+                                    want.1
                                 ));
                             }
                         }
@@ -3114,7 +3130,10 @@ mod tests {
                 }
                 simd::force(None);
                 if let Some(failure) = failure {
-                    prop_assert!(false, "seed {}, {}, triangle {:?}", seed, failure, tri);
+                    panic!(
+                        "seed {seed:#x}, case {case}: triangle seed {tri_seed}, {failure}, \
+                         triangle {tri:?}"
+                    );
                 }
             }
         }

@@ -42,9 +42,9 @@
 //!   build profiles, while the compare-select keeps `dst` on every tie,
 //!   everywhere.
 //!
-//! The proptest suite at the bottom pins every kernel to its scalar twin
-//! bit-for-bit over random lengths (including sub-lane tails), blend modes
-//! and slice offsets, at every level the host can run.
+//! The seeded property tests at the bottom pin every kernel to its scalar
+//! twin bit-for-bit over random lengths (including sub-lane tails), blend
+//! modes and slice offsets, at every level the host can run.
 //!
 //! # Dispatch
 //!
@@ -1956,13 +1956,12 @@ mod neon {
 mod tests {
     use super::*;
     use crate::blend::AlphaFactor;
-    use proptest::prelude::*;
-    use proptest::TestRng;
+    use rand::{Rng, RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// Deterministic mixed-sign data with signed zeros sprinkled in, so the
     /// Max blend's `±0.0` corner is exercised by every run.
-    fn data(tag: &str, seed: u64, len: usize) -> Vec<f32> {
-        let mut rng = TestRng::deterministic(&format!("simd-{tag}-{seed}"));
+    fn data(rng: &mut ChaCha8Rng, len: usize) -> Vec<f32> {
         (0..len)
             .map(|_| {
                 let bits = rng.next_u64();
@@ -1992,21 +1991,21 @@ mod tests {
             .collect()
     }
 
-    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) -> Result<(), TestCaseError> {
+    fn assert_bits_eq(got: &[f32], want: &[f32], level: SimdLevel, context: &str) {
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
-            prop_assert_eq!(
+            assert_eq!(
                 g.to_bits(),
                 w.to_bits(),
-                "{} diverged at index {}: got {:?} ({:#x}), want {:?} ({:#x})",
-                what,
+                "{} diverged at index {}: got {:?} ({:#x}), want {:?} ({:#x}); {}",
+                level.name(),
                 i,
                 g,
                 g.to_bits(),
                 w,
-                w.to_bits()
+                w.to_bits(),
+                context
             );
         }
-        Ok(())
     }
 
     #[test]
@@ -2087,131 +2086,224 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn blend_block_bit_identical(seed in 0u64..1_000_000, len in 0usize..41, raw_mode in 0u8..4) {
+    #[test]
+    fn blend_block_bit_identical() {
+        let seed = 0xB10C;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..64 {
+            let data_seed = rng.gen_range(0u64..1_000_000);
+            let len = rng.gen_range(0usize..41);
+            let raw_mode = rng.gen_range(0u8..4);
+            let context = format!(
+                "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, raw mode {raw_mode}"
+            );
             let mode = mode_from(raw_mode);
-            let dst0 = data("dst", seed, len);
-            let src = data("src", seed, len);
+            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
+            let dst0 = data(&mut data_rng, len);
+            let src = data(&mut data_rng, len);
             let mut want = dst0.clone();
             blend_block(SimdLevel::Scalar, mode, &mut want, &src);
             for level in vector_levels() {
                 let mut got = dst0.clone();
                 blend_block(level, mode, &mut got, &src);
-                assert_bits_eq(&got, &want, level.name())?;
+                assert_bits_eq(&got, &want, level, &context);
             }
         }
+    }
 
-        #[test]
-        fn blend_uniform_bit_identical(seed in 0u64..1_000_000, len in 0usize..41, raw_mode in 0u8..4, src in -2.0f32..2.0) {
+    #[test]
+    fn blend_uniform_bit_identical() {
+        let seed = 0xB1F0;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..64 {
+            let data_seed = rng.gen_range(0u64..1_000_000);
+            let len = rng.gen_range(0usize..41);
+            let raw_mode = rng.gen_range(0u8..4);
+            let src = rng.gen_range(-2.0f32..2.0);
+            let context = format!(
+                "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, \
+                 raw mode {raw_mode}, src {src}"
+            );
             let mode = mode_from(raw_mode);
-            let dst0 = data("udst", seed, len);
+            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
+            let dst0 = data(&mut data_rng, len);
             let mut want = dst0.clone();
             blend_uniform(SimdLevel::Scalar, mode, &mut want, src);
             for level in vector_levels() {
                 let mut got = dst0.clone();
                 blend_uniform(level, mode, &mut got, src);
-                assert_bits_eq(&got, &want, level.name())?;
+                assert_bits_eq(&got, &want, level, &context);
             }
         }
+    }
 
-        #[test]
-        fn copy_and_folds_bit_identical(seed in 0u64..1_000_000, len in 0usize..41, k in 1usize..5) {
-            let sources: Vec<Vec<f32>> = (0..k)
-                .map(|s| data(&format!("fold{s}"), seed, len))
-                .collect();
+    #[test]
+    fn copy_and_folds_bit_identical() {
+        let seed = 0xF01D;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..64 {
+            let data_seed = rng.gen_range(0u64..1_000_000);
+            let len = rng.gen_range(0usize..41);
+            let k = rng.gen_range(1usize..5);
+            let context =
+                format!("seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, k {k}");
+            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
+            let sources: Vec<Vec<f32>> = (0..k).map(|_| data(&mut data_rng, len)).collect();
             let refs: Vec<&[f32]> = sources.iter().map(|v| v.as_slice()).collect();
-            let dst0 = data("folddst", seed, len);
+            let dst0 = data(&mut data_rng, len);
             for level in vector_levels() {
                 let mut want = dst0.clone();
                 fold_copy(SimdLevel::Scalar, &mut want, &refs);
                 let mut got = dst0.clone();
                 fold_copy(level, &mut got, &refs);
-                assert_bits_eq(&got, &want, level.name())?;
+                assert_bits_eq(&got, &want, level, &context);
 
                 let mut want = dst0.clone();
                 fold_acc(SimdLevel::Scalar, &mut want, &refs);
                 let mut got = dst0.clone();
                 fold_acc(level, &mut got, &refs);
-                assert_bits_eq(&got, &want, level.name())?;
+                assert_bits_eq(&got, &want, level, &context);
 
                 let mut got = dst0.clone();
                 copy_slice(level, &mut got, &sources[0]);
-                assert_bits_eq(&got, &sources[0], level.name())?;
+                assert_bits_eq(&got, &sources[0], level, &context);
             }
         }
+    }
 
-        #[test]
-        fn fill_hoisted_bit_identical(
-            seed in 0u64..1_000_000,
-            len in 0usize..41,
-            lo in 0usize..23,
-            raw_mode in 0u8..4,
-            tex_w in 1usize..35,
-            row_base in -0.4f64..1.4,
-            ddx in -0.06f64..0.06,
-            ty in 0.0f32..1.0,
-        ) {
+    #[test]
+    fn fill_hoisted_bit_identical() {
+        let seed = 0x4015;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..64 {
+            let data_seed = rng.gen_range(0u64..1_000_000);
+            let len = rng.gen_range(0usize..41);
+            let lo = rng.gen_range(0usize..23);
+            let raw_mode = rng.gen_range(0u8..4);
+            let tex_w = rng.gen_range(1usize..35);
+            let row_base = rng.gen_range(-0.4..1.4);
+            let ddx = rng.gen_range(-0.06..0.06);
+            let ty = rng.gen_range(0.0f32..1.0);
+            let context = format!(
+                "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, lo {lo}, \
+                 raw mode {raw_mode}, tex_w {tex_w}, row_base {row_base}, ddx {ddx}, ty {ty}"
+            );
             let mode = mode_from(raw_mode);
-            let u_row = AttrRow { row_base, ddx, ox: 0.25 };
-            let r0 = data("hoist-r0", seed, tex_w);
-            let r1 = data("hoist-r1", seed, tex_w);
-            let dst0 = data("hoist-dst", seed, len);
+            let u_row = AttrRow {
+                row_base,
+                ddx,
+                ox: 0.25,
+            };
+            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
+            let r0 = data(&mut data_rng, tex_w);
+            let r1 = data(&mut data_rng, tex_w);
+            let dst0 = data(&mut data_rng, len);
             let mut want = dst0.clone();
-            fill_hoisted(SimdLevel::Scalar, &mut want, lo, u_row, &r0, &r1, ty, 0.8, mode);
+            fill_hoisted(
+                SimdLevel::Scalar,
+                &mut want,
+                lo,
+                u_row,
+                &r0,
+                &r1,
+                ty,
+                0.8,
+                mode,
+            );
             for level in vector_levels() {
                 let mut got = dst0.clone();
                 fill_hoisted(level, &mut got, lo, u_row, &r0, &r1, ty, 0.8, mode);
-                assert_bits_eq(&got, &want, level.name())?;
+                assert_bits_eq(&got, &want, level, &context);
             }
         }
+    }
 
-        #[test]
-        fn fill_nearest_row_bit_identical(
-            seed in 0u64..1_000_000,
-            len in 0usize..41,
-            lo in 0usize..23,
-            raw_mode in 0u8..4,
-            tw in 1usize..35,
-            row_base in -0.4f64..1.4,
-            ddx in -0.06f64..0.06,
-        ) {
+    #[test]
+    fn fill_nearest_row_bit_identical() {
+        let seed = 0x2E42;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..64 {
+            let data_seed = rng.gen_range(0u64..1_000_000);
+            let len = rng.gen_range(0usize..41);
+            let lo = rng.gen_range(0usize..23);
+            let raw_mode = rng.gen_range(0u8..4);
+            let tw = rng.gen_range(1usize..35);
+            let row_base = rng.gen_range(-0.4..1.4);
+            let ddx = rng.gen_range(-0.06..0.06);
+            let context = format!(
+                "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, lo {lo}, \
+                 raw mode {raw_mode}, tw {tw}, row_base {row_base}, ddx {ddx}"
+            );
             let mode = mode_from(raw_mode);
-            let u_row = AttrRow { row_base, ddx, ox: 0.25 };
-            let tex_row = data("near-row", seed, tw);
-            let dst0 = data("near-dst", seed, len);
+            let u_row = AttrRow {
+                row_base,
+                ddx,
+                ox: 0.25,
+            };
+            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
+            let tex_row = data(&mut data_rng, tw);
+            let dst0 = data(&mut data_rng, len);
             let mut want = dst0.clone();
             fill_nearest_row(SimdLevel::Scalar, &mut want, lo, u_row, &tex_row, 0.8, mode);
             for level in vector_levels() {
                 let mut got = dst0.clone();
                 fill_nearest_row(level, &mut got, lo, u_row, &tex_row, 0.8, mode);
-                assert_bits_eq(&got, &want, level.name())?;
+                assert_bits_eq(&got, &want, level, &context);
             }
         }
+    }
 
-        #[test]
-        fn fill_nearest_2d_bit_identical(
-            seed in 0u64..1_000_000,
-            len in 0usize..41,
-            lo in 0usize..23,
-            raw_mode in 0u8..4,
-            tw in 1usize..19,
-            th in 1usize..19,
-            u_base in -0.4f64..1.4,
-            v_base in -0.4f64..1.4,
-            ddx in -0.06f64..0.06,
-        ) {
+    #[test]
+    fn fill_nearest_2d_bit_identical() {
+        let seed = 0x2D;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..64 {
+            let data_seed = rng.gen_range(0u64..1_000_000);
+            let len = rng.gen_range(0usize..41);
+            let lo = rng.gen_range(0usize..23);
+            let raw_mode = rng.gen_range(0u8..4);
+            let tw = rng.gen_range(1usize..19);
+            let th = rng.gen_range(1usize..19);
+            let u_base = rng.gen_range(-0.4..1.4);
+            let v_base = rng.gen_range(-0.4..1.4);
+            let ddx = rng.gen_range(-0.06..0.06);
+            let context = format!(
+                "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, lo {lo}, \
+                 raw mode {raw_mode}, tw {tw}, th {th}, u_base {u_base}, v_base {v_base}, ddx {ddx}"
+            );
             let mode = mode_from(raw_mode);
-            let u_row = AttrRow { row_base: u_base, ddx, ox: 0.25 };
-            let v_row = AttrRow { row_base: v_base, ddx: -ddx, ox: 0.25 };
-            let texels = data("near2d-tex", seed, tw * th);
-            let dst0 = data("near2d-dst", seed, len);
+            let u_row = AttrRow {
+                row_base: u_base,
+                ddx,
+                ox: 0.25,
+            };
+            let v_row = AttrRow {
+                row_base: v_base,
+                ddx: -ddx,
+                ox: 0.25,
+            };
+            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
+            let texels = data(&mut data_rng, tw * th);
+            let dst0 = data(&mut data_rng, len);
             let mut want = dst0.clone();
-            fill_nearest_2d(SimdLevel::Scalar, &mut want, lo, u_row, v_row, &texels, tw, th, 0.8, mode);
+            fill_nearest_2d(
+                SimdLevel::Scalar,
+                &mut want,
+                lo,
+                u_row,
+                v_row,
+                &texels,
+                tw,
+                th,
+                0.8,
+                mode,
+            );
             for level in vector_levels() {
                 let mut got = dst0.clone();
-                fill_nearest_2d(level, &mut got, lo, u_row, v_row, &texels, tw, th, 0.8, mode);
-                assert_bits_eq(&got, &want, level.name())?;
+                fill_nearest_2d(
+                    level, &mut got, lo, u_row, v_row, &texels, tw, th, 0.8, mode,
+                );
+                assert_bits_eq(&got, &want, level, &context);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! under the block?". The original field is the wall-shear vector on the 3-D
 //! block surface; with a 2-D DNS substitute there is no spanwise direction,
 //! so the reproduction builds the skin-friction pattern as follows
-//! (documented substitution, see DESIGN.md):
+//! (documented substitution; `reproduce figure2` renders it):
 //!
 //! * the *attachment height* — the height on the front face where the
 //!   oncoming flow stagnates and splits into an over-branch and an

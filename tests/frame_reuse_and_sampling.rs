@@ -286,8 +286,8 @@ fn tiled_frames_with_arena_match_fresh_allocation() {
 }
 
 /// Full-synthesis footprint quality gate over the divide-and-conquer path
-/// (the unit proptests cover the sequential path): contrast and per-texel
-/// error stay within the documented tolerances.
+/// (the seeded unit property tests cover the sequential path): contrast and
+/// per-texel error stay within the documented tolerances.
 #[test]
 fn dnc_footprint_synthesis_stays_within_quality_tolerance() {
     let field = Uniform {
