@@ -212,11 +212,13 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => {
-                if let Some(path) = args.next() {
-                    out = PathBuf::from(path);
+            "--out" => match args.next() {
+                Some(path) => out = PathBuf::from(path),
+                None => {
+                    eprintln!("--out needs a path\n{USAGE}");
+                    return ExitCode::FAILURE;
                 }
-            }
+            },
             "--check" => check = true,
             "--allow-new" => allow_new = true,
             "--filter" => match args.next() {

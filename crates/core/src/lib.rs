@@ -19,8 +19,8 @@
 //! * [`bent`] — bent spots: stream-line-advected textured meshes,
 //! * [`synth`] — sequential synthesis (the eq. 2.1 baseline),
 //! * [`scheduler`] — the generic execution engine: [`ExecBackend`]s
-//!   (softpipe pipes, CPU-only), [`WorkSource`]s (static split, dynamic
-//!   spot/tile queues) and the streaming gather,
+//!   (softpipe pipes, CPU-only), the fixed per-group [`Schedule`] (spot
+//!   sets or texture tiles) and the streaming gather,
 //! * [`dnc`] — the divide-and-conquer executors as thin engine
 //!   configurations (round-robin, texture tiling, CPU-only),
 //! * [`partition`] — spot partitioning strategies,
@@ -78,8 +78,8 @@ pub use dnc::{synthesize_cpu_only, synthesize_dnc, DncOutput, DncReport, GroupRe
 pub use perfmodel::{eq_2_1, eq_3_2, PerfPrediction};
 pub use pipeline::{ExecutionMode, FrameOutput, Pipeline};
 pub use scheduler::{
-    CpuBackend, DynamicSpotQueue, EngineOutput, ExecBackend, ExecSession, ScheduleMode, Scheduler,
-    SchedulerOptions, SoftpipeBackend, StaticSpotSource, TileWorkQueue, WorkSource, WorkUnit,
+    CpuBackend, EngineOutput, ExecBackend, ExecSession, Schedule, Scheduler, SchedulerOptions,
+    SoftpipeBackend,
 };
 pub use spot::{generate_spots, Spot};
 pub use synth::{synthesize_sequential, SequentialOutput, SynthesisContext};

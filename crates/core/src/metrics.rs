@@ -8,7 +8,7 @@
 //! side by side.
 
 use crate::perfmodel::PerfPrediction;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Wall-clock durations of the four pipeline stages of one frame.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,15 +44,6 @@ impl StageTimings {
             0.0
         }
     }
-
-    /// Adds another frame's stage times into this accumulator (saturating,
-    /// so long-lived per-session totals can never wrap).
-    pub fn accumulate(&mut self, other: &StageTimings) {
-        self.read_us = self.read_us.saturating_add(other.read_us);
-        self.advect_us = self.advect_us.saturating_add(other.advect_us);
-        self.synthesize_us = self.synthesize_us.saturating_add(other.synthesize_us);
-        self.render_us = self.render_us.saturating_add(other.render_us);
-    }
 }
 
 /// Measures a closure and returns its result together with the elapsed
@@ -61,67 +52,6 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_micros() as u64)
-}
-
-/// Hard cap on the instants a [`ThroughputMeter`] retains. Without it, a
-/// long window combined with fast ticks grows the Vec without bound (the
-/// window-based retain only drops instants *older* than the window); with
-/// it, memory is flat and the rate estimate degrades gracefully to "over
-/// the retained span" instead of "over the window".
-pub const THROUGHPUT_METER_MAX_RETAINED: usize = 4096;
-
-/// A sliding frame-rate meter for interactive sessions.
-#[derive(Debug, Clone)]
-pub struct ThroughputMeter {
-    window: Duration,
-    frames: Vec<Instant>,
-}
-
-impl ThroughputMeter {
-    /// Creates a meter averaging over the given window.
-    pub fn new(window: Duration) -> Self {
-        ThroughputMeter {
-            window,
-            frames: Vec::new(),
-        }
-    }
-
-    /// Records the completion of one frame (texture).
-    pub fn tick(&mut self) {
-        let now = Instant::now();
-        self.frames.push(now);
-        let cutoff = now.checked_sub(self.window);
-        if let Some(cutoff) = cutoff {
-            self.frames.retain(|t| *t >= cutoff);
-        }
-        if self.frames.len() > THROUGHPUT_METER_MAX_RETAINED {
-            let excess = self.frames.len() - THROUGHPUT_METER_MAX_RETAINED;
-            self.frames.drain(..excess);
-        }
-    }
-
-    /// Number of frames recorded within the current window.
-    pub fn frames_in_window(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Estimated textures per second over the window.
-    pub fn textures_per_second(&self) -> f64 {
-        if self.frames.len() < 2 {
-            return 0.0;
-        }
-        let span = self
-            .frames
-            .last()
-            .unwrap()
-            .duration_since(*self.frames.first().unwrap())
-            .as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            (self.frames.len() - 1) as f64 / span
-        }
-    }
 }
 
 /// Hit/miss/eviction counters of a frame cache, as exposed by the synthesis
@@ -196,6 +126,7 @@ impl FrameMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn stage_timings_totals() {
@@ -220,63 +151,6 @@ mod tests {
         });
         assert_eq!(v, 42);
         assert!(us >= 4_000, "elapsed {us}us");
-    }
-
-    #[test]
-    fn throughput_meter_counts_recent_frames() {
-        let mut m = ThroughputMeter::new(Duration::from_secs(10));
-        assert_eq!(m.textures_per_second(), 0.0);
-        for _ in 0..5 {
-            m.tick();
-        }
-        assert_eq!(m.frames_in_window(), 5);
-        // Five immediate ticks give a very high (but finite or zero) rate;
-        // the meter must not panic or return NaN.
-        assert!(m.textures_per_second().is_finite());
-    }
-
-    #[test]
-    fn throughput_meter_caps_retained_instants() {
-        // A huge window never expires anything; the hard cap must bound the
-        // Vec regardless.
-        let mut m = ThroughputMeter::new(Duration::from_secs(100_000));
-        for _ in 0..(THROUGHPUT_METER_MAX_RETAINED + 5_000) {
-            m.tick();
-        }
-        assert_eq!(m.frames_in_window(), THROUGHPUT_METER_MAX_RETAINED);
-        assert!(m.textures_per_second().is_finite());
-    }
-
-    #[test]
-    fn stage_timings_accumulate_and_saturate() {
-        let mut total = StageTimings::default();
-        let frame = StageTimings {
-            read_us: 1,
-            advect_us: 2,
-            synthesize_us: 3,
-            render_us: 4,
-        };
-        total.accumulate(&frame);
-        total.accumulate(&frame);
-        assert_eq!(
-            total,
-            StageTimings {
-                read_us: 2,
-                advect_us: 4,
-                synthesize_us: 6,
-                render_us: 8,
-            }
-        );
-        let mut near_max = StageTimings {
-            advect_us: u64::MAX - 1,
-            ..StageTimings::default()
-        };
-        near_max.accumulate(&frame);
-        assert_eq!(
-            near_max.advect_us,
-            u64::MAX,
-            "saturates instead of wrapping"
-        );
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub fn partition_round_robin(spots: &[Spot], groups: usize) -> Vec<Vec<Spot>> {
     out
 }
 
-/// Splits `spots` into `groups` contiguous chunks (preserving order). Used
-/// inside a process group to distribute work over the master and its slaves.
+/// Splits `spots` into `groups` contiguous chunks (preserving order): one
+/// chunk per task of the CPU-only executor.
 pub fn partition_chunks(spots: &[Spot], groups: usize) -> Vec<Vec<Spot>> {
     chunk_slices(spots, groups)
         .into_iter()
@@ -55,9 +55,8 @@ pub fn partition_chunks(spots: &[Spot], groups: usize) -> Vec<Vec<Spot>> {
 }
 
 /// Borrowing variant of [`partition_chunks`]: the same contiguous chunk
-/// boundaries as sub-slices, without copying. The scheduler engine uses
-/// this to split a leased tile's spot run over a group's processors.
-pub fn chunk_slices(spots: &[Spot], groups: usize) -> Vec<&[Spot]> {
+/// boundaries as sub-slices, without copying.
+fn chunk_slices(spots: &[Spot], groups: usize) -> Vec<&[Spot]> {
     assert!(groups > 0, "need at least one group");
     let mut out = Vec::with_capacity(groups);
     let base = spots.len() / groups;

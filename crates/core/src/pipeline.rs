@@ -58,7 +58,6 @@ pub struct FrameOutput {
 pub struct Pipeline {
     cfg: SynthesisConfig,
     mode: ExecutionMode,
-    sched: SchedulerOptions,
     animator: SpotAnimator,
     postprocess: bool,
     display: bool,
@@ -91,7 +90,6 @@ impl Pipeline {
         Pipeline {
             cfg,
             mode,
-            sched: SchedulerOptions::default(),
             animator,
             postprocess: true,
             display: true,
@@ -169,13 +167,6 @@ impl Pipeline {
         &self.pool
     }
 
-    /// The persistent synthesis context, once a divide-and-conquer frame
-    /// has been produced (`None` before the first frame and in sequential
-    /// mode). Exposed so tests can assert the expensive parts are reused.
-    pub fn synthesis_context(&self) -> Option<&SynthesisContext> {
-        self.ctx.as_ref()
-    }
-
     /// The pipeline's frame arena, when pooling is enabled. Callers that
     /// drop a [`FrameOutput`] after consuming it can recycle its texture
     /// here to close the zero-allocation loop.
@@ -194,18 +185,6 @@ impl Pipeline {
     /// The pipeline's trace sink.
     pub fn trace_sink(&self) -> &TraceSink {
         &self.sink
-    }
-
-    /// Selects how the divide-and-conquer executor schedules work over its
-    /// process groups (static split vs dynamic spot queue, tile
-    /// oversubscription). Ignored in sequential mode.
-    pub fn set_scheduler_options(&mut self, options: SchedulerOptions) {
-        self.sched = options;
-    }
-
-    /// The scheduling options used by the divide-and-conquer executor.
-    pub fn scheduler_options(&self) -> SchedulerOptions {
-        self.sched
     }
 
     /// The synthesis configuration.
@@ -265,7 +244,6 @@ impl Pipeline {
         softpipe::fault::fire("synthesize");
         let mode = self.mode;
         let cfg = self.cfg;
-        let sched = self.sched;
         let arena = self.arena.as_ref();
         let pool = Some(&self.pool);
         let sink = &self.sink;
@@ -289,7 +267,15 @@ impl Pipeline {
                     None => ctx_slot.insert(SynthesisContext::new(field, &cfg)),
                 };
                 let out = synthesize_dnc_with_telemetry(
-                    field, &spots, &cfg, &machine, ctx, &sched, arena, pool, sink,
+                    field,
+                    &spots,
+                    &cfg,
+                    &machine,
+                    ctx,
+                    &SchedulerOptions,
+                    arena,
+                    pool,
+                    sink,
                 );
                 // Texture and report separate without cloning: the frame
                 // keeps the texture once instead of once per struct.
@@ -414,25 +400,6 @@ mod tests {
         // texture, which still lies in [0, 1].
         let (lo, hi) = frame.display.range();
         assert!(lo >= 0.0 && hi <= 1.0);
-    }
-
-    #[test]
-    fn dynamic_scheduling_produces_equivalent_frames() {
-        use crate::scheduler::SchedulerOptions;
-        let cfg = SynthesisConfig::small_test();
-        let machine = MachineConfig::new(4, 2);
-        let mut static_p = Pipeline::new(cfg, ExecutionMode::DivideAndConquer(machine), domain());
-        let mut dynamic_p = Pipeline::new(cfg, ExecutionMode::DivideAndConquer(machine), domain());
-        dynamic_p.set_scheduler_options(SchedulerOptions::dynamic());
-        assert_eq!(dynamic_p.scheduler_options(), SchedulerOptions::dynamic());
-        let f = field();
-        let a = static_p.advance(&f, 0.05, 0);
-        let b = dynamic_p.advance(&f, 0.05, 0);
-        let mean_diff = a.texture.absolute_difference(&b.texture)
-            / (cfg.texture_size * cfg.texture_size) as f64;
-        assert!(mean_diff < 1e-4, "mean texel difference {mean_diff}");
-        let dnc = b.dnc.expect("dnc report");
-        assert!(dnc.groups.iter().all(|g| g.queue_exhausted));
     }
 
     #[test]

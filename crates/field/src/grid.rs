@@ -295,11 +295,6 @@ impl ScalarGrid {
         &self.data
     }
 
-    /// Mutable raw sample storage (row-major).
-    pub fn samples_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Bilinear interpolation at an arbitrary point (clamped to the domain).
     pub fn interpolate(&self, p: Vec2) -> f64 {
         let uv = self.domain.to_unit(self.domain.clamp(p));

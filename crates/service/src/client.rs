@@ -695,19 +695,21 @@ pub struct ClientPool {
     addr: SocketAddr,
     connect_timeout: Option<Duration>,
     read_timeout: Option<Duration>,
-    max_idle: usize,
     idle: Mutex<Vec<ServiceClient>>,
 }
 
+/// How many idle connections a [`ClientPool`] shelves; excess connections
+/// are dropped on check-in.
+const POOL_MAX_IDLE: usize = 8;
+
 impl ClientPool {
     /// Creates a pool for one target address with the default read deadline
-    /// and up to 8 shelved idle connections.
+    /// and up to `POOL_MAX_IDLE` (8) shelved idle connections.
     pub fn new(addr: SocketAddr) -> Self {
         ClientPool {
             addr,
             connect_timeout: None,
             read_timeout: Some(DEFAULT_READ_TIMEOUT),
-            max_idle: 8,
             idle: Mutex::new(Vec::new()),
         }
     }
@@ -722,13 +724,6 @@ impl ClientPool {
     /// blocks forever).
     pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Caps how many idle connections the pool shelves (excess connections
-    /// are simply dropped on check-in).
-    pub fn with_max_idle(mut self, max_idle: usize) -> Self {
-        self.max_idle = max_idle;
         self
     }
 
@@ -850,7 +845,7 @@ impl Drop for PooledClient<'_> {
                 return;
             }
             let mut shelf = self.pool.idle_shelf();
-            if shelf.len() < self.pool.max_idle {
+            if shelf.len() < POOL_MAX_IDLE {
                 shelf.push(client);
             }
         }

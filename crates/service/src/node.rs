@@ -1006,26 +1006,15 @@ impl NodeCore {
             .sessions
             .iter()
             .map(|(id, handle)| match handle.try_lock() {
-                Ok(s) => {
-                    let totals = s.stage_totals();
-                    Json::object([
-                        ("session", Json::str(format_session_id(*id))),
-                        ("shared", Json::Bool(s.is_shared())),
-                        ("frames_rendered", Json::num(s.frames_rendered() as f64)),
-                        ("head_frame", Json::num(s.head_frame() as f64)),
-                        ("rewinds", Json::num(s.rewinds() as f64)),
-                        ("steers", Json::num(s.steers() as f64)),
-                        ("in_flight", Json::num(s.in_flight() as f64)),
-                        (
-                            "stage_us",
-                            Json::object([
-                                ("advect", Json::num(totals.advect_us as f64)),
-                                ("synthesize", Json::num(totals.synthesize_us as f64)),
-                                ("render", Json::num(totals.render_us as f64)),
-                            ]),
-                        ),
-                    ])
-                }
+                Ok(s) => Json::object([
+                    ("session", Json::str(format_session_id(*id))),
+                    ("shared", Json::Bool(s.is_shared())),
+                    ("frames_rendered", Json::num(s.frames_rendered() as f64)),
+                    ("head_frame", Json::num(s.head_frame() as f64)),
+                    ("rewinds", Json::num(s.rewinds() as f64)),
+                    ("steers", Json::num(s.steers() as f64)),
+                    ("in_flight", Json::num(s.in_flight() as f64)),
+                ]),
                 // A session mid-render holds its lock; report it busy rather
                 // than stalling /stats behind synthesis.
                 Err(_) => Json::object([

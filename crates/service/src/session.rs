@@ -138,10 +138,6 @@ pub struct Session {
     /// Total synthesis steps performed over the session's lifetime
     /// (monotonic across steers and rewinds).
     frames_rendered: u64,
-    /// Summed stage timings of every frame synthesized while serving this
-    /// session (shared sessions count the channel frames their serves
-    /// triggered). Feeds the per-session breakdown on `/stats`.
-    stage_totals: StageTimings,
     /// Times the pipeline was rebuilt to serve an earlier frame index.
     rewinds: u64,
     /// Times the session was steered to a (possibly new) field.
@@ -272,7 +268,6 @@ impl Session {
             config_key: spec.config_cache_key(),
             last_touch: Instant::now(),
             frames_rendered: 0,
-            stage_totals: StageTimings::default(),
             rewinds: 0,
             steers: 0,
             next_advance: 0,
@@ -353,12 +348,6 @@ impl Session {
     /// Total synthesis steps performed for this session.
     pub fn frames_rendered(&self) -> u64 {
         self.frames_rendered
-    }
-
-    /// Summed stage timings of every frame synthesized while serving this
-    /// session.
-    pub fn stage_totals(&self) -> StageTimings {
-        self.stage_totals
     }
 
     /// Times the pipeline was rebuilt to serve an earlier frame.
@@ -482,17 +471,8 @@ impl Session {
         self.touch();
         let (field_key, config_key, seed) =
             (self.field_key, self.config_key, self.spec.config.seed);
-        // Accumulated locally (the shared arm's closure cannot borrow
-        // `self`), then folded into the session after the match.
-        let mut served_totals = StageTimings::default();
-        let result = match &mut self.backing {
-            Backing::Shared(sub) => {
-                sub.channel()
-                    .serve(index, max_advances, |key, bytes, timings| {
-                        served_totals.accumulate(timings);
-                        on_frame(key, bytes, timings);
-                    })
-            }
+        match &mut self.backing {
+            Backing::Shared(sub) => sub.channel().serve(index, max_advances, on_frame),
             Backing::Private(private) => {
                 let PrivateBacking { field, pipeline } = &mut **private;
                 if index < pipeline.frames() {
@@ -518,7 +498,6 @@ impl Session {
                     let frame_index = pipeline.frames();
                     let (bytes, timings) = advance_pipeline(pipeline, field.as_ref(), self.spec.dt);
                     self.frames_rendered += 1;
-                    served_totals.accumulate(&timings);
                     let key = FrameKey {
                         field: field_key,
                         config: config_key,
@@ -534,9 +513,7 @@ impl Session {
                     skipped: false,
                 })
             }
-        };
-        self.stage_totals.accumulate(&served_totals);
-        result
+        }
     }
 }
 
@@ -756,11 +733,6 @@ mod tests {
         assert_eq!(seen, vec![0, 1, 2]);
         assert_eq!(s.frames_rendered(), 3);
         assert_eq!(s.head_frame(), 3);
-        let totals = s.stage_totals();
-        assert!(
-            totals.synthesize_us > 0,
-            "stage totals accumulate per-frame timings: {totals:?}"
-        );
     }
 
     #[test]

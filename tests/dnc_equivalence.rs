@@ -101,7 +101,7 @@ fn cpu_only_rayon_matches_sequential_on_dns_slice() {
     let d = mean_diff(&seq.texture, &out.texture);
     assert!(d < 1e-4, "mean texel difference {d}");
     // The CPU path reports through the same engine accounting as the
-    // pipe-backed executors: per-group work, lease counts, no bus traffic.
+    // pipe-backed executors: per-group work, no bus traffic.
     assert_eq!(out.groups.len(), 8);
     assert_eq!(out.total_cpu_work().spots, cfg.spot_count as u64);
     assert!(out.groups.iter().all(|g| g.queue_exhausted));

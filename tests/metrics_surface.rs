@@ -93,9 +93,6 @@ const NODE_STATS: &[&str] = &[
     "per_session[].rewinds",
     "per_session[].session",
     "per_session[].shared",
-    "per_session[].stage_us.advect",
-    "per_session[].stage_us.render",
-    "per_session[].stage_us.synthesize",
     "per_session[].steers",
     "pipes.discarded",
     "pipes.idle",

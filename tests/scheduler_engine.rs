@@ -1,24 +1,50 @@
-//! Cross-crate tests of the scheduler engine: on real application data the
-//! dynamic-queue schedules must conserve work, keep tile composition
-//! bit-identical to the static split, and redistribute leases when the spot
-//! distribution is skewed.
+//! Cross-crate tests of the scheduler engine on real application data: a
+//! process group's partial does not depend on how many processors built it,
+//! so a machine shape with slaves renders the same bits, and does the same
+//! CPU and pipe work, as the masters-only shape with the same group count.
 
-use flowfield::Vec2;
 use flowsim::{DnsConfig, DnsSolver, SmogModel};
 use softpipe::machine::MachineConfig;
+use softpipe::Texture;
 use spotnoise::config::{SpotKind, SynthesisConfig};
-use spotnoise::dnc::{synthesize_dnc, synthesize_dnc_with_telemetry};
-use spotnoise::scheduler::{ScheduleMode, SchedulerOptions};
-use spotnoise::spot::{generate_spots, Spot};
+use spotnoise::dnc::{synthesize_dnc, DncOutput};
+use spotnoise::spot::generate_spots;
 use spotnoise::synth::{synthesize_sequential_with_context, SynthesisContext};
-use spotnoise::telemetry::TraceSink;
 
-fn mean_diff(a: &softpipe::Texture, b: &softpipe::Texture) -> f64 {
-    a.absolute_difference(b) / a.data().len() as f64
+fn same_bits(a: &Texture, b: &Texture) -> bool {
+    a.width() == b.width()
+        && a.height() == b.height()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Asserts that two runs produced the same frame from the same work.
+fn assert_same_frame(with_slaves: &DncOutput, masters_only: &DncOutput, shape: &str) {
+    assert!(
+        same_bits(&with_slaves.texture, &masters_only.texture),
+        "{shape}: the frame differs from the masters-only frame (Σ|Δ| = {})",
+        with_slaves
+            .texture
+            .absolute_difference(&masters_only.texture)
+    );
+    assert_eq!(
+        with_slaves.total_cpu_work(),
+        masters_only.total_cpu_work(),
+        "{shape}: CPU work"
+    );
+    assert_eq!(
+        with_slaves.total_pipe_work(),
+        masters_only.total_pipe_work(),
+        "{shape}: pipe work"
+    );
+    assert_eq!(with_slaves.compose_texels, masters_only.compose_texels);
+    assert_eq!(with_slaves.duplicated_spots, masters_only.duplicated_spots);
 }
 
 #[test]
-fn dynamic_spot_queue_matches_sequential_on_smog_wind_field() {
+fn slave_shapes_match_masters_only_frames_on_smog_wind_field() {
     let mut model = SmogModel::new(27, 28, 7);
     for _ in 0..3 {
         model.step(0.2);
@@ -33,28 +59,30 @@ fn dynamic_spot_queue_matches_sequential_on_smog_wind_field() {
     let spots = generate_spots(cfg.spot_count, field.domain(), cfg.intensity_amplitude, 41);
     let ctx = SynthesisContext::new(field, &cfg);
     let seq = synthesize_sequential_with_context(field, &spots, &cfg, &ctx);
-    let machine = MachineConfig::new(8, 4);
-    let dnc = synthesize_dnc_with_telemetry(
-        field,
-        &spots,
-        &cfg,
-        &machine,
-        &ctx,
-        &SchedulerOptions::dynamic(),
-        None,
-        None,
-        &TraceSink::disabled(),
-    );
-    let d = mean_diff(&seq.texture, &dnc.texture);
-    assert!(d < 1e-4, "mean texel difference {d}");
-    // Work conserved and every group drained the queue.
-    let total: usize = dnc.groups.iter().map(|g| g.spots).sum();
-    assert_eq!(total, cfg.spot_count);
-    assert!(dnc.groups.iter().all(|g| g.queue_exhausted));
-    assert_eq!(
-        dnc.total_pipe_work().vertices as usize,
-        cfg.vertices_per_texture()
-    );
+    for ((procs, pipes), masters) in [((4, 2), (2, 2)), ((2, 1), (1, 1))] {
+        let reference = synthesize_dnc(
+            field,
+            &spots,
+            &cfg,
+            &MachineConfig::new(masters.0, masters.1),
+        );
+        // Slaves build their spots concurrently with the master; repeat the
+        // run so an order that depends on thread timing cannot pass by luck.
+        for _ in 0..3 {
+            let out = synthesize_dnc(field, &spots, &cfg, &MachineConfig::new(procs, pipes));
+            assert_same_frame(&out, &reference, &format!("{procs}p/{pipes}g"));
+            let total: usize = out.groups.iter().map(|g| g.spots).sum();
+            assert_eq!(total, cfg.spot_count);
+            assert!(out.groups.iter().all(|g| g.queue_exhausted));
+            assert_eq!(
+                out.total_pipe_work().vertices as usize,
+                cfg.vertices_per_texture()
+            );
+        }
+        let d =
+            seq.texture.absolute_difference(&reference.texture) / seq.texture.data().len() as f64;
+        assert!(d < 1e-4, "mean texel difference {d}");
+    }
 }
 
 #[test]
@@ -76,83 +104,13 @@ fn tiled_compose_bit_identical_across_schedules_on_dns_slice() {
         ..SynthesisConfig::turbulence_paper()
     };
     let spots = generate_spots(cfg.spot_count, slice.domain(), cfg.intensity_amplitude, 3);
-    let ctx = SynthesisContext::new(&slice, &cfg);
-    // Masters only (4 procs, 4 pipes) so per-tile render order is
-    // deterministic: the composed textures must agree bit for bit no matter
-    // which pipe rendered which tile.
-    let machine = MachineConfig::new(4, 4);
-    let static_out = synthesize_dnc(&slice, &spots, &cfg, &machine);
-    let dynamic_out = synthesize_dnc_with_telemetry(
-        &slice,
-        &spots,
-        &cfg,
-        &machine,
-        &ctx,
-        &SchedulerOptions::dynamic(),
-        None,
-        None,
-        &TraceSink::disabled(),
-    );
-    assert_eq!(
-        static_out.texture.absolute_difference(&dynamic_out.texture),
-        0.0,
-        "tiled compose diverged between static and dynamic scheduling"
-    );
-    assert_eq!(static_out.duplicated_spots, dynamic_out.duplicated_spots);
-    assert_eq!(static_out.compose_texels, dynamic_out.compose_texels);
-    assert!(dynamic_out.duplicated_spots > 0);
-}
-
-#[test]
-fn dynamic_tile_queue_rebalances_a_clustered_spot_distribution() {
-    // All spots cluster in one quadrant — the signal-dependent skew case.
-    // A static one-tile-per-group split leaves three groups idle; with an
-    // oversubscribed dynamic tile queue the loaded quadrant's tiles can be
-    // spread over several pipes.
-    let cfg = SynthesisConfig {
-        use_tiling: true,
-        spot_count: 600,
-        ..SynthesisConfig::small_test()
-    };
-    let domain = flowfield::Rect::new(Vec2::ZERO, Vec2::new(1.0, 1.0));
-    let field = flowfield::analytic::Vortex {
-        omega: 1.0,
-        center: Vec2::new(0.5, 0.5),
-        domain,
-    };
-    // Cluster the spots into the lower-left quadrant.
-    let spots: Vec<Spot> = generate_spots(cfg.spot_count, domain, 1.0, 77)
-        .into_iter()
-        .map(|mut s| {
-            s.position = Vec2::new(s.position.x * 0.45, s.position.y * 0.45);
-            s
-        })
-        .collect();
-    let ctx = SynthesisContext::new(&field, &cfg);
-    let seq = synthesize_sequential_with_context(&field, &spots, &cfg, &ctx);
-    let machine = MachineConfig::new(4, 4);
-    let opts = SchedulerOptions {
-        mode: ScheduleMode::Dynamic { chunk: None },
-        tiles: Some(16),
-    };
-    let out = synthesize_dnc_with_telemetry(
-        &field,
-        &spots,
-        &cfg,
-        &machine,
-        &ctx,
-        &opts,
-        None,
-        None,
-        &TraceSink::disabled(),
-    );
-    let d = mean_diff(&seq.texture, &out.texture);
-    assert!(d < 1e-4, "mean texel difference {d}");
-    // All 16 tiles were leased exactly once across the 4 groups, and no
-    // group stopped while tiles remained.
-    let leases: u64 = out.groups.iter().map(|g| g.leases).sum();
-    assert_eq!(leases, 16);
-    assert!(out.groups.iter().all(|g| g.queue_exhausted));
-    let total: usize = out.groups.iter().map(|g| g.spots).sum();
-    assert_eq!(total, cfg.spot_count + out.duplicated_spots);
+    // The same four tiles, rendered by masters alone and by masters with
+    // one slave each: within a tile the slave builds every other spot, and
+    // the tile's partial must not change.
+    let masters_only = synthesize_dnc(&slice, &spots, &cfg, &MachineConfig::new(4, 4));
+    assert!(masters_only.duplicated_spots > 0);
+    for _ in 0..3 {
+        let with_slaves = synthesize_dnc(&slice, &spots, &cfg, &MachineConfig::new(8, 4));
+        assert_same_frame(&with_slaves, &masters_only, "8p/4g");
+    }
 }
