@@ -1,6 +1,6 @@
 //! Stream-line tracing.
 //!
-//! Bent spots (enhanced spot noise, [4] in the paper) are built by advecting
+//! Bent spots (enhanced spot noise, \[4\] in the paper) are built by advecting
 //! a stream line through the flow and tiling a surface around it. The tracer
 //! here integrates in both directions from a seed point, with arc-length
 //! parameterisation so that the resulting polyline can be resampled into the

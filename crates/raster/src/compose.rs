@@ -115,15 +115,15 @@ enum GatherMode {
 ///
 /// Create one with [`StreamingGather::additive`] or
 /// [`StreamingGather::tiles`], [`push`](StreamingGather::push) each partial
-/// as it becomes available (in any order), and [`finish`]
-/// (StreamingGather::finish) once every slot has arrived. The scheduler
+/// as it becomes available (in any order), and
+/// [`finish`](StreamingGather::finish) once every slot has arrived. The scheduler
 /// engine drives this from a channel so composition overlaps with
 /// still-running process groups; [`gather_additive`] and [`compose_tiles`]
 /// are the all-at-once convenience wrappers.
 ///
 /// With [`with_arena`](StreamingGather::with_arena) the gather recycles
-/// every partial it consumed through [`push_owned`]
-/// (StreamingGather::push_owned) back into the pool the moment it has been
+/// every partial it consumed through
+/// [`push_owned`](StreamingGather::push_owned) back into the pool the moment it has been
 /// folded or blitted — the return half of the engine's zero-alloc frame
 /// loop.
 #[derive(Debug)]

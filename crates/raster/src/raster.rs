@@ -1454,7 +1454,7 @@ pub fn axis_aligned_spot_quad(center: Vec2, radius: f64) -> [Vertex; 4] {
 /// three inside-tests per pixel, per-pixel bilinear sampling and
 /// bounds-checked texel accessors. This is the scan *structure* the span
 /// walker replaced; it is retained as the correctness oracle (outputs are
-/// pixel-identical because both paths share [`TriSetup`], the coverage
+/// pixel-identical because both paths share `TriSetup`, the coverage
 /// predicate and the per-pixel shading arithmetic) and as the baseline the
 /// benches compare against. Since the shared setup is cheaper than the
 /// seed's per-pixel cross products, measured speedups against this path

@@ -1,11 +1,10 @@
 //! Explicit SIMD kernels behind runtime dispatch.
 //!
 //! The span fills, blend sweeps and gather folds are the fragment-bound inner
-//! loops of the software pipe. Until now they relied on the autovectorizer;
-//! this module gives them explicit `core::arch` kernels — SSE2 (the x86_64
-//! baseline) and AVX2 on x86_64, NEON on aarch64 — selected once per process
-//! by runtime feature detection, with the previous scalar code retained as
-//! the portable fallback and correctness oracle.
+//! loops of the software pipe. This module gives them explicit `core::arch`
+//! kernels — SSE2 (the x86_64 baseline) and AVX2 on x86_64, NEON on aarch64 —
+//! selected once per process by runtime feature detection, with the scalar
+//! code kept as the portable fallback and correctness oracle.
 //!
 //! The kernels:
 //!
@@ -15,6 +14,19 @@
 //!   `blend_uniform`);
 //! * gather folds and the tile blit (`fold_copy`, `fold_acc`,
 //!   `copy_slice`).
+//!
+//! On x86_64 each kernel is written once, generic over a private lane trait
+//! (`Lanes`) with two impls: SSE2 (`__m128`, texel gathers through lane
+//! arrays) and AVX2 (`__m256`, `vgatherdps`). There are two vector loops:
+//! the blend loop, which the blends and span fills share (they differ only
+//! in the lanes they blend in), and the fold loop. Each kernel body runs the
+//! tail cascade — 8-lane blocks (AVX2 entry points only), then 4-lane
+//! blocks, then the last 0–3 elements through scalar code: the scalar folds,
+//! [`BlendMode::apply_block`] on the block blend's source, and for the span
+//! fills and the uniform blend one more 4-lane sample. Each level's
+//! `#[target_feature]` entry point only calls the body. The NEON kernels
+//! stay written out by hand: folding them into the trait needs an aarch64
+//! toolchain to compile and test the rewrite, which CI does not have.
 //!
 //! Scanline span search has no kernel: the root-guided search
 //! (`RowEdge::interval` in the raster) serves every level. A two-lane SSE2
@@ -43,8 +55,9 @@
 //!   everywhere.
 //!
 //! The seeded property tests at the bottom pin every kernel to its scalar
-//! twin bit-for-bit over random lengths (including sub-lane tails), blend
-//! modes and slice offsets, at every level the host can run.
+//! twin bit-for-bit over random lengths, blend modes and slice offsets, and
+//! over every length 0–17 (each 8 → 4 → scalar handoff) in every blend mode,
+//! at every level the host can run.
 //!
 //! # Dispatch
 //!
@@ -283,9 +296,9 @@ pub(crate) fn blend_uniform(level: SimdLevel, mode: BlendMode, dst: &mut [f32], 
     match level {
         SimdLevel::Scalar => mode.apply_uniform(dst, src),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::blend_uniform_sse2(mode, dst, src) },
+        SimdLevel::Sse2 => unsafe { x86::fill_sse2(dst, 0, mode, &x86::Uniform(src)) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::blend_uniform_avx2(mode, dst, src) },
+        SimdLevel::Avx2 => unsafe { x86::fill_avx2(dst, 0, mode, &x86::Uniform(src)) },
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => unsafe { neon::blend_uniform_neon(mode, dst, src) },
         #[allow(unreachable_patterns)]
@@ -309,18 +322,16 @@ pub(crate) fn fill_hoisted(
     intensity: f32,
     blend: BlendMode,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    let sample = || x86::Hoisted::new(u_row, tex_row0, tex_row1, ty, intensity);
     match level {
         SimdLevel::Scalar => {
             scalar_fill_hoisted(span, lo, u_row, tex_row0, tex_row1, ty, intensity, blend)
         }
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe {
-            x86::fill_hoisted_sse2(span, lo, u_row, tex_row0, tex_row1, ty, intensity, blend)
-        },
+        SimdLevel::Sse2 => unsafe { x86::fill_sse2(span, lo, blend, &sample()) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe {
-            x86::fill_hoisted_avx2(span, lo, u_row, tex_row0, tex_row1, ty, intensity, blend)
-        },
+        SimdLevel::Avx2 => unsafe { x86::fill_avx2(span, lo, blend, &sample()) },
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => unsafe {
             neon::fill_hoisted_neon(span, lo, u_row, tex_row0, tex_row1, ty, intensity, blend)
@@ -341,16 +352,14 @@ pub(crate) fn fill_nearest_row(
     intensity: f32,
     blend: BlendMode,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    let sample = || x86::NearestRow::new(u_row, tex_row, intensity);
     match level {
         SimdLevel::Scalar => scalar_fill_nearest_row(span, lo, u_row, tex_row, intensity, blend),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe {
-            x86::fill_nearest_row_sse2(span, lo, u_row, tex_row, intensity, blend)
-        },
+        SimdLevel::Sse2 => unsafe { x86::fill_sse2(span, lo, blend, &sample()) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe {
-            x86::fill_nearest_row_avx2(span, lo, u_row, tex_row, intensity, blend)
-        },
+        SimdLevel::Avx2 => unsafe { x86::fill_avx2(span, lo, blend, &sample()) },
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => unsafe {
             neon::fill_nearest_row_neon(span, lo, u_row, tex_row, intensity, blend)
@@ -376,18 +385,16 @@ pub(crate) fn fill_nearest_2d(
     intensity: f32,
     blend: BlendMode,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    let sample = || x86::Nearest2d::new(u_row, v_row, texels, tw, th, intensity);
     match level {
         SimdLevel::Scalar => {
             scalar_fill_nearest_2d(span, lo, u_row, v_row, texels, tw, th, intensity, blend)
         }
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe {
-            x86::fill_nearest_2d_sse2(span, lo, u_row, v_row, texels, tw, th, intensity, blend)
-        },
+        SimdLevel::Sse2 => unsafe { x86::fill_sse2(span, lo, blend, &sample()) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe {
-            x86::fill_nearest_2d_avx2(span, lo, u_row, v_row, texels, tw, th, intensity, blend)
-        },
+        SimdLevel::Avx2 => unsafe { x86::fill_avx2(span, lo, blend, &sample()) },
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => unsafe {
             neon::fill_nearest_2d_neon(span, lo, u_row, v_row, texels, tw, th, intensity, blend)
@@ -404,9 +411,9 @@ pub(crate) fn fold_copy(level: SimdLevel, dst: &mut [f32], srcs: &[&[f32]]) {
     match level {
         SimdLevel::Scalar => scalar_fold_copy(dst, srcs),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::fold_copy_sse2(dst, srcs) },
+        SimdLevel::Sse2 => unsafe { x86::fold_sse2(false, dst, srcs) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::fold_copy_avx2(dst, srcs) },
+        SimdLevel::Avx2 => unsafe { x86::fold_avx2(false, dst, srcs) },
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => unsafe { neon::fold_copy_neon(dst, srcs) },
         #[allow(unreachable_patterns)]
@@ -420,9 +427,9 @@ pub(crate) fn fold_acc(level: SimdLevel, dst: &mut [f32], srcs: &[&[f32]]) {
     match level {
         SimdLevel::Scalar => scalar_fold_acc(dst, srcs),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::fold_acc_sse2(dst, srcs) },
+        SimdLevel::Sse2 => unsafe { x86::fold_sse2(true, dst, srcs) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::fold_acc_avx2(dst, srcs) },
+        SimdLevel::Avx2 => unsafe { x86::fold_avx2(true, dst, srcs) },
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => unsafe { neon::fold_acc_neon(dst, srcs) },
         #[allow(unreachable_patterns)]
@@ -437,9 +444,9 @@ pub(crate) fn copy_slice(level: SimdLevel, dst: &mut [f32], src: &[f32]) {
     match level {
         SimdLevel::Scalar => dst.copy_from_slice(src),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::copy_slice_sse2(dst, src) },
+        SimdLevel::Sse2 => unsafe { x86::fold_sse2(false, dst, &[src]) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::copy_slice_avx2(dst, src) },
+        SimdLevel::Avx2 => unsafe { x86::fold_avx2(false, dst, &[src]) },
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => unsafe { neon::copy_slice_neon(dst, src) },
         #[allow(unreachable_patterns)]
@@ -568,910 +575,600 @@ fn scalar_fold_acc(dst: &mut [f32], srcs: &[&[f32]]) {
 }
 
 // ---------------------------------------------------------------------------
-// x86_64 kernels: SSE2 (baseline, 4 lanes) and AVX2 (detected, 8 lanes).
-//
-// All functions carry `#[target_feature]`, so calls are `unsafe`; the safety
-// contract is feature availability, which the dispatcher guarantees (SSE2 is
-// part of the x86_64 baseline; AVX2 arms are only reachable when
-// `is_x86_feature_detected!("avx2")` held at resolution or `force` validated
-// the level against it).
+// x86_64 kernels (see the module docs). The entry points carry
+// `#[target_feature]`, so calls are `unsafe`; the dispatcher guarantees the
+// feature: SSE2 is x86_64 baseline, and the AVX2 arms run only when
+// detection (or `force`, validated against it) found AVX2.
 // ---------------------------------------------------------------------------
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{scalar_fold_acc, scalar_fold_copy};
     use crate::blend::BlendMode;
-    use crate::raster::{nearest_index, AttrRow};
-    use crate::texture::floor_index;
+    use crate::raster::AttrRow;
     use core::arch::x86_64::*;
 
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn load4(s: &[f32], i: usize) -> __m128 {
-        debug_assert!(i + 4 <= s.len());
-        unsafe { _mm_loadu_ps(s.as_ptr().add(i)) }
+    /// One x86 vector width: `N` lanes of `f32` (`F`) and of `i32` (`I`),
+    /// and the operations the kernel bodies are written in. Holding a value
+    /// of the type proves the host runs its instructions: SSE2 is part of
+    /// the x86_64 baseline, and an [`Avx2`] comes only from [`Avx2::new`],
+    /// which needs AVX2 enabled.
+    pub(super) trait Lanes: Copy {
+        const N: usize;
+        type F: Copy;
+        type I: Copy;
+        /// `s[i..i + N]`.
+        ///
+        /// # Safety
+        /// `i + N <= s.len()`.
+        unsafe fn load(self, s: &[f32], i: usize) -> Self::F;
+        /// Writes `v` to `s[i..i + N]`.
+        ///
+        /// # Safety
+        /// `i + N <= s.len()`.
+        unsafe fn store(self, s: &mut [f32], i: usize, v: Self::F);
+        fn splat(self, x: f32) -> Self::F;
+        fn add(self, a: Self::F, b: Self::F) -> Self::F;
+        fn sub(self, a: Self::F, b: Self::F) -> Self::F;
+        fn mul(self, a: Self::F, b: Self::F) -> Self::F;
+        fn min(self, a: Self::F, b: Self::F) -> Self::F;
+        /// The Max blend, `if s > d { s } else { d }` per lane: the exact
+        /// compare-select of [`BlendMode::apply`], which keeps `d` on
+        /// signed-zero ties (`maxps` returns its second operand instead).
+        fn max(self, d: Self::F, s: Self::F) -> Self::F;
+        /// `v.clamp(lo, hi)` per lane, as `min(max(lo, v), hi)` (`max(lo, v)`
+        /// is exactly `maxps(v, lo)`): equal to the scalar clamp for every
+        /// value the fills produce (no NaN, and never `-0.0` before the
+        /// clamp).
+        #[inline(always)]
+        fn clamp(self, v: Self::F, lo: Self::F, hi: Self::F) -> Self::F {
+            self.min(self.max(lo, v), hi)
+        }
+        /// Truncation toward zero to `i32` lanes (`as` on the clamped,
+        /// non-negative coordinates).
+        fn trunc(self, v: Self::F) -> Self::I;
+        /// `i32` lanes back to `f32`.
+        fn float(self, v: Self::I) -> Self::F;
+        /// `row.at(px + k) as f32` in lane `k`: evaluated in `f64` with the
+        /// scalar operation order, then narrowed by `cvtpd2ps`, which rounds
+        /// to nearest-even exactly like `as f32`.
+        fn coords(self, row: AttrRow, px: usize) -> Self::F;
+        /// `s[i]` for each lane index `i`.
+        ///
+        /// # Safety
+        /// Every lane of `i` is in `0..s.len()`.
+        unsafe fn gather(self, s: &[f32], i: Self::I) -> Self::F;
+        /// `s[y * w + x]` for each lane's `x`, `y`.
+        ///
+        /// # Safety
+        /// Every lane's `y * w + x` is in `0..s.len()`.
+        unsafe fn gather_2d(self, s: &[f32], w: usize, x: Self::I, y: Self::I) -> Self::F;
     }
 
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn store4(s: &mut [f32], i: usize, v: __m128) {
-        debug_assert!(i + 4 <= s.len());
-        unsafe { _mm_storeu_ps(s.as_mut_ptr().add(i), v) }
-    }
+    /// Four lanes: `__m128`. The texel gathers go through lane arrays.
+    #[derive(Clone, Copy)]
+    struct Sse2;
 
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn lanes_i32(v: __m128i) -> [i32; 4] {
-        unsafe { core::mem::transmute(v) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn from_lanes(a: [f32; 4]) -> __m128 {
-        unsafe { core::mem::transmute(a) }
-    }
-
-    /// The Max blend lane-wise: `if s > d { s } else { d }`, the exact
-    /// compare-select [`BlendMode::apply`] uses (deterministic on signed-zero
-    /// ties, unlike `maxps`, which returns its second operand on equal
-    /// inputs).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn max4(d: __m128, s: __m128) -> __m128 {
-        let take_s = _mm_cmpgt_ps(s, d);
-        _mm_or_ps(_mm_and_ps(take_s, s), _mm_andnot_ps(take_s, d))
-    }
-
-    /// `v.clamp(lo, hi)` lane-wise (`min(max(v, lo), hi)`); matches the
-    /// scalar clamp for every value the fills produce (no NaN, and the
-    /// pre-clamp value is never `-0.0` because `x - 0.5` cannot produce it).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn clamp4(v: __m128, lo: __m128, hi: __m128) -> __m128 {
-        _mm_min_ps(_mm_max_ps(v, lo), hi)
-    }
-
-    /// The affine row form at 4 consecutive pixel centres, evaluated in
-    /// `f64` with the scalar operation order and narrowed to `f32`
-    /// (`cvtpd2ps` rounds to nearest-even, exactly like `as f32`).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn u4(px: usize, row_base: __m128d, ddx: __m128d, ox: __m128d) -> __m128 {
-        let c01 = _mm_set_pd((px + 1) as f64 + 0.5, px as f64 + 0.5);
-        let c23 = _mm_set_pd((px + 3) as f64 + 0.5, (px + 2) as f64 + 0.5);
-        let u01 = _mm_add_pd(_mm_mul_pd(_mm_sub_pd(c01, ox), ddx), row_base);
-        let u23 = _mm_add_pd(_mm_mul_pd(_mm_sub_pd(c23, ox), ddx), row_base);
-        _mm_movelh_ps(_mm_cvtpd_ps(u01), _mm_cvtpd_ps(u23))
-    }
-
-    /// Blends a 4-lane sample block into `span[i..i+4]`. `va`/`vb` are the
-    /// splatted alpha/(1-alpha) coefficients (only read in the Alpha arm).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn blend4(
-        blend: BlendMode,
-        span: &mut [f32],
-        i: usize,
-        sample: __m128,
-        va: __m128,
-        vb: __m128,
-    ) {
-        match blend {
-            BlendMode::Replace => store4(span, i, sample),
-            BlendMode::Additive => store4(span, i, _mm_add_ps(load4(span, i), sample)),
-            BlendMode::Max => store4(span, i, max4(load4(span, i), sample)),
-            BlendMode::Alpha(_) => {
-                let d = load4(span, i);
-                store4(
-                    span,
-                    i,
-                    _mm_add_ps(_mm_mul_ps(sample, va), _mm_mul_ps(d, vb)),
+    // SAFETY (every `unsafe` block of this impl): SSE2 is part of the x86_64
+    // baseline, which is all the intrinsics need.
+    impl Lanes for Sse2 {
+        const N: usize = 4;
+        type F = __m128;
+        type I = __m128i;
+        #[inline(always)]
+        unsafe fn load(self, s: &[f32], i: usize) -> __m128 {
+            debug_assert!(i + 4 <= s.len());
+            _mm_loadu_ps(s.as_ptr().add(i))
+        }
+        #[inline(always)]
+        unsafe fn store(self, s: &mut [f32], i: usize, v: __m128) {
+            debug_assert!(i + 4 <= s.len());
+            _mm_storeu_ps(s.as_mut_ptr().add(i), v)
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m128 {
+            unsafe { _mm_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m128, b: __m128) -> __m128 {
+            unsafe { _mm_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn sub(self, a: __m128, b: __m128) -> __m128 {
+            unsafe { _mm_sub_ps(a, b) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m128, b: __m128) -> __m128 {
+            unsafe { _mm_mul_ps(a, b) }
+        }
+        #[inline(always)]
+        fn min(self, a: __m128, b: __m128) -> __m128 {
+            unsafe { _mm_min_ps(a, b) }
+        }
+        #[inline(always)]
+        fn max(self, d: __m128, s: __m128) -> __m128 {
+            unsafe {
+                let take_s = _mm_cmpgt_ps(s, d);
+                _mm_or_ps(_mm_and_ps(take_s, s), _mm_andnot_ps(take_s, d))
+            }
+        }
+        #[inline(always)]
+        fn trunc(self, v: __m128) -> __m128i {
+            unsafe { _mm_cvttps_epi32(v) }
+        }
+        #[inline(always)]
+        fn float(self, v: __m128i) -> __m128 {
+            unsafe { _mm_cvtepi32_ps(v) }
+        }
+        #[inline(always)]
+        fn coords(self, row: AttrRow, px: usize) -> __m128 {
+            let c = |k: usize| (px + k) as f64 + 0.5;
+            unsafe {
+                let (base, ddx, ox) = (
+                    _mm_set1_pd(row.row_base),
+                    _mm_set1_pd(row.ddx),
+                    _mm_set1_pd(row.ox),
                 );
+                let c01 = _mm_set_pd(c(1), c(0));
+                let c23 = _mm_set_pd(c(3), c(2));
+                let u01 = _mm_add_pd(_mm_mul_pd(_mm_sub_pd(c01, ox), ddx), base);
+                let u23 = _mm_add_pd(_mm_mul_pd(_mm_sub_pd(c23, ox), ddx), base);
+                _mm_movelh_ps(_mm_cvtpd_ps(u01), _mm_cvtpd_ps(u23))
             }
+        }
+        #[inline(always)]
+        unsafe fn gather(self, s: &[f32], i: __m128i) -> __m128 {
+            let i: [i32; 4] = core::mem::transmute(i);
+            core::mem::transmute(i.map(|i| s[i as usize]))
+        }
+        #[inline(always)]
+        unsafe fn gather_2d(self, s: &[f32], w: usize, x: __m128i, y: __m128i) -> __m128 {
+            let x: [i32; 4] = core::mem::transmute(x);
+            let y: [i32; 4] = core::mem::transmute(y);
+            core::mem::transmute([0, 1, 2, 3].map(|k| s[y[k] as usize * w + x[k] as usize]))
         }
     }
 
-    /// Splatted alpha coefficients for the Alpha arm (zeros otherwise).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    fn alpha4(blend: BlendMode) -> (__m128, __m128) {
-        match blend {
-            BlendMode::Alpha(a) => {
-                let alpha = a.value();
-                (_mm_set1_ps(alpha), _mm_set1_ps(1.0 - alpha))
-            }
-            _ => (_mm_setzero_ps(), _mm_setzero_ps()),
+    /// Eight lanes: `__m256`, with hardware texel gathers (`vgatherdps`).
+    #[derive(Clone, Copy)]
+    struct Avx2(());
+
+    impl Avx2 {
+        /// The AVX2 token. Safe to call only from code that enables AVX2,
+        /// so every `Avx2` is made where its instructions can run.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new() -> Self {
+            Avx2(())
         }
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) fn blend_block_sse2(mode: BlendMode, dst: &mut [f32], src: &[f32]) {
-        let n = dst.len() - dst.len() % 4;
+    // SAFETY (every `unsafe` block of this impl): an `Avx2` exists only where
+    // AVX2 is enabled (see `Avx2::new`), which is what the intrinsics need.
+    impl Lanes for Avx2 {
+        const N: usize = 8;
+        type F = __m256;
+        type I = __m256i;
+        #[inline(always)]
+        unsafe fn load(self, s: &[f32], i: usize) -> __m256 {
+            debug_assert!(i + 8 <= s.len());
+            _mm256_loadu_ps(s.as_ptr().add(i))
+        }
+        #[inline(always)]
+        unsafe fn store(self, s: &mut [f32], i: usize, v: __m256) {
+            debug_assert!(i + 8 <= s.len());
+            _mm256_storeu_ps(s.as_mut_ptr().add(i), v)
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m256 {
+            unsafe { _mm256_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m256, b: __m256) -> __m256 {
+            unsafe { _mm256_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn sub(self, a: __m256, b: __m256) -> __m256 {
+            unsafe { _mm256_sub_ps(a, b) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m256, b: __m256) -> __m256 {
+            unsafe { _mm256_mul_ps(a, b) }
+        }
+        #[inline(always)]
+        fn min(self, a: __m256, b: __m256) -> __m256 {
+            unsafe { _mm256_min_ps(a, b) }
+        }
+        #[inline(always)]
+        fn max(self, d: __m256, s: __m256) -> __m256 {
+            unsafe { _mm256_blendv_ps(d, s, _mm256_cmp_ps::<_CMP_GT_OQ>(s, d)) }
+        }
+        #[inline(always)]
+        fn trunc(self, v: __m256) -> __m256i {
+            unsafe { _mm256_cvttps_epi32(v) }
+        }
+        #[inline(always)]
+        fn float(self, v: __m256i) -> __m256 {
+            unsafe { _mm256_cvtepi32_ps(v) }
+        }
+        #[inline(always)]
+        fn coords(self, row: AttrRow, px: usize) -> __m256 {
+            let c = |k: usize| (px + k) as f64 + 0.5;
+            unsafe {
+                let (base, ddx, ox) = (
+                    _mm256_set1_pd(row.row_base),
+                    _mm256_set1_pd(row.ddx),
+                    _mm256_set1_pd(row.ox),
+                );
+                let c_lo = _mm256_set_pd(c(3), c(2), c(1), c(0));
+                let c_hi = _mm256_set_pd(c(7), c(6), c(5), c(4));
+                let lo = _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(c_lo, ox), ddx), base);
+                let hi = _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(c_hi, ox), ddx), base);
+                _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))
+            }
+        }
+        #[inline(always)]
+        unsafe fn gather(self, s: &[f32], i: __m256i) -> __m256 {
+            _mm256_i32gather_ps::<4>(s.as_ptr(), i)
+        }
+        #[inline(always)]
+        unsafe fn gather_2d(self, s: &[f32], w: usize, x: __m256i, y: __m256i) -> __m256 {
+            let i = _mm256_add_epi32(_mm256_mullo_epi32(y, _mm256_set1_epi32(w as i32)), x);
+            _mm256_i32gather_ps::<4>(s.as_ptr(), i)
+        }
+    }
+
+    /// A source of lane vectors: `at(l, px)` is the `N` values blended into
+    /// elements (pixels) `px..px + N`, each lane bit-identical to the
+    /// scalar code's value.
+    pub(super) trait Sample {
+        fn at<L: Lanes>(&self, l: L, px: usize) -> L::F;
+    }
+
+    /// Blends `sample.at(l, lo + i)` into `dst[i..i + N]` for each whole
+    /// vector from index `from` on, per lane exactly as [`BlendMode::apply`];
+    /// returns the index where it stopped.
+    #[inline(always)]
+    fn blend_lanes<L: Lanes>(
+        l: L,
+        mode: BlendMode,
+        dst: &mut [f32],
+        from: usize,
+        lo: usize,
+        sample: &impl Sample,
+    ) -> usize {
+        // One loop per mode: each call inlines with a constant `mode`, so the
+        // per-vector match in `blend_loop` folds away.
         match mode {
-            BlendMode::Replace => dst.copy_from_slice(src),
-            BlendMode::Additive => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, _mm_add_ps(load4(dst, i), load4(src, i)));
-                    i += 4;
-                }
-                for (d, s) in dst[n..].iter_mut().zip(&src[n..]) {
-                    *d += *s;
-                }
-            }
-            BlendMode::Max => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, max4(load4(dst, i), load4(src, i)));
-                    i += 4;
-                }
-                for (d, s) in dst[n..].iter_mut().zip(&src[n..]) {
-                    *d = if *s > *d { *s } else { *d };
-                }
-            }
-            BlendMode::Alpha(a) => {
-                let alpha = a.value();
-                let va = _mm_set1_ps(alpha);
-                let vb = _mm_set1_ps(1.0 - alpha);
-                let mut i = 0;
-                while i < n {
-                    let blended =
-                        _mm_add_ps(_mm_mul_ps(load4(src, i), va), _mm_mul_ps(load4(dst, i), vb));
-                    store4(dst, i, blended);
-                    i += 4;
-                }
-                for (d, s) in dst[n..].iter_mut().zip(&src[n..]) {
-                    *d = *s * alpha + *d * (1.0 - alpha);
-                }
-            }
+            BlendMode::Replace => blend_loop(l, BlendMode::Replace, dst, from, lo, sample),
+            BlendMode::Additive => blend_loop(l, BlendMode::Additive, dst, from, lo, sample),
+            BlendMode::Max => blend_loop(l, BlendMode::Max, dst, from, lo, sample),
+            BlendMode::Alpha(a) => blend_loop(l, BlendMode::Alpha(a), dst, from, lo, sample),
         }
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) fn blend_uniform_sse2(mode: BlendMode, dst: &mut [f32], src: f32) {
-        let n = dst.len() - dst.len() % 4;
-        let vs = _mm_set1_ps(src);
-        match mode {
-            BlendMode::Replace => dst.fill(src),
-            BlendMode::Additive => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, _mm_add_ps(load4(dst, i), vs));
-                    i += 4;
-                }
-                for d in dst[n..].iter_mut() {
-                    *d += src;
-                }
+    #[inline(always)]
+    fn blend_loop<L: Lanes>(
+        l: L,
+        mode: BlendMode,
+        dst: &mut [f32],
+        from: usize,
+        lo: usize,
+        sample: &impl Sample,
+    ) -> usize {
+        let mut i = from;
+        while i + L::N <= dst.len() {
+            let s = sample.at(l, lo + i);
+            // SAFETY: `i + N <= dst.len()`.
+            unsafe {
+                let d = l.load(dst, i);
+                let blended = match mode {
+                    BlendMode::Replace => s,
+                    BlendMode::Additive => l.add(d, s),
+                    BlendMode::Max => l.max(d, s),
+                    BlendMode::Alpha(a) => {
+                        let alpha = a.value();
+                        l.add(l.mul(s, l.splat(alpha)), l.mul(d, l.splat(1.0 - alpha)))
+                    }
+                };
+                l.store(dst, i, blended);
             }
-            BlendMode::Max => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, max4(load4(dst, i), vs));
-                    i += 4;
-                }
-                for d in dst[n..].iter_mut() {
-                    *d = if src > *d { src } else { *d };
-                }
-            }
-            BlendMode::Alpha(a) => {
-                let alpha = a.value();
-                let va = _mm_set1_ps(alpha);
-                let vb = _mm_set1_ps(1.0 - alpha);
-                let mut i = 0;
-                while i < n {
-                    let blended = _mm_add_ps(_mm_mul_ps(vs, va), _mm_mul_ps(load4(dst, i), vb));
-                    store4(dst, i, blended);
-                    i += 4;
-                }
-                for d in dst[n..].iter_mut() {
-                    *d = src * alpha + *d * (1.0 - alpha);
-                }
-            }
+            i += L::N;
+        }
+        i
+    }
+
+    /// The source slice of [`BlendMode::apply_block`].
+    struct Block<'a>(&'a [f32]);
+
+    impl Sample for Block<'_> {
+        #[inline(always)]
+        fn at<L: Lanes>(&self, l: L, i: usize) -> L::F {
+            let s = &self.0[i..i + L::N];
+            // SAFETY: `s` holds exactly `N` values.
+            unsafe { l.load(s, 0) }
         }
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) fn copy_slice_sse2(dst: &mut [f32], src: &[f32]) {
-        let n = dst.len() - dst.len() % 4;
-        let mut i = 0;
-        while i < n {
-            store4(dst, i, load4(src, i));
-            i += 4;
+    /// The one value of [`BlendMode::apply_uniform`], blended as a fill.
+    pub(super) struct Uniform(pub(super) f32);
+
+    impl Sample for Uniform {
+        #[inline(always)]
+        fn at<L: Lanes>(&self, l: L, _: usize) -> L::F {
+            l.splat(self.0)
         }
-        dst[n..].copy_from_slice(&src[n..]);
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) fn fold_copy_sse2(dst: &mut [f32], srcs: &[&[f32]]) {
-        let n = dst.len() - dst.len() % 4;
+    // Kernel bodies: each runs the tail cascade once. With `wide` (the AVX2
+    // entry points) the 8-lane pass comes first; the 4-lane pass takes what
+    // is left, and scalar code the last 0-3 elements.
+
+    #[inline(always)]
+    fn blend_block(wide: Option<Avx2>, mode: BlendMode, dst: &mut [f32], src: &[f32]) {
+        let src = &src[..dst.len()];
+        let n = match wide {
+            Some(l) => blend_lanes(l, mode, dst, 0, 0, &Block(src)),
+            None => 0,
+        };
+        let n = blend_lanes(Sse2, mode, dst, n, 0, &Block(src));
+        mode.apply_block(&mut dst[n..], &src[n..]);
+    }
+
+    /// The gather folds and the straight copy (one source, `acc` false):
+    /// `(s0 + s1) + …`, or `((dst + s0) + s1) + …` with `acc`,
+    /// left-associated like the scalar folds. The arity is matched once.
+    #[inline(always)]
+    fn fold(wide: Option<Avx2>, acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
         match *srcs {
-            [a] => copy_slice_sse2(dst, a),
-            [a, b] => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, _mm_add_ps(load4(a, i), load4(b, i)));
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = a[i] + b[i];
-                }
-            }
-            [a, b, c] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm_add_ps(_mm_add_ps(load4(a, i), load4(b, i)), load4(c, i));
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = (a[i] + b[i]) + c[i];
-                }
-            }
-            [a, b, c, e] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm_add_ps(
-                        _mm_add_ps(_mm_add_ps(load4(a, i), load4(b, i)), load4(c, i)),
-                        load4(e, i),
-                    );
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = ((a[i] + b[i]) + c[i]) + e[i];
-                }
-            }
-            _ => unreachable!("fold_copy takes 1-4 sources"),
+            [a] => fold_k(wide, acc, dst, [a]),
+            [a, b] => fold_k(wide, acc, dst, [a, b]),
+            [a, b, c] => fold_k(wide, acc, dst, [a, b, c]),
+            [a, b, c, e] => fold_k(wide, acc, dst, [a, b, c, e]),
+            _ => unreachable!("folds take 1-4 sources"),
         }
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) fn fold_acc_sse2(dst: &mut [f32], srcs: &[&[f32]]) {
-        let n = dst.len() - dst.len() % 4;
-        match *srcs {
-            [a] => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, _mm_add_ps(load4(dst, i), load4(a, i)));
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d += a[i];
-                }
-            }
-            [a, b] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm_add_ps(_mm_add_ps(load4(dst, i), load4(a, i)), load4(b, i));
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = (*d + a[i]) + b[i];
-                }
-            }
-            [a, b, c] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm_add_ps(
-                        _mm_add_ps(_mm_add_ps(load4(dst, i), load4(a, i)), load4(b, i)),
-                        load4(c, i),
-                    );
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = ((*d + a[i]) + b[i]) + c[i];
-                }
-            }
-            [a, b, c, e] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm_add_ps(
-                        _mm_add_ps(
-                            _mm_add_ps(_mm_add_ps(load4(dst, i), load4(a, i)), load4(b, i)),
-                            load4(c, i),
-                        ),
-                        load4(e, i),
-                    );
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = (((*d + a[i]) + b[i]) + c[i]) + e[i];
-                }
-            }
-            _ => unreachable!("fold_acc takes 1-4 sources"),
+    #[inline(always)]
+    fn fold_k<const K: usize>(wide: Option<Avx2>, acc: bool, dst: &mut [f32], srcs: [&[f32]; K]) {
+        let srcs = srcs.map(|s| &s[..dst.len()]);
+        let n = match wide {
+            Some(l) => fold_lanes(l, acc, dst, 0, &srcs),
+            None => 0,
+        };
+        let n = fold_lanes(Sse2, acc, dst, n, &srcs);
+        let (dst, srcs) = (&mut dst[n..], srcs.map(|s| &s[n..]));
+        if acc {
+            scalar_fold_acc(dst, &srcs);
+        } else {
+            scalar_fold_copy(dst, &srcs);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "sse2")]
-    pub(super) fn fill_hoisted_sse2(
+    /// One fold pass over the whole vectors of `dst` from index `from` on;
+    /// every source is as long as `dst`. Returns the index where it stopped.
+    #[inline(always)]
+    fn fold_lanes<L: Lanes>(
+        l: L,
+        acc: bool,
+        dst: &mut [f32],
+        from: usize,
+        srcs: &[&[f32]],
+    ) -> usize {
+        let mut i = from;
+        while i + L::N <= dst.len() {
+            // SAFETY: `i + N <= dst.len()`, and every source is as long.
+            unsafe {
+                let (first, rest) = match acc {
+                    true => (l.load(dst, i), srcs),
+                    false => (l.load(srcs[0], i), &srcs[1..]),
+                };
+                let sum = rest.iter().fold(first, |sum, s| l.add(sum, l.load(s, i)));
+                l.store(dst, i, sum);
+            }
+            i += L::N;
+        }
+        i
+    }
+
+    /// The span fills and the uniform blend (`span[0]` is pixel `lo`). Their
+    /// samples are defined past the span's end too (the fills clamp every
+    /// texture coordinate into the texture), so the last 1-3 pixels take one
+    /// more 4-lane sample and blend lane by lane through
+    /// [`BlendMode::apply_block`]. (Handing them to the `scalar_fill_*`
+    /// oracle instead, with its `f32::floor` call and per-pixel closure, made
+    /// small disc quads measurably slower.)
+    #[inline(always)]
+    fn fill(
+        wide: Option<Avx2>,
         span: &mut [f32],
         lo: usize,
+        blend: BlendMode,
+        sample: &impl Sample,
+    ) {
+        let n = match wide {
+            Some(l) => blend_lanes(l, blend, span, 0, lo, sample),
+            None => 0,
+        };
+        let n = blend_lanes(Sse2, blend, span, n, lo, sample);
+        if n < span.len() {
+            // SAFETY: `__m128` and `[f32; 4]` have the same size, and every
+            // bit pattern is valid for both.
+            let lanes: [f32; 4] = unsafe { core::mem::transmute(sample.at(Sse2, lo + n)) };
+            let rest = &mut span[n..];
+            blend.apply_block(rest, &lanes[..rest.len()]);
+        }
+    }
+
+    /// The hoisted-bilinear sample ([`super::fill_hoisted`]).
+    pub(super) struct Hoisted<'a> {
         u_row: AttrRow,
-        r0: &[f32],
-        r1: &[f32],
+        r0: &'a [f32],
+        r1: &'a [f32],
         ty: f32,
         intensity: f32,
-        blend: BlendMode,
-    ) {
-        let tex_w = r0.len();
-        let rb = _mm_set1_pd(u_row.row_base);
-        let ddx = _mm_set1_pd(u_row.ddx);
-        let ox = _mm_set1_pd(u_row.ox);
-        let vw = _mm_set1_ps(tex_w as f32);
-        let vhalf = _mm_set1_ps(0.5);
-        let vzero = _mm_setzero_ps();
-        let vhi = _mm_set1_ps(tex_w as f32 - 1.0);
-        let vone = _mm_set1_ps(1.0);
-        let vty = _mm_set1_ps(ty);
-        let vint = _mm_set1_ps(intensity);
-        let (va, vb) = alpha4(blend);
-        let n = span.len() - span.len() % 4;
-        let mut i = 0;
-        while i < n {
-            let u = u4(lo + i, rb, ddx, ox);
-            let fx = clamp4(_mm_sub_ps(_mm_mul_ps(u, vw), vhalf), vzero, vhi);
-            let tx0i = _mm_cvttps_epi32(fx);
-            let tx0f = _mm_cvtepi32_ps(tx0i);
-            let tx = _mm_sub_ps(fx, tx0f);
-            let tx1f = _mm_min_ps(_mm_add_ps(tx0f, vone), vhi);
-            let tx1i = _mm_cvttps_epi32(tx1f);
-            let i0 = lanes_i32(tx0i);
-            let i1 = lanes_i32(tx1i);
-            let a = from_lanes([
-                r0[i0[0] as usize],
-                r0[i0[1] as usize],
-                r0[i0[2] as usize],
-                r0[i0[3] as usize],
-            ]);
-            let b = from_lanes([
-                r0[i1[0] as usize],
-                r0[i1[1] as usize],
-                r0[i1[2] as usize],
-                r0[i1[3] as usize],
-            ]);
-            let c = from_lanes([
-                r1[i0[0] as usize],
-                r1[i0[1] as usize],
-                r1[i0[2] as usize],
-                r1[i0[3] as usize],
-            ]);
-            let d = from_lanes([
-                r1[i1[0] as usize],
-                r1[i1[1] as usize],
-                r1[i1[2] as usize],
-                r1[i1[3] as usize],
-            ]);
-            let bottom = _mm_add_ps(a, _mm_mul_ps(_mm_sub_ps(b, a), tx));
-            let top = _mm_add_ps(c, _mm_mul_ps(_mm_sub_ps(d, c), tx));
-            let lerped = _mm_add_ps(bottom, _mm_mul_ps(_mm_sub_ps(top, bottom), vty));
-            blend4(blend, span, i, _mm_mul_ps(lerped, vint), va, vb);
-            i += 4;
-        }
-        for (offset, dst) in span[n..].iter_mut().enumerate() {
-            let px = lo + n + offset;
-            let u = u_row.at(px) as f32;
-            let fx = (u * tex_w as f32 - 0.5).clamp(0.0, tex_w as f32 - 1.0);
-            let tx0 = floor_index(fx);
-            let tx1 = (tx0 + 1).min(tex_w - 1);
-            let tx = fx - tx0 as f32;
-            let a = r0[tx0];
-            let b = r0[tx1];
-            let c = r1[tx0];
-            let d = r1[tx1];
-            let bottom = a + (b - a) * tx;
-            let top = c + (d - c) * tx;
-            let sample = (bottom + (top - bottom) * ty) * intensity;
-            *dst = blend.apply(*dst, sample);
+    }
+
+    impl<'a> Hoisted<'a> {
+        /// # Panics
+        /// Panics when `r0` is empty or `r1` is shorter than `r0`.
+        pub(super) fn new(
+            u_row: AttrRow,
+            r0: &'a [f32],
+            r1: &'a [f32],
+            ty: f32,
+            intensity: f32,
+        ) -> Self {
+            assert!(!r0.is_empty(), "hoisted fill of an empty texture row");
+            let r1 = &r1[..r0.len()];
+            Hoisted {
+                u_row,
+                r0,
+                r1,
+                ty,
+                intensity,
+            }
         }
     }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) fn fill_nearest_row_sse2(
-        span: &mut [f32],
-        lo: usize,
+    impl Sample for Hoisted<'_> {
+        #[inline(always)]
+        fn at<L: Lanes>(&self, l: L, px: usize) -> L::F {
+            let w = self.r0.len() as f32;
+            let hi = l.splat(w - 1.0);
+            let u = l.coords(self.u_row, px);
+            let fx = l.clamp(l.sub(l.mul(u, l.splat(w)), l.splat(0.5)), l.splat(0.0), hi);
+            let tx0 = l.trunc(fx);
+            let tx0f = l.float(tx0);
+            let tx = l.sub(fx, tx0f);
+            let tx1 = l.trunc(l.min(l.add(tx0f, l.splat(1.0)), hi));
+            // SAFETY: both indices are clamped to `[0, w - 1]`, and both rows
+            // are `w` long (`Hoisted::new`).
+            let (a, b) = unsafe { (l.gather(self.r0, tx0), l.gather(self.r0, tx1)) };
+            // SAFETY: as above.
+            let (c, d) = unsafe { (l.gather(self.r1, tx0), l.gather(self.r1, tx1)) };
+            let bottom = l.add(a, l.mul(l.sub(b, a), tx));
+            let top = l.add(c, l.mul(l.sub(d, c), tx));
+            let lerped = l.add(bottom, l.mul(l.sub(top, bottom), l.splat(self.ty)));
+            l.mul(lerped, l.splat(self.intensity))
+        }
+    }
+
+    /// The row-constant nearest sample ([`super::fill_nearest_row`]).
+    pub(super) struct NearestRow<'a> {
         u_row: AttrRow,
-        tex_row: &[f32],
+        tex_row: &'a [f32],
         intensity: f32,
-        blend: BlendMode,
-    ) {
-        let tw = tex_row.len();
-        let rb = _mm_set1_pd(u_row.row_base);
-        let ddx = _mm_set1_pd(u_row.ddx);
-        let ox = _mm_set1_pd(u_row.ox);
-        let vw = _mm_set1_ps(tw as f32);
-        let vzero = _mm_setzero_ps();
-        let vhi = _mm_set1_ps(tw as f32 - 1.0);
-        let vint = _mm_set1_ps(intensity);
-        let (va, vb) = alpha4(blend);
-        let n = span.len() - span.len() % 4;
-        let mut i = 0;
-        while i < n {
-            let u = u4(lo + i, rb, ddx, ox);
-            let t = clamp4(_mm_mul_ps(u, vw), vzero, vhi);
-            let ti = lanes_i32(_mm_cvttps_epi32(t));
-            let fetched = from_lanes([
-                tex_row[ti[0] as usize],
-                tex_row[ti[1] as usize],
-                tex_row[ti[2] as usize],
-                tex_row[ti[3] as usize],
-            ]);
-            blend4(blend, span, i, _mm_mul_ps(fetched, vint), va, vb);
-            i += 4;
-        }
-        for (offset, dst) in span[n..].iter_mut().enumerate() {
-            let px = lo + n + offset;
-            let sample = tex_row[nearest_index(u_row.at(px) as f32, tw)] * intensity;
-            *dst = blend.apply(*dst, sample);
+    }
+
+    impl<'a> NearestRow<'a> {
+        /// # Panics
+        /// Panics when `tex_row` is empty.
+        pub(super) fn new(u_row: AttrRow, tex_row: &'a [f32], intensity: f32) -> Self {
+            assert!(!tex_row.is_empty(), "nearest fill of an empty texture row");
+            NearestRow {
+                u_row,
+                tex_row,
+                intensity,
+            }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "sse2")]
-    pub(super) fn fill_nearest_2d_sse2(
-        span: &mut [f32],
-        lo: usize,
+    impl Sample for NearestRow<'_> {
+        #[inline(always)]
+        fn at<L: Lanes>(&self, l: L, px: usize) -> L::F {
+            let w = self.tex_row.len() as f32;
+            let u = l.mul(l.coords(self.u_row, px), l.splat(w));
+            let t = l.trunc(l.clamp(u, l.splat(0.0), l.splat(w - 1.0)));
+            // SAFETY: `t` is clamped to `[0, w - 1]`.
+            let texel = unsafe { l.gather(self.tex_row, t) };
+            l.mul(texel, l.splat(self.intensity))
+        }
+    }
+
+    /// The 2-D nearest sample of a `tw`×`th` texture
+    /// ([`super::fill_nearest_2d`]).
+    pub(super) struct Nearest2d<'a> {
         u_row: AttrRow,
         v_row: AttrRow,
-        texels: &[f32],
+        texels: &'a [f32],
         tw: usize,
         th: usize,
         intensity: f32,
-        blend: BlendMode,
-    ) {
-        let u_rb = _mm_set1_pd(u_row.row_base);
-        let u_ddx = _mm_set1_pd(u_row.ddx);
-        let u_ox = _mm_set1_pd(u_row.ox);
-        let v_rb = _mm_set1_pd(v_row.row_base);
-        let v_ddx = _mm_set1_pd(v_row.ddx);
-        let v_ox = _mm_set1_pd(v_row.ox);
-        let vww = _mm_set1_ps(tw as f32);
-        let vwh = _mm_set1_ps(th as f32);
-        let vzero = _mm_setzero_ps();
-        let vxhi = _mm_set1_ps(tw as f32 - 1.0);
-        let vyhi = _mm_set1_ps(th as f32 - 1.0);
-        let vint = _mm_set1_ps(intensity);
-        let (va, vb) = alpha4(blend);
-        let n = span.len() - span.len() % 4;
-        let mut i = 0;
-        while i < n {
-            let px = lo + i;
-            let u = u4(px, u_rb, u_ddx, u_ox);
-            let v = u4(px, v_rb, v_ddx, v_ox);
-            let tu = clamp4(_mm_mul_ps(u, vww), vzero, vxhi);
-            let tv = clamp4(_mm_mul_ps(v, vwh), vzero, vyhi);
-            let xi = lanes_i32(_mm_cvttps_epi32(tu));
-            let yi = lanes_i32(_mm_cvttps_epi32(tv));
-            let fetched = from_lanes([
-                texels[yi[0] as usize * tw + xi[0] as usize],
-                texels[yi[1] as usize * tw + xi[1] as usize],
-                texels[yi[2] as usize * tw + xi[2] as usize],
-                texels[yi[3] as usize * tw + xi[3] as usize],
-            ]);
-            blend4(blend, span, i, _mm_mul_ps(fetched, vint), va, vb);
-            i += 4;
-        }
-        for (offset, dst) in span[n..].iter_mut().enumerate() {
-            let px = lo + n + offset;
-            let tx = nearest_index(u_row.at(px) as f32, tw);
-            let ty = nearest_index(v_row.at(px) as f32, th);
-            let sample = texels[ty * tw + tx] * intensity;
-            *dst = blend.apply(*dst, sample);
-        }
     }
 
-    // -- AVX2: 8-lane versions of the same kernels, with hardware gathers. --
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn load8(s: &[f32], i: usize) -> __m256 {
-        debug_assert!(i + 8 <= s.len());
-        unsafe { _mm256_loadu_ps(s.as_ptr().add(i)) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn store8(s: &mut [f32], i: usize, v: __m256) {
-        debug_assert!(i + 8 <= s.len());
-        unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(i), v) }
-    }
-
-    /// Hardware gather of 8 texels; every index must be in bounds (the
-    /// callers clamp to `[0, len)` first).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn gather8(s: &[f32], idx: __m256i) -> __m256 {
-        unsafe { _mm256_i32gather_ps::<4>(s.as_ptr(), idx) }
-    }
-
-    /// 8-lane twin of [`max4`] (same compare-select semantics).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn max8(d: __m256, s: __m256) -> __m256 {
-        let take_s = _mm256_cmp_ps::<_CMP_GT_OQ>(s, d);
-        _mm256_blendv_ps(d, s, take_s)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn clamp8(v: __m256, lo: __m256, hi: __m256) -> __m256 {
-        _mm256_min_ps(_mm256_max_ps(v, lo), hi)
-    }
-
-    /// 8-lane twin of [`u4`]: two 4-wide `f64` evaluations narrowed and
-    /// concatenated.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn u8v(px: usize, row_base: __m256d, ddx: __m256d, ox: __m256d) -> __m256 {
-        let c_lo = _mm256_set_pd(
-            (px + 3) as f64 + 0.5,
-            (px + 2) as f64 + 0.5,
-            (px + 1) as f64 + 0.5,
-            px as f64 + 0.5,
-        );
-        let c_hi = _mm256_set_pd(
-            (px + 7) as f64 + 0.5,
-            (px + 6) as f64 + 0.5,
-            (px + 5) as f64 + 0.5,
-            (px + 4) as f64 + 0.5,
-        );
-        let lo = _mm256_cvtpd_ps(_mm256_add_pd(
-            _mm256_mul_pd(_mm256_sub_pd(c_lo, ox), ddx),
-            row_base,
-        ));
-        let hi = _mm256_cvtpd_ps(_mm256_add_pd(
-            _mm256_mul_pd(_mm256_sub_pd(c_hi, ox), ddx),
-            row_base,
-        ));
-        _mm256_set_m128(hi, lo)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn blend8(
-        blend: BlendMode,
-        span: &mut [f32],
-        i: usize,
-        sample: __m256,
-        va: __m256,
-        vb: __m256,
-    ) {
-        match blend {
-            BlendMode::Replace => store8(span, i, sample),
-            BlendMode::Additive => store8(span, i, _mm256_add_ps(load8(span, i), sample)),
-            BlendMode::Max => store8(span, i, max8(load8(span, i), sample)),
-            BlendMode::Alpha(_) => {
-                let d = load8(span, i);
-                store8(
-                    span,
-                    i,
-                    _mm256_add_ps(_mm256_mul_ps(sample, va), _mm256_mul_ps(d, vb)),
-                );
+    impl<'a> Nearest2d<'a> {
+        /// # Panics
+        /// Panics when the texture is empty, `texels` holds fewer than
+        /// `tw * th` values, or a texel index does not fit in an `i32`.
+        pub(super) fn new(
+            u_row: AttrRow,
+            v_row: AttrRow,
+            texels: &'a [f32],
+            tw: usize,
+            th: usize,
+            intensity: f32,
+        ) -> Self {
+            let len = tw.checked_mul(th).filter(|&len| len <= i32::MAX as usize);
+            assert!(
+                tw > 0 && th > 0 && len.is_some_and(|len| len <= texels.len()),
+                "nearest fill of a malformed {tw}x{th} texture"
+            );
+            Nearest2d {
+                u_row,
+                v_row,
+                texels,
+                tw,
+                th,
+                intensity,
             }
         }
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn alpha8(blend: BlendMode) -> (__m256, __m256) {
-        match blend {
-            BlendMode::Alpha(a) => {
-                let alpha = a.value();
-                (_mm256_set1_ps(alpha), _mm256_set1_ps(1.0 - alpha))
-            }
-            _ => (_mm256_setzero_ps(), _mm256_setzero_ps()),
+    impl Sample for Nearest2d<'_> {
+        #[inline(always)]
+        fn at<L: Lanes>(&self, l: L, px: usize) -> L::F {
+            let (tw, th) = (self.tw as f32, self.th as f32);
+            let u = l.mul(l.coords(self.u_row, px), l.splat(tw));
+            let v = l.mul(l.coords(self.v_row, px), l.splat(th));
+            let x = l.trunc(l.clamp(u, l.splat(0.0), l.splat(tw - 1.0)));
+            let y = l.trunc(l.clamp(v, l.splat(0.0), l.splat(th - 1.0)));
+            // SAFETY: the clamps give `x < tw` and `y < th`, so `y * tw + x`
+            // is below `tw * th <= texels.len()` (`Nearest2d::new`).
+            let texel = unsafe { l.gather_2d(self.texels, self.tw, x, y) };
+            l.mul(texel, l.splat(self.intensity))
         }
+    }
+
+    // Entry points: one per kernel and level.
+
+    #[target_feature(enable = "sse2")]
+    pub(super) fn blend_block_sse2(mode: BlendMode, dst: &mut [f32], src: &[f32]) {
+        blend_block(None, mode, dst, src);
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) fn blend_block_avx2(mode: BlendMode, dst: &mut [f32], src: &[f32]) {
-        let n = dst.len() - dst.len() % 8;
-        match mode {
-            BlendMode::Replace => dst.copy_from_slice(src),
-            BlendMode::Additive => {
-                let mut i = 0;
-                while i < n {
-                    store8(dst, i, _mm256_add_ps(load8(dst, i), load8(src, i)));
-                    i += 8;
-                }
-                blend_block_sse2(mode, &mut dst[n..], &src[n..]);
-            }
-            BlendMode::Max => {
-                let mut i = 0;
-                while i < n {
-                    store8(dst, i, max8(load8(dst, i), load8(src, i)));
-                    i += 8;
-                }
-                blend_block_sse2(mode, &mut dst[n..], &src[n..]);
-            }
-            BlendMode::Alpha(a) => {
-                let alpha = a.value();
-                let va = _mm256_set1_ps(alpha);
-                let vb = _mm256_set1_ps(1.0 - alpha);
-                let mut i = 0;
-                while i < n {
-                    let blended = _mm256_add_ps(
-                        _mm256_mul_ps(load8(src, i), va),
-                        _mm256_mul_ps(load8(dst, i), vb),
-                    );
-                    store8(dst, i, blended);
-                    i += 8;
-                }
-                blend_block_sse2(mode, &mut dst[n..], &src[n..]);
-            }
-        }
+        blend_block(Some(Avx2::new()), mode, dst, src);
+    }
+
+    #[target_feature(enable = "sse2")]
+    pub(super) fn fold_sse2(acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
+        fold(None, acc, dst, srcs);
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn blend_uniform_avx2(mode: BlendMode, dst: &mut [f32], src: f32) {
-        let n = dst.len() - dst.len() % 8;
-        let vs = _mm256_set1_ps(src);
-        match mode {
-            BlendMode::Replace => dst.fill(src),
-            BlendMode::Additive => {
-                let mut i = 0;
-                while i < n {
-                    store8(dst, i, _mm256_add_ps(load8(dst, i), vs));
-                    i += 8;
-                }
-                blend_uniform_sse2(mode, &mut dst[n..], src);
-            }
-            BlendMode::Max => {
-                let mut i = 0;
-                while i < n {
-                    store8(dst, i, max8(load8(dst, i), vs));
-                    i += 8;
-                }
-                blend_uniform_sse2(mode, &mut dst[n..], src);
-            }
-            BlendMode::Alpha(a) => {
-                let alpha = a.value();
-                let va = _mm256_set1_ps(alpha);
-                let vb = _mm256_set1_ps(1.0 - alpha);
-                let mut i = 0;
-                while i < n {
-                    let blended =
-                        _mm256_add_ps(_mm256_mul_ps(vs, va), _mm256_mul_ps(load8(dst, i), vb));
-                    store8(dst, i, blended);
-                    i += 8;
-                }
-                blend_uniform_sse2(mode, &mut dst[n..], src);
-            }
-        }
+    pub(super) fn fold_avx2(acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
+        fold(Some(Avx2::new()), acc, dst, srcs);
+    }
+
+    #[target_feature(enable = "sse2")]
+    pub(super) fn fill_sse2(span: &mut [f32], lo: usize, blend: BlendMode, sample: &impl Sample) {
+        fill(None, span, lo, blend, sample);
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn copy_slice_avx2(dst: &mut [f32], src: &[f32]) {
-        let n = dst.len() - dst.len() % 8;
-        let mut i = 0;
-        while i < n {
-            store8(dst, i, load8(src, i));
-            i += 8;
-        }
-        dst[n..].copy_from_slice(&src[n..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn fold_copy_avx2(dst: &mut [f32], srcs: &[&[f32]]) {
-        let n = dst.len() - dst.len() % 8;
-        match *srcs {
-            [a] => copy_slice_avx2(dst, a),
-            [a, b] => {
-                let mut i = 0;
-                while i < n {
-                    store8(dst, i, _mm256_add_ps(load8(a, i), load8(b, i)));
-                    i += 8;
-                }
-                fold_copy_sse2(&mut dst[n..], &[&a[n..], &b[n..]]);
-            }
-            [a, b, c] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm256_add_ps(_mm256_add_ps(load8(a, i), load8(b, i)), load8(c, i));
-                    store8(dst, i, sum);
-                    i += 8;
-                }
-                fold_copy_sse2(&mut dst[n..], &[&a[n..], &b[n..], &c[n..]]);
-            }
-            [a, b, c, e] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm256_add_ps(
-                        _mm256_add_ps(_mm256_add_ps(load8(a, i), load8(b, i)), load8(c, i)),
-                        load8(e, i),
-                    );
-                    store8(dst, i, sum);
-                    i += 8;
-                }
-                fold_copy_sse2(&mut dst[n..], &[&a[n..], &b[n..], &c[n..], &e[n..]]);
-            }
-            _ => unreachable!("fold_copy takes 1-4 sources"),
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn fold_acc_avx2(dst: &mut [f32], srcs: &[&[f32]]) {
-        let n = dst.len() - dst.len() % 8;
-        match *srcs {
-            [a] => {
-                let mut i = 0;
-                while i < n {
-                    store8(dst, i, _mm256_add_ps(load8(dst, i), load8(a, i)));
-                    i += 8;
-                }
-                fold_acc_sse2(&mut dst[n..], &[&a[n..]]);
-            }
-            [a, b] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm256_add_ps(_mm256_add_ps(load8(dst, i), load8(a, i)), load8(b, i));
-                    store8(dst, i, sum);
-                    i += 8;
-                }
-                fold_acc_sse2(&mut dst[n..], &[&a[n..], &b[n..]]);
-            }
-            [a, b, c] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm256_add_ps(
-                        _mm256_add_ps(_mm256_add_ps(load8(dst, i), load8(a, i)), load8(b, i)),
-                        load8(c, i),
-                    );
-                    store8(dst, i, sum);
-                    i += 8;
-                }
-                fold_acc_sse2(&mut dst[n..], &[&a[n..], &b[n..], &c[n..]]);
-            }
-            [a, b, c, e] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = _mm256_add_ps(
-                        _mm256_add_ps(
-                            _mm256_add_ps(_mm256_add_ps(load8(dst, i), load8(a, i)), load8(b, i)),
-                            load8(c, i),
-                        ),
-                        load8(e, i),
-                    );
-                    store8(dst, i, sum);
-                    i += 8;
-                }
-                fold_acc_sse2(&mut dst[n..], &[&a[n..], &b[n..], &c[n..], &e[n..]]);
-            }
-            _ => unreachable!("fold_acc takes 1-4 sources"),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub(super) fn fill_hoisted_avx2(
-        span: &mut [f32],
-        lo: usize,
-        u_row: AttrRow,
-        r0: &[f32],
-        r1: &[f32],
-        ty: f32,
-        intensity: f32,
-        blend: BlendMode,
-    ) {
-        let tex_w = r0.len();
-        let rb = _mm256_set1_pd(u_row.row_base);
-        let ddx = _mm256_set1_pd(u_row.ddx);
-        let ox = _mm256_set1_pd(u_row.ox);
-        let vw = _mm256_set1_ps(tex_w as f32);
-        let vhalf = _mm256_set1_ps(0.5);
-        let vzero = _mm256_setzero_ps();
-        let vhi = _mm256_set1_ps(tex_w as f32 - 1.0);
-        let vone = _mm256_set1_ps(1.0);
-        let vty = _mm256_set1_ps(ty);
-        let vint = _mm256_set1_ps(intensity);
-        let (va, vb) = alpha8(blend);
-        let n = span.len() - span.len() % 8;
-        let mut i = 0;
-        while i < n {
-            let u = u8v(lo + i, rb, ddx, ox);
-            let fx = clamp8(_mm256_sub_ps(_mm256_mul_ps(u, vw), vhalf), vzero, vhi);
-            let tx0i = _mm256_cvttps_epi32(fx);
-            let tx0f = _mm256_cvtepi32_ps(tx0i);
-            let tx = _mm256_sub_ps(fx, tx0f);
-            let tx1f = _mm256_min_ps(_mm256_add_ps(tx0f, vone), vhi);
-            let tx1i = _mm256_cvttps_epi32(tx1f);
-            let a = gather8(r0, tx0i);
-            let b = gather8(r0, tx1i);
-            let c = gather8(r1, tx0i);
-            let d = gather8(r1, tx1i);
-            let bottom = _mm256_add_ps(a, _mm256_mul_ps(_mm256_sub_ps(b, a), tx));
-            let top = _mm256_add_ps(c, _mm256_mul_ps(_mm256_sub_ps(d, c), tx));
-            let lerped = _mm256_add_ps(bottom, _mm256_mul_ps(_mm256_sub_ps(top, bottom), vty));
-            blend8(blend, span, i, _mm256_mul_ps(lerped, vint), va, vb);
-            i += 8;
-        }
-        fill_hoisted_sse2(&mut span[n..], lo + n, u_row, r0, r1, ty, intensity, blend);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn fill_nearest_row_avx2(
-        span: &mut [f32],
-        lo: usize,
-        u_row: AttrRow,
-        tex_row: &[f32],
-        intensity: f32,
-        blend: BlendMode,
-    ) {
-        let tw = tex_row.len();
-        let rb = _mm256_set1_pd(u_row.row_base);
-        let ddx = _mm256_set1_pd(u_row.ddx);
-        let ox = _mm256_set1_pd(u_row.ox);
-        let vw = _mm256_set1_ps(tw as f32);
-        let vzero = _mm256_setzero_ps();
-        let vhi = _mm256_set1_ps(tw as f32 - 1.0);
-        let vint = _mm256_set1_ps(intensity);
-        let (va, vb) = alpha8(blend);
-        let n = span.len() - span.len() % 8;
-        let mut i = 0;
-        while i < n {
-            let u = u8v(lo + i, rb, ddx, ox);
-            let t = clamp8(_mm256_mul_ps(u, vw), vzero, vhi);
-            let fetched = gather8(tex_row, _mm256_cvttps_epi32(t));
-            blend8(blend, span, i, _mm256_mul_ps(fetched, vint), va, vb);
-            i += 8;
-        }
-        fill_nearest_row_sse2(&mut span[n..], lo + n, u_row, tex_row, intensity, blend);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub(super) fn fill_nearest_2d_avx2(
-        span: &mut [f32],
-        lo: usize,
-        u_row: AttrRow,
-        v_row: AttrRow,
-        texels: &[f32],
-        tw: usize,
-        th: usize,
-        intensity: f32,
-        blend: BlendMode,
-    ) {
-        let u_rb = _mm256_set1_pd(u_row.row_base);
-        let u_ddx = _mm256_set1_pd(u_row.ddx);
-        let u_ox = _mm256_set1_pd(u_row.ox);
-        let v_rb = _mm256_set1_pd(v_row.row_base);
-        let v_ddx = _mm256_set1_pd(v_row.ddx);
-        let v_ox = _mm256_set1_pd(v_row.ox);
-        let vww = _mm256_set1_ps(tw as f32);
-        let vwh = _mm256_set1_ps(th as f32);
-        let vzero = _mm256_setzero_ps();
-        let vxhi = _mm256_set1_ps(tw as f32 - 1.0);
-        let vyhi = _mm256_set1_ps(th as f32 - 1.0);
-        let vtw = _mm256_set1_epi32(tw as i32);
-        let vint = _mm256_set1_ps(intensity);
-        let (va, vb) = alpha8(blend);
-        let n = span.len() - span.len() % 8;
-        let mut i = 0;
-        while i < n {
-            let px = lo + i;
-            let u = u8v(px, u_rb, u_ddx, u_ox);
-            let v = u8v(px, v_rb, v_ddx, v_ox);
-            let tu = clamp8(_mm256_mul_ps(u, vww), vzero, vxhi);
-            let tv = clamp8(_mm256_mul_ps(v, vwh), vzero, vyhi);
-            let xi = _mm256_cvttps_epi32(tu);
-            let yi = _mm256_cvttps_epi32(tv);
-            let idx = _mm256_add_epi32(_mm256_mullo_epi32(yi, vtw), xi);
-            let fetched = gather8(texels, idx);
-            blend8(blend, span, i, _mm256_mul_ps(fetched, vint), va, vb);
-            i += 8;
-        }
-        fill_nearest_2d_sse2(
-            &mut span[n..],
-            lo + n,
-            u_row,
-            v_row,
-            texels,
-            tw,
-            th,
-            intensity,
-            blend,
-        );
+    pub(super) fn fill_avx2(span: &mut [f32], lo: usize, blend: BlendMode, sample: &impl Sample) {
+        fill(Some(Avx2::new()), span, lo, blend, sample);
     }
 }
 
@@ -2086,8 +1783,29 @@ mod tests {
         }
     }
 
+    /// The deterministic length sweep every property test adds to its
+    /// random cases: each length 0..=17 reaches every AVX2 → SSE2 → scalar
+    /// handoff (0-7 elements after the 8-lane blocks, then 0-3 after the
+    /// 4-lane block), twice over.
+    const SWEEP_LENS: std::ops::RangeInclusive<usize> = 0..=17;
+
+    /// The span offsets of the fill sweeps: aligned and not.
+    const SWEEP_LOS: [usize; 2] = [0, 5];
+
     #[test]
     fn blend_block_bit_identical() {
+        let check = |len: usize, mode: BlendMode, data_seed: u64, context: &str| {
+            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
+            let dst0 = data(&mut data_rng, len);
+            let src = data(&mut data_rng, len);
+            let mut want = dst0.clone();
+            blend_block(SimdLevel::Scalar, mode, &mut want, &src);
+            for level in vector_levels() {
+                let mut got = dst0.clone();
+                blend_block(level, mode, &mut got, &src);
+                assert_bits_eq(&got, &want, level, context);
+            }
+        };
         let seed = 0xB10C;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for case in 0..64 {
@@ -2097,22 +1815,29 @@ mod tests {
             let context = format!(
                 "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, raw mode {raw_mode}"
             );
-            let mode = mode_from(raw_mode);
-            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
-            let dst0 = data(&mut data_rng, len);
-            let src = data(&mut data_rng, len);
-            let mut want = dst0.clone();
-            blend_block(SimdLevel::Scalar, mode, &mut want, &src);
-            for level in vector_levels() {
-                let mut got = dst0.clone();
-                blend_block(level, mode, &mut got, &src);
-                assert_bits_eq(&got, &want, level, &context);
+            check(len, mode_from(raw_mode), data_seed, &context);
+        }
+        for len in SWEEP_LENS {
+            for raw_mode in 0..4 {
+                let context = format!("sweep: len {len}, raw mode {raw_mode}");
+                check(len, mode_from(raw_mode), len as u64, &context);
             }
         }
     }
 
     #[test]
     fn blend_uniform_bit_identical() {
+        let check = |len: usize, mode: BlendMode, src: f32, data_seed: u64, context: &str| {
+            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
+            let dst0 = data(&mut data_rng, len);
+            let mut want = dst0.clone();
+            blend_uniform(SimdLevel::Scalar, mode, &mut want, src);
+            for level in vector_levels() {
+                let mut got = dst0.clone();
+                blend_uniform(level, mode, &mut got, src);
+                assert_bits_eq(&got, &want, level, context);
+            }
+        };
         let seed = 0xB1F0;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for case in 0..64 {
@@ -2124,29 +1849,19 @@ mod tests {
                 "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, \
                  raw mode {raw_mode}, src {src}"
             );
-            let mode = mode_from(raw_mode);
-            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
-            let dst0 = data(&mut data_rng, len);
-            let mut want = dst0.clone();
-            blend_uniform(SimdLevel::Scalar, mode, &mut want, src);
-            for level in vector_levels() {
-                let mut got = dst0.clone();
-                blend_uniform(level, mode, &mut got, src);
-                assert_bits_eq(&got, &want, level, &context);
+            check(len, mode_from(raw_mode), src, data_seed, &context);
+        }
+        for len in SWEEP_LENS {
+            for raw_mode in 0..4 {
+                let context = format!("sweep: len {len}, raw mode {raw_mode}, src 0.625");
+                check(len, mode_from(raw_mode), 0.625, len as u64, &context);
             }
         }
     }
 
     #[test]
     fn copy_and_folds_bit_identical() {
-        let seed = 0xF01D;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for case in 0..64 {
-            let data_seed = rng.gen_range(0u64..1_000_000);
-            let len = rng.gen_range(0usize..41);
-            let k = rng.gen_range(1usize..5);
-            let context =
-                format!("seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, k {k}");
+        let check = |len: usize, k: usize, data_seed: u64, context: &str| {
             let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
             let sources: Vec<Vec<f32>> = (0..k).map(|_| data(&mut data_rng, len)).collect();
             let refs: Vec<&[f32]> = sources.iter().map(|v| v.as_slice()).collect();
@@ -2156,17 +1871,70 @@ mod tests {
                 fold_copy(SimdLevel::Scalar, &mut want, &refs);
                 let mut got = dst0.clone();
                 fold_copy(level, &mut got, &refs);
-                assert_bits_eq(&got, &want, level, &context);
+                assert_bits_eq(&got, &want, level, context);
 
                 let mut want = dst0.clone();
                 fold_acc(SimdLevel::Scalar, &mut want, &refs);
                 let mut got = dst0.clone();
                 fold_acc(level, &mut got, &refs);
-                assert_bits_eq(&got, &want, level, &context);
+                assert_bits_eq(&got, &want, level, context);
 
                 let mut got = dst0.clone();
                 copy_slice(level, &mut got, &sources[0]);
-                assert_bits_eq(&got, &sources[0], level, &context);
+                assert_bits_eq(&got, &sources[0], level, context);
+            }
+        };
+        let seed = 0xF01D;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for case in 0..64 {
+            let data_seed = rng.gen_range(0u64..1_000_000);
+            let len = rng.gen_range(0usize..41);
+            let k = rng.gen_range(1usize..5);
+            let context =
+                format!("seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, k {k}");
+            check(len, k, data_seed, &context);
+        }
+        for len in SWEEP_LENS {
+            for k in 1..=4 {
+                check(len, k, len as u64, &format!("sweep: len {len}, k {k}"));
+            }
+        }
+    }
+
+    /// One hoisted-fill case: the scalar oracle against every vector level.
+    struct HoistedCase {
+        len: usize,
+        lo: usize,
+        mode: BlendMode,
+        tex_w: usize,
+        u_row: AttrRow,
+        ty: f32,
+        data_seed: u64,
+    }
+
+    impl HoistedCase {
+        fn check(&self, context: &str) {
+            let mut data_rng = ChaCha8Rng::seed_from_u64(self.data_seed);
+            let r0 = data(&mut data_rng, self.tex_w);
+            let r1 = data(&mut data_rng, self.tex_w);
+            let dst0 = data(&mut data_rng, self.len);
+            let (lo, u_row, ty, mode) = (self.lo, self.u_row, self.ty, self.mode);
+            let mut want = dst0.clone();
+            fill_hoisted(
+                SimdLevel::Scalar,
+                &mut want,
+                lo,
+                u_row,
+                &r0,
+                &r1,
+                ty,
+                0.8,
+                mode,
+            );
+            for level in vector_levels() {
+                let mut got = dst0.clone();
+                fill_hoisted(level, &mut got, lo, u_row, &r0, &r1, ty, 0.8, mode);
+                assert_bits_eq(&got, &want, level, context);
             }
         }
     }
@@ -2188,38 +1956,65 @@ mod tests {
                 "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, lo {lo}, \
                  raw mode {raw_mode}, tex_w {tex_w}, row_base {row_base}, ddx {ddx}, ty {ty}"
             );
-            let mode = mode_from(raw_mode);
             let u_row = AttrRow {
                 row_base,
                 ddx,
                 ox: 0.25,
             };
-            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
-            let r0 = data(&mut data_rng, tex_w);
-            let r1 = data(&mut data_rng, tex_w);
-            let dst0 = data(&mut data_rng, len);
-            let mut want = dst0.clone();
-            fill_hoisted(
-                SimdLevel::Scalar,
-                &mut want,
+            let mode = mode_from(raw_mode);
+            HoistedCase {
+                len,
                 lo,
-                u_row,
-                &r0,
-                &r1,
-                ty,
-                0.8,
                 mode,
-            );
-            for level in vector_levels() {
-                let mut got = dst0.clone();
-                fill_hoisted(level, &mut got, lo, u_row, &r0, &r1, ty, 0.8, mode);
-                assert_bits_eq(&got, &want, level, &context);
+                tex_w,
+                u_row,
+                ty,
+                data_seed,
+            }
+            .check(&context);
+        }
+        // The sweep's coordinates run from below 0 to above 1 across the
+        // span, so both clamps are hit too.
+        let u_row = AttrRow {
+            row_base: -0.3,
+            ddx: 0.07,
+            ox: 0.25,
+        };
+        for len in SWEEP_LENS {
+            for lo in SWEEP_LOS {
+                for raw_mode in 0..4 {
+                    let context = format!("sweep: len {len}, lo {lo}, raw mode {raw_mode}");
+                    let mode = mode_from(raw_mode);
+                    let data_seed = len as u64;
+                    HoistedCase {
+                        len,
+                        lo,
+                        mode,
+                        tex_w: 7,
+                        u_row,
+                        ty: 0.375,
+                        data_seed,
+                    }
+                    .check(&context);
+                }
             }
         }
     }
 
     #[test]
     fn fill_nearest_row_bit_identical() {
+        let check = |len, lo, mode, tw, u_row, data_seed, context: &str| {
+            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
+            let tex_row = data(&mut data_rng, tw);
+            let dst0 = data(&mut data_rng, len);
+            let mut want = dst0.clone();
+            fill_nearest_row(SimdLevel::Scalar, &mut want, lo, u_row, &tex_row, 0.8, mode);
+            for level in vector_levels() {
+                let mut got = dst0.clone();
+                fill_nearest_row(level, &mut got, lo, u_row, &tex_row, 0.8, mode);
+                assert_bits_eq(&got, &want, level, context);
+            }
+        };
         let seed = 0x2E42;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for case in 0..64 {
@@ -2234,21 +2029,67 @@ mod tests {
                 "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, lo {lo}, \
                  raw mode {raw_mode}, tw {tw}, row_base {row_base}, ddx {ddx}"
             );
-            let mode = mode_from(raw_mode);
             let u_row = AttrRow {
                 row_base,
                 ddx,
                 ox: 0.25,
             };
-            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
-            let tex_row = data(&mut data_rng, tw);
-            let dst0 = data(&mut data_rng, len);
+            check(len, lo, mode_from(raw_mode), tw, u_row, data_seed, &context);
+        }
+        let u_row = AttrRow {
+            row_base: -0.3,
+            ddx: 0.07,
+            ox: 0.25,
+        };
+        for len in SWEEP_LENS {
+            for lo in SWEEP_LOS {
+                for raw_mode in 0..4 {
+                    let context = format!("sweep: len {len}, lo {lo}, raw mode {raw_mode}");
+                    check(len, lo, mode_from(raw_mode), 7, u_row, len as u64, &context);
+                }
+            }
+        }
+    }
+
+    /// One 2-D nearest-fill case: the scalar oracle against every vector
+    /// level.
+    struct Nearest2dCase {
+        len: usize,
+        lo: usize,
+        mode: BlendMode,
+        tw: usize,
+        th: usize,
+        u_row: AttrRow,
+        v_row: AttrRow,
+        data_seed: u64,
+    }
+
+    impl Nearest2dCase {
+        fn check(&self, context: &str) {
+            let mut data_rng = ChaCha8Rng::seed_from_u64(self.data_seed);
+            let texels = data(&mut data_rng, self.tw * self.th);
+            let dst0 = data(&mut data_rng, self.len);
+            let (lo, u_row, v_row, mode) = (self.lo, self.u_row, self.v_row, self.mode);
+            let (tw, th) = (self.tw, self.th);
             let mut want = dst0.clone();
-            fill_nearest_row(SimdLevel::Scalar, &mut want, lo, u_row, &tex_row, 0.8, mode);
+            fill_nearest_2d(
+                SimdLevel::Scalar,
+                &mut want,
+                lo,
+                u_row,
+                v_row,
+                &texels,
+                tw,
+                th,
+                0.8,
+                mode,
+            );
             for level in vector_levels() {
                 let mut got = dst0.clone();
-                fill_nearest_row(level, &mut got, lo, u_row, &tex_row, 0.8, mode);
-                assert_bits_eq(&got, &want, level, &context);
+                fill_nearest_2d(
+                    level, &mut got, lo, u_row, v_row, &texels, tw, th, 0.8, mode,
+                );
+                assert_bits_eq(&got, &want, level, context);
             }
         }
     }
@@ -2271,7 +2112,6 @@ mod tests {
                 "seed {seed:#x}, case {case}: data seed {data_seed}, len {len}, lo {lo}, \
                  raw mode {raw_mode}, tw {tw}, th {th}, u_base {u_base}, v_base {v_base}, ddx {ddx}"
             );
-            let mode = mode_from(raw_mode);
             let u_row = AttrRow {
                 row_base: u_base,
                 ddx,
@@ -2282,28 +2122,47 @@ mod tests {
                 ddx: -ddx,
                 ox: 0.25,
             };
-            let mut data_rng = ChaCha8Rng::seed_from_u64(data_seed);
-            let texels = data(&mut data_rng, tw * th);
-            let dst0 = data(&mut data_rng, len);
-            let mut want = dst0.clone();
-            fill_nearest_2d(
-                SimdLevel::Scalar,
-                &mut want,
+            let mode = mode_from(raw_mode);
+            Nearest2dCase {
+                len,
                 lo,
-                u_row,
-                v_row,
-                &texels,
+                mode,
                 tw,
                 th,
-                0.8,
-                mode,
-            );
-            for level in vector_levels() {
-                let mut got = dst0.clone();
-                fill_nearest_2d(
-                    level, &mut got, lo, u_row, v_row, &texels, tw, th, 0.8, mode,
-                );
-                assert_bits_eq(&got, &want, level, &context);
+                u_row,
+                v_row,
+                data_seed,
+            }
+            .check(&context);
+        }
+        let u_row = AttrRow {
+            row_base: -0.3,
+            ddx: 0.07,
+            ox: 0.25,
+        };
+        let v_row = AttrRow {
+            row_base: 1.2,
+            ddx: -0.07,
+            ox: 0.25,
+        };
+        for len in SWEEP_LENS {
+            for lo in SWEEP_LOS {
+                for raw_mode in 0..4 {
+                    let context = format!("sweep: len {len}, lo {lo}, raw mode {raw_mode}");
+                    let mode = mode_from(raw_mode);
+                    let (tw, th, data_seed) = (7, 5, len as u64);
+                    Nearest2dCase {
+                        len,
+                        lo,
+                        mode,
+                        tw,
+                        th,
+                        u_row,
+                        v_row,
+                        data_seed,
+                    }
+                    .check(&context);
+                }
             }
         }
     }

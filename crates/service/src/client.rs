@@ -426,21 +426,6 @@ impl ServiceClient {
         }
     }
 
-    /// Fetches frame `index` with an `X-Deadline-Ms` budget: the server
-    /// sheds the request (a `Busy` error here) when the remaining budget
-    /// cannot cover its current queue wait.
-    pub fn fetch_frame_with_deadline(
-        &mut self,
-        session: &str,
-        index: u64,
-        deadline: Duration,
-    ) -> Result<FetchedFrame, ClientError> {
-        let path = format!("/sessions/{session}/frame/{index}");
-        let headers = [("X-Deadline-Ms", deadline.as_millis().to_string())];
-        let reply = Self::expect_success(self.request_with_headers("GET", &path, &headers, b"")?)?;
-        Self::frame_from_reply(reply)
-    }
-
     /// Fetches frame `index`, retrying `Busy` sheds and read timeouts under
     /// `policy`: jittered exponential backoff, never sleeping less than the
     /// server's `Retry-After` hint. A timeout additionally reconnects first

@@ -22,11 +22,11 @@
 //!   shed-with-`503 Busy` beyond a watermark so overload degrades instead
 //!   of OOMing;
 //! * [`pressure`] — the graceful-degradation ladder: a tri-state
-//!   [`PressureGauge`](pressure::PressureGauge) over queue depth and
+//!   [`PressureGauge`] over queue depth and
 //!   queue-wait latency that disables channel look-ahead when elevated and
 //!   serves stale frontiers / drops to footprint sampling when saturated,
 //!   so overload degrades *quality* before it degrades *availability*;
-//! * [`node`] — the transport-free core: one [`NodeCore`](node::NodeCore)
+//! * [`node`] — the transport-free core: one [`NodeCore`]
 //!   owns all of the above plus the synthesis workers, with no socket in
 //!   sight — the seam the cluster tier is built on (and a peer frame-cache
 //!   lookup that lets sibling nodes serve each other's cached frames);

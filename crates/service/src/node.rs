@@ -84,8 +84,8 @@ pub struct ServiceOptions {
     /// graceful-degradation ladder.
     pub pressure: PressureConfig,
     /// The node's cluster identity, reported as the `X-Node-Id` response
-    /// header and in the `/stats` `node` block. `None` lets [`serve`]
-    /// (crate::serve) fill in the bound address once it is known.
+    /// header and in the `/stats` `node` block. `None` lets
+    /// [`serve`](crate::serve) fill in the bound address once it is known.
     pub node_id: Option<String>,
     /// Sibling nodes consulted on a local frame-cache miss before
     /// synthesizing (the peer frame-cache lookup). Empty disables probing.
@@ -346,8 +346,8 @@ impl NodeCore {
         lock_recover(&self.node_id, |_| {}).clone()
     }
 
-    /// Fills in the node identity if none was configured ([`serve`]
-    /// (crate::serve) passes the bound address).
+    /// Fills in the node identity if none was configured
+    /// ([`serve`](crate::serve) passes the bound address).
     pub fn set_default_node_id(&self, id: &str) {
         let mut node_id = lock_recover(&self.node_id, |_| {});
         if node_id.is_empty() {

@@ -22,7 +22,7 @@
 //!   away, mirroring the per-node pressure ladder.
 //! * **Aggregated observability** — `/stats` serves a cluster view
 //!   (per-node documents plus counters folded by
-//!   [`aggregate_stats`](crate::cluster::aggregate_stats) according to each
+//!   [`aggregate_stats`] according to each
 //!   field's declared kind, so sums are summed and peaks are maxed),
 //!   `/metrics` re-exports every worker's series under a `node` label
 //!   next to the router's own counters, and `/healthz` degrades through

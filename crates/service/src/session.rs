@@ -1,7 +1,7 @@
 //! Sessions and the session registry.
 //!
 //! A [`Session`] is one client's running visualization: a
-//! [`Pipeline`](spotnoise::pipeline::Pipeline) driving the scheduler engine
+//! [`Pipeline`] driving the scheduler engine
 //! over the session's field, advanced frame by frame with a fixed time step.
 //! Frames are deterministic: frame `i` is the texture produced by the
 //! `(i+1)`-th pipeline advance after the session's (re)start, so any frame
@@ -14,9 +14,8 @@
 //! a session cap and evicts sessions that have been idle too long.
 //!
 //! A session's *frames* need not come from a pipeline it owns: a session
-//! created in shared mode subscribes to a
-//! [`FieldChannel`](crate::channel::FieldChannel) instead (its [`Backing`]
-//! is the subscription, not a pipeline), and its frames come off the
+//! created in shared mode subscribes to a [`FieldChannel`] instead (its
+//! `Backing` is the subscription, not a pipeline), and its frames come off the
 //! channel's shared synthesis clock — usually straight out of the frame
 //! cache. Steering a shared session forks it back into a private one.
 

@@ -1,6 +1,6 @@
 //! Arrow plots — the baseline the paper replaced.
 //!
-//! "In [6] arrow plots were used to display the wind fields, which we have
+//! "In \[6\] arrow plots were used to display the wind fields, which we have
 //! now replaced with spot noise textures." The arrow plot is kept as the
 //! baseline visualization: it shows the field only at discrete positions,
 //! which is exactly the limitation spot noise removes. The benchmark harness
