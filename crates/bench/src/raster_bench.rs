@@ -174,8 +174,8 @@ fn quad_case(
 /// The disc quads of a `browse` frame: `count` flow-aligned spot quads of
 /// radius `radius` px stretched `stretch`-fold along the flow
 /// ([`spotnoise::spot::standard_spot_quad`]), at scattered centres and
-/// angles on a 128² target.
-fn flow_quads(count: usize, radius: f64, stretch: f64) -> Vec<[Vertex; 4]> {
+/// angles on a `size`² target.
+fn flow_quads(count: usize, radius: f64, stretch: f64, size: usize) -> Vec<[Vertex; 4]> {
     use spotnoise::spot::{standard_spot_quad, SpotTransform};
     let golden = (5f64.sqrt() - 1.0) / 2.0;
     (0..count)
@@ -187,55 +187,47 @@ fn flow_quads(count: usize, radius: f64, stretch: f64) -> Vec<[Vertex; 4]> {
                 across: radius / stretch.sqrt(),
             };
             let center = Vec2::new(
-                (t * 0.7548776662).fract() * 128.0,
-                (t * 0.5698402910).fract() * 128.0,
+                (t * 0.7548776662).fract() * size as f64,
+                (t * 0.5698402910).fract() * size as f64,
             );
             standard_spot_quad(&transform, center)
         })
         .collect()
 }
 
-/// Measures the explicit SIMD dispatch win on the lane-blocked quad fill:
-/// the same span-walking rasterization with the kernels forced to the
-/// scalar fallback (reference leg) vs the process's active dispatch level
-/// (optimized leg). Unlike the other cases, both legs run the *current*
-/// span walker — the case isolates what the explicit `core::arch` kernels
-/// buy over the autovectorized scalar code, on the same host, in the same
-/// process. Under `SPOTNOISE_SIMD=off` both legs are scalar and the case
+/// Measures the explicit SIMD dispatch win on the quad span fills: the
+/// same span-walking rasterization of `quads` on a `size`² target with the
+/// kernels forced to the scalar fallback (reference leg) vs the process's
+/// active dispatch level (optimized leg). Unlike the other cases, both legs
+/// run the *current* span walker — the case isolates what the explicit
+/// `core::arch` kernels buy over the autovectorized scalar code, on the
+/// same host, in the same process. Under `SPOTNOISE_SIMD=off` both legs are scalar and the case
 /// reports ~1.0x, which is why the artifact records its dispatch level.
 fn simd_quad_case(
     name: &'static str,
     description: &'static str,
     spot: &Texture,
-    quad: [Vertex; 4],
+    quads: &[[Vertex; 4]],
+    size: usize,
     intensity: f32,
 ) -> BenchCase {
     use softpipe::simd::{self, SimdLevel};
+    let draw = |target: &mut Texture, stats: &mut RasterStats| {
+        for quad in quads {
+            rasterize_quad(target, spot, *quad, intensity, BlendMode::Additive, stats);
+        }
+    };
     // Parity: the forced-scalar and active-level kernels must produce
     // bit-identical textures (the Exact-mode contract this whole module
     // rides on).
-    let mut scalar_out = Texture::new(512, 512);
-    let mut active_out = Texture::new(512, 512);
+    let mut scalar_out = Texture::new(size, size);
+    let mut active_out = Texture::new(size, size);
     let mut scalar_stats = RasterStats::default();
     let mut active_stats = RasterStats::default();
     simd::force(Some(SimdLevel::Scalar));
-    rasterize_quad(
-        &mut scalar_out,
-        spot,
-        quad,
-        intensity,
-        BlendMode::Additive,
-        &mut scalar_stats,
-    );
+    draw(&mut scalar_out, &mut scalar_stats);
     simd::force(None);
-    rasterize_quad(
-        &mut active_out,
-        spot,
-        quad,
-        intensity,
-        BlendMode::Additive,
-        &mut active_stats,
-    );
+    draw(&mut active_out, &mut active_stats);
     assert_eq!(
         scalar_out.absolute_difference(&active_out),
         0.0,
@@ -243,51 +235,27 @@ fn simd_quad_case(
     );
     assert_eq!(scalar_stats, active_stats, "{name}: stats diverged");
 
-    let mut target = Texture::new(512, 512);
+    let mut target = Texture::new(size, size);
     let probe = {
         simd::force(Some(SimdLevel::Scalar));
-        let mut stats = RasterStats::default();
         let start = Instant::now();
-        rasterize_quad(
-            &mut target,
-            spot,
-            quad,
-            intensity,
-            BlendMode::Additive,
-            &mut stats,
-        );
+        draw(&mut target, &mut RasterStats::default());
         let probe = start.elapsed().as_nanos() as f64;
         simd::force(None);
         probe
     };
     let batch = batch_for(10.0e6, probe);
-    let mut targets = (Texture::new(512, 512), Texture::new(512, 512));
+    let mut targets = (Texture::new(size, size), Texture::new(size, size));
     let (reference_ns, optimized) = time_pair_best(
         9,
         batch,
         || {
             simd::force(Some(SimdLevel::Scalar));
-            let mut stats = RasterStats::default();
-            rasterize_quad(
-                &mut targets.0,
-                spot,
-                quad,
-                intensity,
-                BlendMode::Additive,
-                &mut stats,
-            );
+            draw(&mut targets.0, &mut RasterStats::default());
         },
         || {
             simd::force(None);
-            let mut stats = RasterStats::default();
-            rasterize_quad(
-                &mut targets.1,
-                spot,
-                quad,
-                intensity,
-                BlendMode::Additive,
-                &mut stats,
-            );
+            draw(&mut targets.1, &mut RasterStats::default());
         },
     );
     simd::force(None);
@@ -962,7 +930,7 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
                     "quad_128_flow_wide",
                     "100 flow-aligned disc quads, r=3.84 stretched 3x, 128x128 target, 16x16 texture",
                     &disc_spot_texture(16, 0.5),
-                    &flow_quads(100, 3.84, 3.0),
+                    &flow_quads(100, 3.84, 3.0, 128),
                     128,
                     0.5,
                 )
@@ -976,7 +944,7 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
                     "quad_128_flow_narrow",
                     "100 flow-aligned disc quads, r=3.84 unstretched (boxes under 12 px), 128x128 target",
                     &disc_spot_texture(16, 0.5),
-                    &flow_quads(100, 3.84, 1.0),
+                    &flow_quads(100, 3.84, 1.0, 128),
                     128,
                     0.5,
                 )
@@ -1036,7 +1004,8 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
                     "simd_quad_disc_r12",
                     "disc-spot quad r=12: explicit SIMD kernels vs forced-scalar fallback",
                     &disc,
-                    axis_aligned_spot_quad(Vec2::new(256.0, 256.0), 12.0),
+                    &[axis_aligned_spot_quad(Vec2::new(256.0, 256.0), 12.0)],
+                    512,
                     0.5,
                 )
             }),
@@ -1048,7 +1017,39 @@ pub fn run_raster_bench_filtered(filter: Option<&str>) -> RasterBenchReport {
                     "simd_quad_disc_r48",
                     "disc-spot quad r=48: explicit SIMD kernels vs forced-scalar fallback",
                     &disc,
-                    axis_aligned_spot_quad(Vec2::new(256.0, 256.0), 48.0),
+                    &[axis_aligned_spot_quad(Vec2::new(256.0, 256.0), 48.0)],
+                    512,
+                    0.5,
+                )
+            }),
+        ),
+        (
+            "simd_quad_flow_wide",
+            Box::new(|| {
+                // quad_128_flow_wide's quads: rotated, so every span takes
+                // the general bilinear fill.
+                simd_quad_case(
+                    "simd_quad_flow_wide",
+                    "100 flow-aligned disc quads r=3.84 stretched 3x, 128x128: explicit SIMD kernels vs forced-scalar fallback",
+                    &disc_spot_texture(16, 0.5),
+                    &flow_quads(100, 3.84, 3.0, 128),
+                    128,
+                    0.5,
+                )
+            }),
+        ),
+        (
+            "simd_quad_flow_tiny",
+            Box::new(|| {
+                // broadcast_routed's spots: radius 1.92 px (0.03 of 64), so
+                // most rows are shorter than one 4-lane vector and keep
+                // scalar sampling.
+                simd_quad_case(
+                    "simd_quad_flow_tiny",
+                    "150 flow-aligned disc quads r=1.92 stretched 3x, 64x64: explicit SIMD kernels vs forced-scalar fallback",
+                    &disc_spot_texture(16, 0.5),
+                    &flow_quads(150, 1.92, 3.0, 64),
+                    64,
                     0.5,
                 )
             }),

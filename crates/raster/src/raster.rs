@@ -19,12 +19,15 @@
 //! three edges' intervals, each found by starting at the column of the
 //! edge's root and stepping to the exact boundary (`RowEdge::interval`):
 //! a few predictable tests per edge where bisection took several
-//! unpredictable ones. When the interpolated `v` coordinate is constant
+//! unpredictable ones. Every span is filled by an explicit SIMD kernel
+//! ([`crate::simd`]). When the interpolated `v` coordinate is constant
 //! along the row — true for every axis-aligned spot quad — the bilinear
 //! sample collapses to a single pre-fetched texture row pair, and when that
 //! row pair is uniform the sample is a per-row constant (the nearest-sample
 //! fast path: flat spot textures reduce to a vectorizable `dst += const`
-//! loop).
+//! loop). Otherwise — rotated quads, such as `browse`'s flow-aligned
+//! spots — each pixel takes the full four-tap sample in lanes, except on
+//! spans shorter than one 4-lane vector, which keep scalar sampling.
 //!
 //! A naive per-pixel reference rasterizer is retained behind
 //! `#[cfg(any(test, feature = "reference"))]` as the correctness oracle and
@@ -101,16 +104,8 @@
 
 use crate::blend::BlendMode;
 use crate::simd::{self, SimdLevel};
-use crate::texture::{ceil_index, floor_index, Bilinear, FootprintPyramid, Texture};
+use crate::texture::{ceil_index, floor_index, nearest_index, Bilinear, FootprintPyramid, Texture};
 use flowfield::Vec2;
-
-/// Fragments per lane block of the vectorized span fills. The fills compute
-/// `LANES` samples into a stack array and blend the block in one
-/// mode-specialized call ([`BlendMode::apply_block`]), so the compiler sees
-/// fixed-width, branch-free inner loops it can autovectorize; a scalar tail
-/// handles the remainder. Per-fragment arithmetic is unchanged, so outputs
-/// stay bit-identical to the per-pixel path.
-const LANES: usize = 8;
 
 /// A vertex as submitted to the graphics pipe: a position in *texture pixel
 /// coordinates* and a texture coordinate into the bound spot texture.
@@ -528,10 +523,11 @@ fn row_is_uniform(row: &[f32]) -> bool {
 ///
 /// `row` is the mutable slice of the *span* (index 0 corresponds to column
 /// `lo`), so the destination side needs no per-pixel bounds checks after the
-/// one slice construction. The hoisted-bilinear and uniform paths run on the
-/// explicit SIMD kernels for `level` (see [`crate::simd`]); the general
-/// bilinear path keeps scalar sampling but blends through the
-/// level-dispatched block kernel. Produces values bit-identical to calling
+/// one slice construction. Every path runs on an explicit SIMD kernel for
+/// `level` (see [`crate::simd`]): the uniform blend, the hoisted bilinear
+/// fill when `v` is constant along the row, and otherwise the general
+/// bilinear fill, which keeps spans shorter than one 4-lane vector on
+/// scalar sampling. Produces values bit-identical to calling
 /// `spot.sample_bilinear` + `blend.apply` per pixel at every level.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
@@ -573,45 +569,9 @@ fn fill_span_with(
             level, row, lo, u_row, tex_row0, tex_row1, ty, intensity, blend,
         );
     } else {
-        // General path: both texture coordinates vary along the row. The
-        // bilinear sampling stays scalar (its data-dependent row-pair fetches
-        // don't lane-block well), but the blend runs on the dispatched block
-        // kernel.
-        let kernel = Bilinear::new(spot);
-        let sample_at = |px: usize| -> f32 {
-            let u = u_row.at(px) as f32;
-            let v = v_row.at(px) as f32;
-            kernel.sample(u, v) * intensity
-        };
-        fill_lane_blocked(row, lo, level, blend, sample_at);
-    }
-}
-
-/// The shared lane-block driver of the span fills: computes [`LANES`]
-/// samples at a time with `sample_at` (whose per-lane evaluations are
-/// independent, so they vectorize) and blends each block through the
-/// level-dispatched kernel; the tail runs scalar with identical arithmetic.
-#[inline(always)]
-pub(crate) fn fill_lane_blocked(
-    row: &mut [f32],
-    lo: usize,
-    level: SimdLevel,
-    blend: BlendMode,
-    sample_at: impl Fn(usize) -> f32,
-) {
-    let mut samples = [0.0f32; LANES];
-    let split = row.len() - row.len() % LANES;
-    let (blocks, tail) = row.split_at_mut(split);
-    let mut px = lo;
-    for chunk in blocks.chunks_exact_mut(LANES) {
-        for (lane, out) in samples.iter_mut().enumerate() {
-            *out = sample_at(px + lane);
-        }
-        simd::blend_block(level, blend, chunk, &samples);
-        px += LANES;
-    }
-    for (offset, dst) in tail.iter_mut().enumerate() {
-        *dst = blend.apply(*dst, sample_at(px + offset));
+        // General path: both texture coordinates vary along the row (rotated
+        // quads), so every pixel takes the full four-tap sample.
+        simd::fill_bilinear(level, row, lo, u_row, v_row, spot, intensity, blend);
     }
 }
 
@@ -735,14 +695,6 @@ pub(crate) fn triangle_footprint_step(
     let step_u = u_ddx.abs().max(u_ddy.abs()) * base_w;
     let step_v = v_ddx.abs().max(v_ddy.abs()) * base_h;
     Some(step_u.max(step_v) as f32)
-}
-
-/// Nearest-sample index of `coord` in a `len`-texel axis, matching
-/// [`Texture::sample_nearest`]'s clamping exactly (also the scalar oracle of
-/// the SIMD nearest fills).
-#[inline(always)]
-pub(crate) fn nearest_index(coord: f32, len: usize) -> usize {
-    ((coord * len as f32) as isize).clamp(0, len as isize - 1) as usize
 }
 
 /// The footprint-sampling span walker, with nearest sampling of one
@@ -2980,6 +2932,73 @@ mod tests {
                 .iter()
                 .zip(b.data())
                 .all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+
+        /// One vertex's `u` of NaN or ±inf renders the same bits as the
+        /// per-pixel reference at every level, in every blend mode: a NaN
+        /// coordinate keeps its NaN weight and takes texel index 0, as in
+        /// the scalar kernel. The axis-aligned 20×20 px quad takes the
+        /// hoisted fill, the rotated one the general bilinear fill.
+        #[test]
+        fn non_finite_uv_renders_the_same_bits_at_every_level() {
+            let spot = disc_spot_texture(16, 0.5);
+            let center = Vec2::new(48.0, 20.0);
+            let (sin, cos) = 0.6f64.sin_cos();
+            let axis_aligned = axis_aligned_spot_quad(center, 10.0);
+            let rotated = axis_aligned.map(|v| {
+                let d = v.position - center;
+                let p = center + Vec2::new(d.x * cos - d.y * sin, d.x * sin + d.y * cos);
+                Vertex { position: p, ..v }
+            });
+            let mut base = Texture::new(W, H);
+            base.fill(0.25);
+            let _serial = simd::FORCE_LOCK
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let mut failure = None;
+            let mut nan_texels = 0;
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for (what, quad) in [("axis-aligned", axis_aligned), ("rotated", rotated)] {
+                    let mut quad = quad;
+                    quad[1].uv.0 = bad;
+                    for mode in modes() {
+                        let mut want = base.clone();
+                        let mut want_stats = RasterStats::default();
+                        reference::rasterize_quad(
+                            &mut want,
+                            &spot,
+                            quad,
+                            0.7,
+                            mode,
+                            &mut want_stats,
+                        );
+                        nan_texels += want.data().iter().filter(|t| t.is_nan()).count();
+                        for level in simd::available() {
+                            simd::force(Some(level));
+                            let mut got = base.clone();
+                            let mut stats = RasterStats::default();
+                            rasterize_quad(&mut got, &spot, quad, 0.7, mode, &mut stats);
+                            if failure.is_none() && !(same_bits(&got, &want) && stats == want_stats)
+                            {
+                                let differ = (got.data().iter().zip(want.data()))
+                                    .filter(|(g, w)| g.to_bits() != w.to_bits())
+                                    .count();
+                                failure = Some(format!(
+                                    "{} {what} quad, u = {bad}, {mode:?}: {differ} texels \
+                                     differ, stats {stats:?} vs {want_stats:?}",
+                                    level.name()
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+            simd::force(None);
+            if let Some(failure) = failure {
+                panic!("{failure}");
+            }
+            // The cases render NaN texels at all, or they would show nothing.
+            assert!(nan_texels > 0, "no case rendered a NaN texel");
         }
 
         #[test]

@@ -30,11 +30,19 @@ pub(crate) fn ceil_index(x: impl Into<f64>) -> usize {
     t + ((t as f64) < x) as usize
 }
 
+/// Nearest-sample index of `coord` in a `len`-texel axis, clamped at the
+/// edges (0 for NaN): the index [`Texture::sample_nearest`] reads, and the
+/// scalar oracle of the SIMD nearest fills.
+#[inline(always)]
+pub(crate) fn nearest_index(coord: f32, len: usize) -> usize {
+    ((coord * len as f32) as isize).clamp(0, len as isize - 1) as usize
+}
+
 /// Bilinear sampling of one texture, with the per-texture `f32` constants
 /// hoisted out of the per-fragment work: build once, then [`sample`] every
-/// fragment. The crate's single bilinear kernel, behind
-/// [`Texture::sample_bilinear`], the general span fill and the mesh cell
-/// walker.
+/// fragment. The crate's single scalar bilinear kernel, behind
+/// [`Texture::sample_bilinear`], the mesh cell walker and the general span
+/// fill's scalar fallback, which its SIMD kernel is pinned to.
 ///
 /// [`sample`]: Bilinear::sample
 #[derive(Debug, Clone, Copy)]
@@ -194,9 +202,7 @@ impl Texture {
     /// Nearest-neighbour sample at texture coordinates `(u, v)` in `[0,1]`,
     /// clamped at the edges.
     pub fn sample_nearest(&self, u: f32, v: f32) -> f32 {
-        let x = ((u * self.width as f32) as isize).clamp(0, self.width as isize - 1) as usize;
-        let y = ((v * self.height as f32) as isize).clamp(0, self.height as isize - 1) as usize;
-        self.texel(x, y)
+        self.texel(nearest_index(u, self.width), nearest_index(v, self.height))
     }
 
     /// Bilinear sample at texture coordinates `(u, v)` in `[0,1]`, clamped at
