@@ -2973,7 +2973,7 @@ mod tests {
                             &mut want_stats,
                         );
                         nan_texels += want.data().iter().filter(|t| t.is_nan()).count();
-                        for level in simd::available() {
+                        for level in simd::test_levels() {
                             simd::force(Some(level));
                             let mut got = base.clone();
                             let mut stats = RasterStats::default();
@@ -3092,7 +3092,7 @@ mod tests {
                     .lock()
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
                 let mut failure = None;
-                for level in simd::available() {
+                for level in simd::test_levels() {
                     simd::force(Some(level));
                     for mode in modes() {
                         let run = |draw: &dyn Fn(&mut Texture, &mut RasterStats)| {

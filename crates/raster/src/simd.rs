@@ -16,20 +16,23 @@
 //! * gather folds and the tile blit (`fold_copy`, `fold_acc`,
 //!   `copy_slice`).
 //!
-//! On x86_64 each kernel is written once, generic over a private lane trait
-//! (`Lanes`) with two impls: SSE2 (`__m128`, texel gathers through lane
-//! arrays) and AVX2 (`__m256`, `vgatherdps`). There are two vector loops:
-//! the blend loop, which the uniform blend and the span fills share (they
-//! differ only in the lanes they blend in), and the fold loop. The folds
-//! run a tail cascade — 8-lane blocks (AVX2 entry points only), then 4-lane
-//! blocks, then the last 0–3 elements through the scalar folds. The span
-//! fills and the uniform blend run whole vectors of the level's width, then
-//! one more sample of that width for the last pixels, blended lane by lane.
-//! Each level's `#[target_feature]` entry point only calls the body. The NEON kernels
-//! stay written out by hand: folding them into the trait needs an aarch64
-//! toolchain to compile and test the rewrite, which CI does not have. For
-//! the same reason the general bilinear fill has no NEON kernel: NEON runs
-//! its scalar fallback.
+//! Each kernel is written once, generic over a private lane trait (`Lanes`),
+//! and every target compiles the bodies. Three impls run them: SSE2
+//! (`__m128`, texel gathers through lane arrays) and AVX2 (`__m256`,
+//! `vgatherdps`) on x86_64, and NEON (`float32x4_t`, gathers through lane
+//! arrays, coordinates in two `float64x2_t` halves) on aarch64. There are
+//! two vector loops: the blend loop, which the uniform blend and the span
+//! fills share (they differ only in the lanes they blend in), and the fold
+//! loop. The folds run a tail cascade — a wide pass (8 lanes at AVX2), a
+//! 4-lane pass, then the last 0–3 elements through the scalar folds. The
+//! span fills and the uniform blend run whole vectors of the level's width,
+//! then one more sample of that width for the last pixels, blended lane by
+//! lane. Each level's entry point only calls the body: the x86 ones carry
+//! `#[target_feature]`, and NEON, part of the aarch64 baseline, needs none.
+//! In unit tests the NEON impl also builds and runs off aarch64, against a
+//! lane-exact emulation of the intrinsics it uses, and a test-only `Emu<N>`
+//! impl over plain arrays, with bounds-checked gathers, runs every body at
+//! 2, 4, 8 and 16 lanes.
 //!
 //! The general bilinear fill leaves spans shorter than one 4-lane vector
 //! on scalar sampling at every level: on small flow-aligned spots (rows of
@@ -53,23 +56,25 @@
 //!   contracts on its own, and neither do we.
 //! * Texture coordinates are evaluated per lane in `f64` with exactly the
 //!   scalar operation order (`row_base + ((px + 0.5) - ox) * ddx`) and then
-//!   narrowed to `f32` (`cvtpd→ps` rounds to nearest-even, same as an `as`
-//!   cast).
+//!   narrowed to `f32` (`cvtpd→ps` and `fcvtn` round to nearest-even, same
+//!   as an `as` cast).
 //! * Clamps are exactly `f32::clamp`, NaN included: a NaN coordinate
 //!   keeps its NaN weight, and its texel index is 0, the value of the
 //!   saturating `as` cast, so a non-finite `uv` renders the same bits at
 //!   every level.
 //! * `Max` blending is the explicit compare-select `if src > dst { src }
 //!   else { dst }` in both the scalar path ([`BlendMode::apply`]) and the
-//!   vector kernels (`cmpgt` + select). `f32::max`/`maxps` could not be used:
-//!   their signed-zero tie results disagree with each other *and* between
-//!   build profiles, while the compare-select keeps `dst` on every tie,
-//!   everywhere.
+//!   vector kernels (a compare, then a select). `f32::max`, `maxps` and
+//!   NEON's `fmax` could not be used: their signed-zero tie results
+//!   disagree with each other *and* between build profiles, while the
+//!   compare-select keeps `dst` on every tie, everywhere. The lane `min`
+//!   is the compare-select `if a < b { a } else { b }` (`minps`) for the
+//!   same reason.
 //!
 //! The seeded property tests at the bottom pin every kernel to its scalar
 //! twin bit-for-bit over random lengths, blend modes and slice offsets, and
 //! over every length 0–17 (each handoff to the tail) in every blend mode,
-//! at every level the host can run.
+//! at every level the host can run, at emulated NEON, and on `Emu<N>`.
 //!
 //! # Dispatch
 //!
@@ -80,9 +85,17 @@
 //! both — safe to flip mid-run precisely because all levels produce identical
 //! bits.
 
+// Targets with no lanes impl (neither x86_64 nor aarch64) run only the
+// scalar fallbacks, so the shared kernel bodies go unused there.
+#![cfg_attr(
+    not(any(target_arch = "x86_64", target_arch = "aarch64")),
+    allow(unused)
+)]
+
 use crate::blend::BlendMode;
 use crate::raster::AttrRow;
 use crate::texture::{nearest_index, Bilinear, Texture};
+use lanes::{Bilinear2d, Hoisted, Nearest2d, NearestRow, Sample, Uniform};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -169,8 +182,12 @@ pub fn force(level: Option<SimdLevel>) {
     match level {
         None => FORCED.store(FORCE_NONE, Ordering::Relaxed),
         Some(level) => {
+            #[cfg(not(test))]
+            let offered = available();
+            #[cfg(test)]
+            let offered = test_levels();
             assert!(
-                available().contains(&level),
+                offered.contains(&level),
                 "SIMD level {} is not available on this host (detected: {})",
                 level.name(),
                 detected().name()
@@ -178,6 +195,17 @@ pub fn force(level: Option<SimdLevel>) {
             FORCED.store(level as u8, Ordering::Relaxed);
         }
     }
+}
+
+/// The levels the unit tests run: [`available`], plus NEON on emulated
+/// intrinsics off aarch64. [`force`] accepts each of them in tests.
+#[cfg(test)]
+pub(crate) fn test_levels() -> Vec<SimdLevel> {
+    let mut levels = available();
+    if !levels.contains(&SimdLevel::Neon) {
+        levels.push(SimdLevel::Neon);
+    }
+    levels
 }
 
 /// Serializes the tests that [`force`] a level and depend on it holding:
@@ -281,30 +309,65 @@ fn detect() -> SimdLevel {
 // ---------------------------------------------------------------------------
 // Level-dispatched kernels. Each entry point matches on the level once per
 // call (the callers hoist `active()` per triangle / per compose pass, so the
-// match runs per row fill or per chunk, not per texel). Arms for the other
-// architecture fall through to scalar; they are unreachable in practice
-// because `available()` never offers them.
+// match runs per row fill or per chunk, not per texel). A level this build
+// has no lanes for falls through to scalar; it is unreachable in practice
+// because `available()` never offers it.
 // ---------------------------------------------------------------------------
+
+/// Runs the span fill or uniform blend of `sample()` over `span` (`span[0]`
+/// is pixel `lo`) in the lanes of `level`. Returns `false`, having done
+/// nothing, at `Scalar` and at a level this build has no lanes for.
+#[inline(always)]
+fn fill_lanes<S: Sample>(
+    level: SimdLevel,
+    span: &mut [f32],
+    lo: usize,
+    blend: BlendMode,
+    sample: impl FnOnce() -> S,
+) -> bool {
+    // SAFETY: the x86 entry points need their target feature. SSE2 is in
+    // the x86_64 baseline, and AVX2 is a level only where detection (or
+    // `force`, checked against it) found it.
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => unsafe { x86::fill_sse2(span, lo, blend, &sample()) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::fill_avx2(span, lo, blend, &sample()) },
+        #[cfg(any(target_arch = "aarch64", test))]
+        SimdLevel::Neon => neon::fill_neon(span, lo, blend, &sample()),
+        _ => return false,
+    }
+    true
+}
+
+/// The gather folds and the straight copy at `level`: `(s0 + s1) + …`, or
+/// `((dst + s0) + s1) + …` with `acc`. `srcs` holds 1–4 slices as long as
+/// `dst`.
+fn fold_at(level: SimdLevel, acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
+    debug_assert!((1..=4).contains(&srcs.len()));
+    // SAFETY: as in `fill_lanes`.
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => unsafe { x86::fold_sse2(acc, dst, srcs) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { x86::fold_avx2(acc, dst, srcs) },
+        #[cfg(any(target_arch = "aarch64", test))]
+        SimdLevel::Neon => neon::fold_neon(acc, dst, srcs),
+        _ if acc => scalar_fold_acc(dst, srcs),
+        _ => scalar_fold_copy(dst, srcs),
+    }
+}
 
 /// [`BlendMode::apply_uniform`] at a dispatch level: blends one value across
 /// `dst` (the uniform-row fast path of disc/flat spot fills).
 pub(crate) fn blend_uniform(level: SimdLevel, mode: BlendMode, dst: &mut [f32], src: f32) {
-    match level {
-        SimdLevel::Scalar => mode.apply_uniform(dst, src),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::fill_sse2(dst, 0, mode, &x86::Uniform(src)) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::fill_avx2(dst, 0, mode, &x86::Uniform(src)) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::blend_uniform_neon(mode, dst, src) },
-        #[allow(unreachable_patterns)]
-        _ => mode.apply_uniform(dst, src),
+    if !fill_lanes(level, dst, 0, mode, || Uniform(src)) {
+        mode.apply_uniform(dst, src);
     }
 }
 
 /// Spans shorter than this keep scalar sampling in [`fill_bilinear`] at
 /// every level: one 4-lane vector.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 const MIN_LANE_SPAN: usize = 4;
 
 /// The general bilinear span fill: both texture coordinates vary along the
@@ -323,19 +386,9 @@ pub(crate) fn fill_bilinear(
     intensity: f32,
     blend: BlendMode,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    let sample = || x86::Bilinear2d::new(u_row, v_row, texture, intensity);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 if span.len() >= MIN_LANE_SPAN => unsafe {
-            x86::fill_sse2(span, lo, blend, &sample())
-        },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 if span.len() >= MIN_LANE_SPAN => unsafe {
-            x86::fill_avx2(span, lo, blend, &sample())
-        },
-        // Scalar, short spans, and NEON, which has no kernel for it.
-        _ => scalar_fill_bilinear(span, lo, u_row, v_row, texture, intensity, blend),
+    let sample = || Bilinear2d::new(u_row, v_row, texture, intensity);
+    if span.len() < MIN_LANE_SPAN || !fill_lanes(level, span, lo, blend, sample) {
+        scalar_fill_bilinear(span, lo, u_row, v_row, texture, intensity, blend);
     }
 }
 
@@ -355,22 +408,9 @@ pub(crate) fn fill_hoisted(
     intensity: f32,
     blend: BlendMode,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    let sample = || x86::Hoisted::new(u_row, tex_row0, tex_row1, ty, intensity);
-    match level {
-        SimdLevel::Scalar => {
-            scalar_fill_hoisted(span, lo, u_row, tex_row0, tex_row1, ty, intensity, blend)
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::fill_sse2(span, lo, blend, &sample()) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::fill_avx2(span, lo, blend, &sample()) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe {
-            neon::fill_hoisted_neon(span, lo, u_row, tex_row0, tex_row1, ty, intensity, blend)
-        },
-        #[allow(unreachable_patterns)]
-        _ => scalar_fill_hoisted(span, lo, u_row, tex_row0, tex_row1, ty, intensity, blend),
+    let sample = || Hoisted::new(u_row, tex_row0, tex_row1, ty, intensity);
+    if !fill_lanes(level, span, lo, blend, sample) {
+        scalar_fill_hoisted(span, lo, u_row, tex_row0, tex_row1, ty, intensity, blend);
     }
 }
 
@@ -385,20 +425,9 @@ pub(crate) fn fill_nearest_row(
     intensity: f32,
     blend: BlendMode,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    let sample = || x86::NearestRow::new(u_row, tex_row, intensity);
-    match level {
-        SimdLevel::Scalar => scalar_fill_nearest_row(span, lo, u_row, tex_row, intensity, blend),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::fill_sse2(span, lo, blend, &sample()) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::fill_avx2(span, lo, blend, &sample()) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe {
-            neon::fill_nearest_row_neon(span, lo, u_row, tex_row, intensity, blend)
-        },
-        #[allow(unreachable_patterns)]
-        _ => scalar_fill_nearest_row(span, lo, u_row, tex_row, intensity, blend),
+    let sample = || NearestRow::new(u_row, tex_row, intensity);
+    if !fill_lanes(level, span, lo, blend, sample) {
+        scalar_fill_nearest_row(span, lo, u_row, tex_row, intensity, blend);
     }
 }
 
@@ -418,80 +447,40 @@ pub(crate) fn fill_nearest_2d(
     intensity: f32,
     blend: BlendMode,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    let sample = || x86::Nearest2d::new(u_row, v_row, texels, tw, th, intensity);
-    match level {
-        SimdLevel::Scalar => {
-            scalar_fill_nearest_2d(span, lo, u_row, v_row, texels, tw, th, intensity, blend)
-        }
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::fill_sse2(span, lo, blend, &sample()) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::fill_avx2(span, lo, blend, &sample()) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe {
-            neon::fill_nearest_2d_neon(span, lo, u_row, v_row, texels, tw, th, intensity, blend)
-        },
-        #[allow(unreachable_patterns)]
-        _ => scalar_fill_nearest_2d(span, lo, u_row, v_row, texels, tw, th, intensity, blend),
+    let sample = || Nearest2d::new(u_row, v_row, texels, tw, th, intensity);
+    if !fill_lanes(level, span, lo, blend, sample) {
+        scalar_fill_nearest_2d(span, lo, u_row, v_row, texels, tw, th, intensity, blend);
     }
 }
 
 /// Gather-fold kernel, copy flavour: `dst = s0 + s1 + …` with the sequential
 /// fold's left association. `srcs` holds 1–4 equal-length slices.
 pub(crate) fn fold_copy(level: SimdLevel, dst: &mut [f32], srcs: &[&[f32]]) {
-    debug_assert!((1..=4).contains(&srcs.len()));
-    match level {
-        SimdLevel::Scalar => scalar_fold_copy(dst, srcs),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::fold_sse2(false, dst, srcs) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::fold_avx2(false, dst, srcs) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::fold_copy_neon(dst, srcs) },
-        #[allow(unreachable_patterns)]
-        _ => scalar_fold_copy(dst, srcs),
-    }
+    fold_at(level, false, dst, srcs);
 }
 
 /// Gather-fold kernel, accumulate flavour: `dst = ((dst + s0) + s1) + …`.
 pub(crate) fn fold_acc(level: SimdLevel, dst: &mut [f32], srcs: &[&[f32]]) {
-    debug_assert!((1..=4).contains(&srcs.len()));
-    match level {
-        SimdLevel::Scalar => scalar_fold_acc(dst, srcs),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::fold_sse2(true, dst, srcs) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::fold_avx2(true, dst, srcs) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::fold_acc_neon(dst, srcs) },
-        #[allow(unreachable_patterns)]
-        _ => scalar_fold_acc(dst, srcs),
-    }
+    fold_at(level, true, dst, srcs);
 }
 
 /// Straight copy (the compose tile blit and the single-source copy fold):
 /// explicit vector moves at SIMD levels, `copy_from_slice` on scalar.
+///
+/// # Panics
+/// Panics at every level when `dst` and `src` differ in length.
 pub(crate) fn copy_slice(level: SimdLevel, dst: &mut [f32], src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    match level {
-        SimdLevel::Scalar => dst.copy_from_slice(src),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { x86::fold_sse2(false, dst, &[src]) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::fold_avx2(false, dst, &[src]) },
-        #[cfg(target_arch = "aarch64")]
-        SimdLevel::Neon => unsafe { neon::copy_slice_neon(dst, src) },
-        #[allow(unreachable_patterns)]
-        _ => dst.copy_from_slice(src),
-    }
+    assert_eq!(dst.len(), src.len(), "copy_slice between unequal lengths");
+    fold_at(level, false, dst, &[src]);
 }
 
 // ---------------------------------------------------------------------------
 // Scalar fallbacks: exactly the pre-SIMD code (the sample closures formerly
 // inlined in `fill_span_with` / `rasterize_setup_footprint_at`, driven
 // through the lane-block loop). These are the oracle every vector kernel is
-// pinned against.
+// pinned against. The fallbacks that only the scalar level runs stay out of
+// line: inlined into the span walkers, the hoisted one slowed the AVX2 path
+// of `simd_quad_disc_*` by about 5 %.
 // ---------------------------------------------------------------------------
 
 /// Fragments per lane block of the scalar span fills.
@@ -542,6 +531,7 @@ fn scalar_fill_bilinear(
 }
 
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn scalar_fill_hoisted(
     span: &mut [f32],
     lo: usize,
@@ -573,6 +563,7 @@ fn scalar_fill_hoisted(
     fill_lane_blocked(span, lo, blend, sample_at);
 }
 
+#[inline(never)]
 fn scalar_fill_nearest_row(
     span: &mut [f32],
     lo: usize,
@@ -588,6 +579,7 @@ fn scalar_fill_nearest_row(
 }
 
 #[allow(clippy::too_many_arguments)]
+#[inline(never)]
 fn scalar_fill_nearest_2d(
     span: &mut [f32],
     lo: usize,
@@ -655,28 +647,27 @@ fn scalar_fold_acc(dst: &mut [f32], srcs: &[&[f32]]) {
 }
 
 // ---------------------------------------------------------------------------
-// x86_64 kernels (see the module docs). The entry points carry
-// `#[target_feature]`, so calls are `unsafe`; the dispatcher guarantees the
-// feature: SSE2 is x86_64 baseline, and the AVX2 arms run only when
-// detection (or `force`, validated against it) found AVX2.
+// The kernel bodies, written once over the lane trait (see the module docs).
+// Every target compiles them; `x86` and `neon` hold the impls and the
+// per-level entry points.
 // ---------------------------------------------------------------------------
-#[cfg(target_arch = "x86_64")]
-mod x86 {
+mod lanes {
     use super::{scalar_fold_acc, scalar_fold_copy};
     use crate::blend::BlendMode;
     use crate::raster::AttrRow;
     use crate::texture::Texture;
-    use core::arch::x86_64::*;
 
-    /// One x86 vector width: `N` lanes of `f32` (`F`) and of `i32` (`I`),
-    /// and the operations the kernel bodies are written in. Holding a value
-    /// of the type proves the host runs its instructions: SSE2 is part of
-    /// the x86_64 baseline, and an [`Avx2`] comes only from [`Avx2::new`],
-    /// which needs AVX2 enabled.
+    /// One vector width: `N` lanes of `f32` (`F`) and of `i32` (`I`), and
+    /// the operations the kernel bodies are written in. Holding a value of
+    /// an impl proves the host runs its instructions.
     pub(super) trait Lanes: Copy {
         const N: usize;
         type F: Copy;
         type I: Copy;
+        /// `[f32; N]`, room for one vector's lanes.
+        type Array: AsMut<[f32]>;
+        /// An `Array` of zeros.
+        const ZEROS: Self::Array;
         /// `s[i..i + N]`.
         ///
         /// # Safety
@@ -691,11 +682,12 @@ mod x86 {
         fn add(self, a: Self::F, b: Self::F) -> Self::F;
         fn sub(self, a: Self::F, b: Self::F) -> Self::F;
         fn mul(self, a: Self::F, b: Self::F) -> Self::F;
-        /// `minps`: `if a < b { a } else { b }` per lane, so `b` on NaN.
+        /// `if a < b { a } else { b }` per lane (`minps`), so `b` on NaN.
         fn min(self, a: Self::F, b: Self::F) -> Self::F;
         /// The Max blend, `if s > d { s } else { d }` per lane: the exact
         /// compare-select of [`BlendMode::apply`], which keeps `d` on
-        /// signed-zero ties (`maxps` returns its second operand instead).
+        /// signed-zero ties and on NaN (`maxps` returns its second operand
+        /// instead, NEON's `fmax` the NaN and `+0.0`).
         fn max(self, d: Self::F, s: Self::F) -> Self::F;
         /// `v.clamp(lo, hi)` per lane, bit for bit as `f32::clamp` for every
         /// `v`: `if lo > v { lo } else { v }`, then `if hi < x { hi } else
@@ -705,20 +697,22 @@ mod x86 {
             self.min(hi, self.max(v, lo))
         }
         /// The texel index `v as i32` of a clamped coordinate `v` in
-        /// `[0, 2^31)`; a NaN lane gives 0, like the saturating cast. (Plain
+        /// `[0, 2^31)`; a NaN lane gives 0, like the saturating cast. (x86
         /// truncation would give `i32::MIN`, out of every texture.)
         #[inline(always)]
         fn index(self, v: Self::F) -> Self::I {
             self.trunc(self.max(self.splat(0.0), v))
         }
-        /// Truncation toward zero to `i32` lanes (`i32::MIN` for NaN and
-        /// out-of-range lanes).
+        /// Truncation toward zero to `i32` lanes, of lanes in `[0, 2^31)`:
+        /// the only ones the samples pass ([`Lanes::index`] maps NaN to 0
+        /// first). Outside that range the impls differ: x86 gives
+        /// `i32::MIN`, NEON saturates and maps NaN to 0.
         fn trunc(self, v: Self::F) -> Self::I;
         /// `i32` lanes back to `f32`.
         fn float(self, v: Self::I) -> Self::F;
         /// `row.at(px + k) as f32` in lane `k`: evaluated in `f64` with the
-        /// scalar operation order, then narrowed by `cvtpd2ps`, which rounds
-        /// to nearest-even exactly like `as f32`.
+        /// scalar operation order, then narrowed with rounding to
+        /// nearest-even, exactly like `as f32`.
         fn coords(self, row: AttrRow, px: usize) -> Self::F;
         /// `s[i]` for each lane index `i`.
         ///
@@ -730,182 +724,6 @@ mod x86 {
         /// # Safety
         /// Every lane's `y * w + x` is in `0..s.len()`.
         unsafe fn gather_2d(self, s: &[f32], w: usize, x: Self::I, y: Self::I) -> Self::F;
-    }
-
-    /// Four lanes: `__m128`. The texel gathers go through lane arrays.
-    #[derive(Clone, Copy)]
-    struct Sse2;
-
-    // SAFETY (every `unsafe` block of this impl): SSE2 is part of the x86_64
-    // baseline, which is all the intrinsics need.
-    impl Lanes for Sse2 {
-        const N: usize = 4;
-        type F = __m128;
-        type I = __m128i;
-        #[inline(always)]
-        unsafe fn load(self, s: &[f32], i: usize) -> __m128 {
-            debug_assert!(i + 4 <= s.len());
-            _mm_loadu_ps(s.as_ptr().add(i))
-        }
-        #[inline(always)]
-        unsafe fn store(self, s: &mut [f32], i: usize, v: __m128) {
-            debug_assert!(i + 4 <= s.len());
-            _mm_storeu_ps(s.as_mut_ptr().add(i), v)
-        }
-        #[inline(always)]
-        fn splat(self, x: f32) -> __m128 {
-            unsafe { _mm_set1_ps(x) }
-        }
-        #[inline(always)]
-        fn add(self, a: __m128, b: __m128) -> __m128 {
-            unsafe { _mm_add_ps(a, b) }
-        }
-        #[inline(always)]
-        fn sub(self, a: __m128, b: __m128) -> __m128 {
-            unsafe { _mm_sub_ps(a, b) }
-        }
-        #[inline(always)]
-        fn mul(self, a: __m128, b: __m128) -> __m128 {
-            unsafe { _mm_mul_ps(a, b) }
-        }
-        #[inline(always)]
-        fn min(self, a: __m128, b: __m128) -> __m128 {
-            unsafe { _mm_min_ps(a, b) }
-        }
-        #[inline(always)]
-        fn max(self, d: __m128, s: __m128) -> __m128 {
-            unsafe {
-                let take_s = _mm_cmpgt_ps(s, d);
-                _mm_or_ps(_mm_and_ps(take_s, s), _mm_andnot_ps(take_s, d))
-            }
-        }
-        #[inline(always)]
-        fn trunc(self, v: __m128) -> __m128i {
-            unsafe { _mm_cvttps_epi32(v) }
-        }
-        #[inline(always)]
-        fn float(self, v: __m128i) -> __m128 {
-            unsafe { _mm_cvtepi32_ps(v) }
-        }
-        #[inline(always)]
-        fn coords(self, row: AttrRow, px: usize) -> __m128 {
-            unsafe {
-                let (base, ddx, ox) = (
-                    _mm_set1_pd(row.row_base),
-                    _mm_set1_pd(row.ddx),
-                    _mm_set1_pd(row.ox),
-                );
-                // `(px + k) as f64 + 0.5`, exactly: every term is an
-                // integer or half-integer far below 2^52.
-                let x = _mm_set1_pd(px as f64);
-                let c01 = _mm_add_pd(x, _mm_set_pd(1.5, 0.5));
-                let c23 = _mm_add_pd(x, _mm_set_pd(3.5, 2.5));
-                let u01 = _mm_add_pd(_mm_mul_pd(_mm_sub_pd(c01, ox), ddx), base);
-                let u23 = _mm_add_pd(_mm_mul_pd(_mm_sub_pd(c23, ox), ddx), base);
-                _mm_movelh_ps(_mm_cvtpd_ps(u01), _mm_cvtpd_ps(u23))
-            }
-        }
-        #[inline(always)]
-        unsafe fn gather(self, s: &[f32], i: __m128i) -> __m128 {
-            let i: [i32; 4] = core::mem::transmute(i);
-            core::mem::transmute(i.map(|i| s[i as usize]))
-        }
-        #[inline(always)]
-        unsafe fn gather_2d(self, s: &[f32], w: usize, x: __m128i, y: __m128i) -> __m128 {
-            let x: [i32; 4] = core::mem::transmute(x);
-            let y: [i32; 4] = core::mem::transmute(y);
-            core::mem::transmute([0, 1, 2, 3].map(|k| s[y[k] as usize * w + x[k] as usize]))
-        }
-    }
-
-    /// Eight lanes: `__m256`, with hardware texel gathers (`vgatherdps`).
-    #[derive(Clone, Copy)]
-    struct Avx2(());
-
-    impl Avx2 {
-        /// The AVX2 token. Safe to call only from code that enables AVX2,
-        /// so every `Avx2` is made where its instructions can run.
-        #[inline]
-        #[target_feature(enable = "avx2")]
-        fn new() -> Self {
-            Avx2(())
-        }
-    }
-
-    // SAFETY (every `unsafe` block of this impl): an `Avx2` exists only where
-    // AVX2 is enabled (see `Avx2::new`), which is what the intrinsics need.
-    impl Lanes for Avx2 {
-        const N: usize = 8;
-        type F = __m256;
-        type I = __m256i;
-        #[inline(always)]
-        unsafe fn load(self, s: &[f32], i: usize) -> __m256 {
-            debug_assert!(i + 8 <= s.len());
-            _mm256_loadu_ps(s.as_ptr().add(i))
-        }
-        #[inline(always)]
-        unsafe fn store(self, s: &mut [f32], i: usize, v: __m256) {
-            debug_assert!(i + 8 <= s.len());
-            _mm256_storeu_ps(s.as_mut_ptr().add(i), v)
-        }
-        #[inline(always)]
-        fn splat(self, x: f32) -> __m256 {
-            unsafe { _mm256_set1_ps(x) }
-        }
-        #[inline(always)]
-        fn add(self, a: __m256, b: __m256) -> __m256 {
-            unsafe { _mm256_add_ps(a, b) }
-        }
-        #[inline(always)]
-        fn sub(self, a: __m256, b: __m256) -> __m256 {
-            unsafe { _mm256_sub_ps(a, b) }
-        }
-        #[inline(always)]
-        fn mul(self, a: __m256, b: __m256) -> __m256 {
-            unsafe { _mm256_mul_ps(a, b) }
-        }
-        #[inline(always)]
-        fn min(self, a: __m256, b: __m256) -> __m256 {
-            unsafe { _mm256_min_ps(a, b) }
-        }
-        #[inline(always)]
-        fn max(self, d: __m256, s: __m256) -> __m256 {
-            unsafe { _mm256_blendv_ps(d, s, _mm256_cmp_ps::<_CMP_GT_OQ>(s, d)) }
-        }
-        #[inline(always)]
-        fn trunc(self, v: __m256) -> __m256i {
-            unsafe { _mm256_cvttps_epi32(v) }
-        }
-        #[inline(always)]
-        fn float(self, v: __m256i) -> __m256 {
-            unsafe { _mm256_cvtepi32_ps(v) }
-        }
-        #[inline(always)]
-        fn coords(self, row: AttrRow, px: usize) -> __m256 {
-            unsafe {
-                let (base, ddx, ox) = (
-                    _mm256_set1_pd(row.row_base),
-                    _mm256_set1_pd(row.ddx),
-                    _mm256_set1_pd(row.ox),
-                );
-                // As in the SSE2 impl.
-                let x = _mm256_set1_pd(px as f64);
-                let c_lo = _mm256_add_pd(x, _mm256_set_pd(3.5, 2.5, 1.5, 0.5));
-                let c_hi = _mm256_add_pd(x, _mm256_set_pd(7.5, 6.5, 5.5, 4.5));
-                let lo = _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(c_lo, ox), ddx), base);
-                let hi = _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(c_hi, ox), ddx), base);
-                _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))
-            }
-        }
-        #[inline(always)]
-        unsafe fn gather(self, s: &[f32], i: __m256i) -> __m256 {
-            _mm256_i32gather_ps::<4>(s.as_ptr(), i)
-        }
-        #[inline(always)]
-        unsafe fn gather_2d(self, s: &[f32], w: usize, x: __m256i, y: __m256i) -> __m256 {
-            let i = _mm256_add_epi32(_mm256_mullo_epi32(y, _mm256_set1_epi32(w as i32)), x);
-            _mm256_i32gather_ps::<4>(s.as_ptr(), i)
-        }
     }
 
     /// A source of lane vectors: `at(l, px)` is the `N` values blended into
@@ -976,33 +794,42 @@ mod x86 {
         }
     }
 
-    // Kernel bodies. The folds run the tail cascade once: with `wide` (the
-    // AVX2 entry points) the 8-lane pass comes first; the 4-lane pass takes
-    // what is left, and scalar code the last 0-3 elements. The fills run
-    // whole vectors of one width and one more sample (`fill`).
+    // The folds run the tail cascade once: the `wide` pass first, the
+    // `narrow` pass over what it leaves, and scalar code the rest. The fills
+    // run whole vectors of one width and one more sample (`fill`).
 
     /// The gather folds and the straight copy (one source, `acc` false):
     /// `(s0 + s1) + …`, or `((dst + s0) + s1) + …` with `acc`,
     /// left-associated like the scalar folds. The arity is matched once.
+    /// With one vector width, pass it as both `wide` and `narrow`.
     #[inline(always)]
-    fn fold(wide: Option<Avx2>, acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
+    pub(super) fn fold<W: Lanes, L: Lanes>(
+        wide: W,
+        narrow: L,
+        acc: bool,
+        dst: &mut [f32],
+        srcs: &[&[f32]],
+    ) {
         match *srcs {
-            [a] => fold_k(wide, acc, dst, [a]),
-            [a, b] => fold_k(wide, acc, dst, [a, b]),
-            [a, b, c] => fold_k(wide, acc, dst, [a, b, c]),
-            [a, b, c, e] => fold_k(wide, acc, dst, [a, b, c, e]),
+            [a] => fold_k(wide, narrow, acc, dst, [a]),
+            [a, b] => fold_k(wide, narrow, acc, dst, [a, b]),
+            [a, b, c] => fold_k(wide, narrow, acc, dst, [a, b, c]),
+            [a, b, c, e] => fold_k(wide, narrow, acc, dst, [a, b, c, e]),
             _ => unreachable!("folds take 1-4 sources"),
         }
     }
 
     #[inline(always)]
-    fn fold_k<const K: usize>(wide: Option<Avx2>, acc: bool, dst: &mut [f32], srcs: [&[f32]; K]) {
+    fn fold_k<W: Lanes, L: Lanes, const K: usize>(
+        wide: W,
+        narrow: L,
+        acc: bool,
+        dst: &mut [f32],
+        srcs: [&[f32]; K],
+    ) {
         let srcs = srcs.map(|s| &s[..dst.len()]);
-        let n = match wide {
-            Some(l) => fold_lanes(l, acc, dst, 0, &srcs),
-            None => 0,
-        };
-        let n = fold_lanes(Sse2, acc, dst, n, &srcs);
+        let n = fold_lanes(wide, acc, dst, 0, &srcs);
+        let n = fold_lanes(narrow, acc, dst, n, &srcs);
         let (dst, srcs) = (&mut dst[n..], srcs.map(|s| &s[n..]));
         if acc {
             scalar_fold_acc(dst, &srcs);
@@ -1047,12 +874,19 @@ mod x86 {
     /// one 8-lane sample beat a 4-lane block plus a 4-lane sample on
     /// `browse`'s 4-7 px rows.)
     #[inline(always)]
-    fn fill<L: Lanes>(l: L, span: &mut [f32], lo: usize, blend: BlendMode, sample: &impl Sample) {
+    pub(super) fn fill<L: Lanes>(
+        l: L,
+        span: &mut [f32],
+        lo: usize,
+        blend: BlendMode,
+        sample: &impl Sample,
+    ) {
         let n = blend_lanes(l, blend, span, lo, sample);
         if n < span.len() {
-            let mut lanes = [0.0f32; 8];
-            // SAFETY: `N <= 8`.
-            unsafe { l.store(&mut lanes, 0, sample.at(l, lo + n)) };
+            let mut lanes = L::ZEROS;
+            let lanes = lanes.as_mut();
+            // SAFETY: `lanes` holds `N` values.
+            unsafe { l.store(lanes, 0, sample.at(l, lo + n)) };
             let rest = &mut span[n..];
             blend.apply_block(rest, &lanes[..rest.len()]);
         }
@@ -1287,17 +1121,209 @@ mod x86 {
             l.mul(lerped, l.splat(self.intensity))
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// x86_64 lanes. The entry points carry `#[target_feature]`, so calls are
+// `unsafe`; the dispatchers (`fill_lanes`, `fold_at`) guarantee the feature.
+// ---------------------------------------------------------------------------
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::lanes::{fill, fold, Lanes, Sample};
+    use crate::blend::BlendMode;
+    use crate::raster::AttrRow;
+    use core::arch::x86_64::*;
+
+    /// Four lanes: `__m128`. The texel gathers go through lane arrays.
+    #[derive(Clone, Copy)]
+    struct Sse2;
+
+    // SAFETY (every `unsafe` block of this impl): SSE2 is part of the x86_64
+    // baseline, which is all the intrinsics need.
+    impl Lanes for Sse2 {
+        const N: usize = 4;
+        type F = __m128;
+        type I = __m128i;
+        type Array = [f32; 4];
+        const ZEROS: [f32; 4] = [0.0; 4];
+        #[inline(always)]
+        unsafe fn load(self, s: &[f32], i: usize) -> __m128 {
+            debug_assert!(i + 4 <= s.len());
+            _mm_loadu_ps(s.as_ptr().add(i))
+        }
+        #[inline(always)]
+        unsafe fn store(self, s: &mut [f32], i: usize, v: __m128) {
+            debug_assert!(i + 4 <= s.len());
+            _mm_storeu_ps(s.as_mut_ptr().add(i), v)
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m128 {
+            unsafe { _mm_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m128, b: __m128) -> __m128 {
+            unsafe { _mm_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn sub(self, a: __m128, b: __m128) -> __m128 {
+            unsafe { _mm_sub_ps(a, b) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m128, b: __m128) -> __m128 {
+            unsafe { _mm_mul_ps(a, b) }
+        }
+        #[inline(always)]
+        fn min(self, a: __m128, b: __m128) -> __m128 {
+            unsafe { _mm_min_ps(a, b) }
+        }
+        #[inline(always)]
+        fn max(self, d: __m128, s: __m128) -> __m128 {
+            unsafe {
+                let take_s = _mm_cmpgt_ps(s, d);
+                _mm_or_ps(_mm_and_ps(take_s, s), _mm_andnot_ps(take_s, d))
+            }
+        }
+        #[inline(always)]
+        fn trunc(self, v: __m128) -> __m128i {
+            unsafe { _mm_cvttps_epi32(v) }
+        }
+        #[inline(always)]
+        fn float(self, v: __m128i) -> __m128 {
+            unsafe { _mm_cvtepi32_ps(v) }
+        }
+        #[inline(always)]
+        fn coords(self, row: AttrRow, px: usize) -> __m128 {
+            unsafe {
+                let (base, ddx, ox) = (
+                    _mm_set1_pd(row.row_base),
+                    _mm_set1_pd(row.ddx),
+                    _mm_set1_pd(row.ox),
+                );
+                // `(px + k) as f64 + 0.5`, exactly: every term is an
+                // integer or half-integer far below 2^52.
+                let x = _mm_set1_pd(px as f64);
+                let c01 = _mm_add_pd(x, _mm_set_pd(1.5, 0.5));
+                let c23 = _mm_add_pd(x, _mm_set_pd(3.5, 2.5));
+                let u01 = _mm_add_pd(_mm_mul_pd(_mm_sub_pd(c01, ox), ddx), base);
+                let u23 = _mm_add_pd(_mm_mul_pd(_mm_sub_pd(c23, ox), ddx), base);
+                _mm_movelh_ps(_mm_cvtpd_ps(u01), _mm_cvtpd_ps(u23))
+            }
+        }
+        #[inline(always)]
+        unsafe fn gather(self, s: &[f32], i: __m128i) -> __m128 {
+            let i: [i32; 4] = core::mem::transmute(i);
+            core::mem::transmute(i.map(|i| s[i as usize]))
+        }
+        #[inline(always)]
+        unsafe fn gather_2d(self, s: &[f32], w: usize, x: __m128i, y: __m128i) -> __m128 {
+            let x: [i32; 4] = core::mem::transmute(x);
+            let y: [i32; 4] = core::mem::transmute(y);
+            core::mem::transmute([0, 1, 2, 3].map(|k| s[y[k] as usize * w + x[k] as usize]))
+        }
+    }
+
+    /// Eight lanes: `__m256`, with hardware texel gathers (`vgatherdps`).
+    #[derive(Clone, Copy)]
+    struct Avx2(());
+
+    impl Avx2 {
+        /// The AVX2 token. Safe to call only from code that enables AVX2,
+        /// so every `Avx2` is made where its instructions can run.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new() -> Self {
+            Avx2(())
+        }
+    }
+
+    // SAFETY (every `unsafe` block of this impl): an `Avx2` exists only where
+    // AVX2 is enabled (see `Avx2::new`), which is what the intrinsics need.
+    impl Lanes for Avx2 {
+        const N: usize = 8;
+        type F = __m256;
+        type I = __m256i;
+        type Array = [f32; 8];
+        const ZEROS: [f32; 8] = [0.0; 8];
+        #[inline(always)]
+        unsafe fn load(self, s: &[f32], i: usize) -> __m256 {
+            debug_assert!(i + 8 <= s.len());
+            _mm256_loadu_ps(s.as_ptr().add(i))
+        }
+        #[inline(always)]
+        unsafe fn store(self, s: &mut [f32], i: usize, v: __m256) {
+            debug_assert!(i + 8 <= s.len());
+            _mm256_storeu_ps(s.as_mut_ptr().add(i), v)
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> __m256 {
+            unsafe { _mm256_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn add(self, a: __m256, b: __m256) -> __m256 {
+            unsafe { _mm256_add_ps(a, b) }
+        }
+        #[inline(always)]
+        fn sub(self, a: __m256, b: __m256) -> __m256 {
+            unsafe { _mm256_sub_ps(a, b) }
+        }
+        #[inline(always)]
+        fn mul(self, a: __m256, b: __m256) -> __m256 {
+            unsafe { _mm256_mul_ps(a, b) }
+        }
+        #[inline(always)]
+        fn min(self, a: __m256, b: __m256) -> __m256 {
+            unsafe { _mm256_min_ps(a, b) }
+        }
+        #[inline(always)]
+        fn max(self, d: __m256, s: __m256) -> __m256 {
+            unsafe { _mm256_blendv_ps(d, s, _mm256_cmp_ps::<_CMP_GT_OQ>(s, d)) }
+        }
+        #[inline(always)]
+        fn trunc(self, v: __m256) -> __m256i {
+            unsafe { _mm256_cvttps_epi32(v) }
+        }
+        #[inline(always)]
+        fn float(self, v: __m256i) -> __m256 {
+            unsafe { _mm256_cvtepi32_ps(v) }
+        }
+        #[inline(always)]
+        fn coords(self, row: AttrRow, px: usize) -> __m256 {
+            unsafe {
+                let (base, ddx, ox) = (
+                    _mm256_set1_pd(row.row_base),
+                    _mm256_set1_pd(row.ddx),
+                    _mm256_set1_pd(row.ox),
+                );
+                // As in the SSE2 impl.
+                let x = _mm256_set1_pd(px as f64);
+                let c_lo = _mm256_add_pd(x, _mm256_set_pd(3.5, 2.5, 1.5, 0.5));
+                let c_hi = _mm256_add_pd(x, _mm256_set_pd(7.5, 6.5, 5.5, 4.5));
+                let lo = _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(c_lo, ox), ddx), base);
+                let hi = _mm256_add_pd(_mm256_mul_pd(_mm256_sub_pd(c_hi, ox), ddx), base);
+                _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))
+            }
+        }
+        #[inline(always)]
+        unsafe fn gather(self, s: &[f32], i: __m256i) -> __m256 {
+            _mm256_i32gather_ps::<4>(s.as_ptr(), i)
+        }
+        #[inline(always)]
+        unsafe fn gather_2d(self, s: &[f32], w: usize, x: __m256i, y: __m256i) -> __m256 {
+            let i = _mm256_add_epi32(_mm256_mullo_epi32(y, _mm256_set1_epi32(w as i32)), x);
+            _mm256_i32gather_ps::<4>(s.as_ptr(), i)
+        }
+    }
 
     // Entry points: one per kernel and level.
 
     #[target_feature(enable = "sse2")]
     pub(super) fn fold_sse2(acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
-        fold(None, acc, dst, srcs);
+        fold(Sse2, Sse2, acc, dst, srcs);
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) fn fold_avx2(acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
-        fold(Some(Avx2::new()), acc, dst, srcs);
+        fold(Avx2::new(), Sse2, acc, dst, srcs);
     }
 
     #[target_feature(enable = "sse2")]
@@ -1312,441 +1338,125 @@ mod x86 {
 }
 
 // ---------------------------------------------------------------------------
-// aarch64 kernels: NEON (part of the aarch64 baseline), 4 lanes of f32 with
-// the texture-coordinate evaluation done on 2-lane f64 vectors. Written to
-// the same bit-identity contract as the x86 kernels: mul-then-add only, f64
-// coordinate math in scalar operation order, and the Max blend uses the
-// AND-of-both-orders correction for signed zeros.
+// aarch64 lanes: NEON, part of the aarch64 baseline, so its entry points
+// need no `#[target_feature]` and are safe to call. Unit tests build it on
+// every host: off aarch64 the intrinsics come from `neon_emu`.
 // ---------------------------------------------------------------------------
-#[cfg(target_arch = "aarch64")]
+#[cfg(any(target_arch = "aarch64", test))]
 mod neon {
+    use super::lanes::{fill, fold, Lanes, Sample};
+    #[cfg(not(target_arch = "aarch64"))]
+    use super::neon_emu::*;
     use crate::blend::BlendMode;
     use crate::raster::AttrRow;
-    use crate::texture::{floor_index, nearest_index};
+    #[cfg(target_arch = "aarch64")]
     use core::arch::aarch64::*;
 
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn load4(s: &[f32], i: usize) -> float32x4_t {
-        debug_assert!(i + 4 <= s.len());
-        unsafe { vld1q_f32(s.as_ptr().add(i)) }
-    }
+    /// Four lanes: `float32x4_t`. The coordinates are evaluated in two
+    /// `float64x2_t` halves; the texel gathers go through lane arrays.
+    #[derive(Clone, Copy)]
+    struct Neon;
 
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn store4(s: &mut [f32], i: usize, v: float32x4_t) {
-        debug_assert!(i + 4 <= s.len());
-        unsafe { vst1q_f32(s.as_mut_ptr().add(i), v) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn lanes_i32(v: int32x4_t) -> [i32; 4] {
-        unsafe { core::mem::transmute(v) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn from_lanes(a: [f32; 4]) -> float32x4_t {
-        unsafe { core::mem::transmute(a) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn pair_f64(lo: f64, hi: f64) -> float64x2_t {
-        unsafe { core::mem::transmute([lo, hi]) }
-    }
-
-    /// The Max blend lane-wise: the same compare-select as
-    /// [`BlendMode::apply`] (`if s > d { s } else { d }`), deterministic on
-    /// signed-zero ties.
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn max4(d: float32x4_t, s: float32x4_t) -> float32x4_t {
-        vbslq_f32(vcgtq_f32(s, d), s, d)
-    }
-
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn clamp4(v: float32x4_t, lo: float32x4_t, hi: float32x4_t) -> float32x4_t {
-        vminq_f32(vmaxq_f32(v, lo), hi)
-    }
-
-    /// The affine row form at 4 consecutive pixel centres in `f64`, narrowed
-    /// to `f32` (`fcvtn` rounds to nearest-even, same as an `as` cast).
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn u4(px: usize, row: AttrRow) -> float32x4_t {
-        let rb = vdupq_n_f64(row.row_base);
-        let d = vdupq_n_f64(row.ddx);
-        let o = vdupq_n_f64(row.ox);
-        let c01 = pair_f64(px as f64 + 0.5, (px + 1) as f64 + 0.5);
-        let c23 = pair_f64((px + 2) as f64 + 0.5, (px + 3) as f64 + 0.5);
-        let u01 = vaddq_f64(vmulq_f64(vsubq_f64(c01, o), d), rb);
-        let u23 = vaddq_f64(vmulq_f64(vsubq_f64(c23, o), d), rb);
-        vcombine_f32(vcvt_f32_f64(u01), vcvt_f32_f64(u23))
-    }
-
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn blend4(
-        blend: BlendMode,
-        span: &mut [f32],
-        i: usize,
-        sample: float32x4_t,
-        va: float32x4_t,
-        vb: float32x4_t,
-    ) {
-        match blend {
-            BlendMode::Replace => store4(span, i, sample),
-            BlendMode::Additive => store4(span, i, vaddq_f32(load4(span, i), sample)),
-            BlendMode::Max => store4(span, i, max4(load4(span, i), sample)),
-            BlendMode::Alpha(_) => {
-                let d = load4(span, i);
-                store4(span, i, vaddq_f32(vmulq_f32(sample, va), vmulq_f32(d, vb)));
+    // SAFETY (every `unsafe` block of this impl): NEON is part of the
+    // aarch64 baseline, which is all the intrinsics need.
+    impl Lanes for Neon {
+        const N: usize = 4;
+        type F = float32x4_t;
+        type I = int32x4_t;
+        type Array = [f32; 4];
+        const ZEROS: [f32; 4] = [0.0; 4];
+        #[inline(always)]
+        unsafe fn load(self, s: &[f32], i: usize) -> float32x4_t {
+            debug_assert!(i + 4 <= s.len());
+            vld1q_f32(s.as_ptr().add(i))
+        }
+        #[inline(always)]
+        unsafe fn store(self, s: &mut [f32], i: usize, v: float32x4_t) {
+            debug_assert!(i + 4 <= s.len());
+            vst1q_f32(s.as_mut_ptr().add(i), v)
+        }
+        #[inline(always)]
+        fn splat(self, x: f32) -> float32x4_t {
+            unsafe { vdupq_n_f32(x) }
+        }
+        #[inline(always)]
+        fn add(self, a: float32x4_t, b: float32x4_t) -> float32x4_t {
+            unsafe { vaddq_f32(a, b) }
+        }
+        #[inline(always)]
+        fn sub(self, a: float32x4_t, b: float32x4_t) -> float32x4_t {
+            unsafe { vsubq_f32(a, b) }
+        }
+        #[inline(always)]
+        fn mul(self, a: float32x4_t, b: float32x4_t) -> float32x4_t {
+            unsafe { vmulq_f32(a, b) }
+        }
+        /// A compare-select, not `vminq`: `fmin` returns the NaN.
+        #[inline(always)]
+        fn min(self, a: float32x4_t, b: float32x4_t) -> float32x4_t {
+            unsafe { vbslq_f32(vcltq_f32(a, b), a, b) }
+        }
+        /// A compare-select, not `vmaxq`: `fmax` returns the NaN, and
+        /// `+0.0` on signed-zero ties.
+        #[inline(always)]
+        fn max(self, d: float32x4_t, s: float32x4_t) -> float32x4_t {
+            unsafe { vbslq_f32(vcgtq_f32(s, d), s, d) }
+        }
+        #[inline(always)]
+        fn trunc(self, v: float32x4_t) -> int32x4_t {
+            unsafe { vcvtq_s32_f32(v) }
+        }
+        #[inline(always)]
+        fn float(self, v: int32x4_t) -> float32x4_t {
+            unsafe { vcvtq_f32_s32(v) }
+        }
+        #[inline(always)]
+        fn coords(self, row: AttrRow, px: usize) -> float32x4_t {
+            unsafe {
+                let (base, ddx, ox) = (
+                    vdupq_n_f64(row.row_base),
+                    vdupq_n_f64(row.ddx),
+                    vdupq_n_f64(row.ox),
+                );
+                // As in the x86 impls.
+                let x = vdupq_n_f64(px as f64);
+                let c01 = vaddq_f64(x, vld1q_f64([0.5, 1.5].as_ptr()));
+                let c23 = vaddq_f64(x, vld1q_f64([2.5, 3.5].as_ptr()));
+                let u01 = vaddq_f64(vmulq_f64(vsubq_f64(c01, ox), ddx), base);
+                let u23 = vaddq_f64(vmulq_f64(vsubq_f64(c23, ox), ddx), base);
+                vcombine_f32(vcvt_f32_f64(u01), vcvt_f32_f64(u23))
             }
+        }
+        #[inline(always)]
+        unsafe fn gather(self, s: &[f32], i: int32x4_t) -> float32x4_t {
+            let mut lanes = [0; 4];
+            vst1q_s32(lanes.as_mut_ptr(), i);
+            vld1q_f32(lanes.map(|i| s[i as usize]).as_ptr())
+        }
+        #[inline(always)]
+        unsafe fn gather_2d(self, s: &[f32], w: usize, x: int32x4_t, y: int32x4_t) -> float32x4_t {
+            let (mut xs, mut ys) = ([0; 4], [0; 4]);
+            vst1q_s32(xs.as_mut_ptr(), x);
+            vst1q_s32(ys.as_mut_ptr(), y);
+            let texels = [0, 1, 2, 3].map(|k| s[ys[k] as usize * w + xs[k] as usize]);
+            vld1q_f32(texels.as_ptr())
         }
     }
 
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn alpha4(blend: BlendMode) -> (float32x4_t, float32x4_t) {
-        match blend {
-            BlendMode::Alpha(a) => {
-                let alpha = a.value();
-                (vdupq_n_f32(alpha), vdupq_n_f32(1.0 - alpha))
-            }
-            _ => (vdupq_n_f32(0.0), vdupq_n_f32(0.0)),
-        }
+    // Entry points: one per kernel.
+
+    pub(super) fn fold_neon(acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
+        fold(Neon, Neon, acc, dst, srcs);
     }
 
-    #[target_feature(enable = "neon")]
-    pub(super) fn blend_uniform_neon(mode: BlendMode, dst: &mut [f32], src: f32) {
-        let n = dst.len() - dst.len() % 4;
-        let vs = vdupq_n_f32(src);
-        match mode {
-            BlendMode::Replace => dst.fill(src),
-            BlendMode::Additive => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, vaddq_f32(load4(dst, i), vs));
-                    i += 4;
-                }
-                for d in dst[n..].iter_mut() {
-                    *d += src;
-                }
-            }
-            BlendMode::Max => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, max4(load4(dst, i), vs));
-                    i += 4;
-                }
-                for d in dst[n..].iter_mut() {
-                    *d = if src > *d { src } else { *d };
-                }
-            }
-            BlendMode::Alpha(a) => {
-                let alpha = a.value();
-                let va = vdupq_n_f32(alpha);
-                let vb = vdupq_n_f32(1.0 - alpha);
-                let mut i = 0;
-                while i < n {
-                    let blended = vaddq_f32(vmulq_f32(vs, va), vmulq_f32(load4(dst, i), vb));
-                    store4(dst, i, blended);
-                    i += 4;
-                }
-                for d in dst[n..].iter_mut() {
-                    *d = src * alpha + *d * (1.0 - alpha);
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) fn copy_slice_neon(dst: &mut [f32], src: &[f32]) {
-        let n = dst.len() - dst.len() % 4;
-        let mut i = 0;
-        while i < n {
-            store4(dst, i, load4(src, i));
-            i += 4;
-        }
-        dst[n..].copy_from_slice(&src[n..]);
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) fn fold_copy_neon(dst: &mut [f32], srcs: &[&[f32]]) {
-        let n = dst.len() - dst.len() % 4;
-        match *srcs {
-            [a] => copy_slice_neon(dst, a),
-            [a, b] => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, vaddq_f32(load4(a, i), load4(b, i)));
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = a[i] + b[i];
-                }
-            }
-            [a, b, c] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = vaddq_f32(vaddq_f32(load4(a, i), load4(b, i)), load4(c, i));
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = (a[i] + b[i]) + c[i];
-                }
-            }
-            [a, b, c, e] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = vaddq_f32(
-                        vaddq_f32(vaddq_f32(load4(a, i), load4(b, i)), load4(c, i)),
-                        load4(e, i),
-                    );
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = ((a[i] + b[i]) + c[i]) + e[i];
-                }
-            }
-            _ => unreachable!("fold_copy takes 1-4 sources"),
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) fn fold_acc_neon(dst: &mut [f32], srcs: &[&[f32]]) {
-        let n = dst.len() - dst.len() % 4;
-        match *srcs {
-            [a] => {
-                let mut i = 0;
-                while i < n {
-                    store4(dst, i, vaddq_f32(load4(dst, i), load4(a, i)));
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d += a[i];
-                }
-            }
-            [a, b] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = vaddq_f32(vaddq_f32(load4(dst, i), load4(a, i)), load4(b, i));
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = (*d + a[i]) + b[i];
-                }
-            }
-            [a, b, c] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = vaddq_f32(
-                        vaddq_f32(vaddq_f32(load4(dst, i), load4(a, i)), load4(b, i)),
-                        load4(c, i),
-                    );
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = ((*d + a[i]) + b[i]) + c[i];
-                }
-            }
-            [a, b, c, e] => {
-                let mut i = 0;
-                while i < n {
-                    let sum = vaddq_f32(
-                        vaddq_f32(
-                            vaddq_f32(vaddq_f32(load4(dst, i), load4(a, i)), load4(b, i)),
-                            load4(c, i),
-                        ),
-                        load4(e, i),
-                    );
-                    store4(dst, i, sum);
-                    i += 4;
-                }
-                for (i, d) in dst.iter_mut().enumerate().skip(n) {
-                    *d = (((*d + a[i]) + b[i]) + c[i]) + e[i];
-                }
-            }
-            _ => unreachable!("fold_acc takes 1-4 sources"),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) fn fill_hoisted_neon(
-        span: &mut [f32],
-        lo: usize,
-        u_row: AttrRow,
-        r0: &[f32],
-        r1: &[f32],
-        ty: f32,
-        intensity: f32,
-        blend: BlendMode,
-    ) {
-        let tex_w = r0.len();
-        let vw = vdupq_n_f32(tex_w as f32);
-        let vhalf = vdupq_n_f32(0.5);
-        let vzero = vdupq_n_f32(0.0);
-        let vhi = vdupq_n_f32(tex_w as f32 - 1.0);
-        let vone = vdupq_n_f32(1.0);
-        let vty = vdupq_n_f32(ty);
-        let vint = vdupq_n_f32(intensity);
-        let (va, vb) = alpha4(blend);
-        let n = span.len() - span.len() % 4;
-        let mut i = 0;
-        while i < n {
-            let u = u4(lo + i, u_row);
-            let fx = clamp4(vsubq_f32(vmulq_f32(u, vw), vhalf), vzero, vhi);
-            let tx0i = vcvtq_s32_f32(fx);
-            let tx0f = vcvtq_f32_s32(tx0i);
-            let tx = vsubq_f32(fx, tx0f);
-            let tx1f = vminq_f32(vaddq_f32(tx0f, vone), vhi);
-            let tx1i = vcvtq_s32_f32(tx1f);
-            let i0 = lanes_i32(tx0i);
-            let i1 = lanes_i32(tx1i);
-            let a = from_lanes([
-                r0[i0[0] as usize],
-                r0[i0[1] as usize],
-                r0[i0[2] as usize],
-                r0[i0[3] as usize],
-            ]);
-            let b = from_lanes([
-                r0[i1[0] as usize],
-                r0[i1[1] as usize],
-                r0[i1[2] as usize],
-                r0[i1[3] as usize],
-            ]);
-            let c = from_lanes([
-                r1[i0[0] as usize],
-                r1[i0[1] as usize],
-                r1[i0[2] as usize],
-                r1[i0[3] as usize],
-            ]);
-            let d = from_lanes([
-                r1[i1[0] as usize],
-                r1[i1[1] as usize],
-                r1[i1[2] as usize],
-                r1[i1[3] as usize],
-            ]);
-            let bottom = vaddq_f32(a, vmulq_f32(vsubq_f32(b, a), tx));
-            let top = vaddq_f32(c, vmulq_f32(vsubq_f32(d, c), tx));
-            let lerped = vaddq_f32(bottom, vmulq_f32(vsubq_f32(top, bottom), vty));
-            blend4(blend, span, i, vmulq_f32(lerped, vint), va, vb);
-            i += 4;
-        }
-        for (offset, dst) in span[n..].iter_mut().enumerate() {
-            let px = lo + n + offset;
-            let u = u_row.at(px) as f32;
-            let fx = (u * tex_w as f32 - 0.5).clamp(0.0, tex_w as f32 - 1.0);
-            let tx0 = floor_index(fx);
-            let tx1 = (tx0 + 1).min(tex_w - 1);
-            let tx = fx - tx0 as f32;
-            let a = r0[tx0];
-            let b = r0[tx1];
-            let c = r1[tx0];
-            let d = r1[tx1];
-            let bottom = a + (b - a) * tx;
-            let top = c + (d - c) * tx;
-            let sample = (bottom + (top - bottom) * ty) * intensity;
-            *dst = blend.apply(*dst, sample);
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) fn fill_nearest_row_neon(
-        span: &mut [f32],
-        lo: usize,
-        u_row: AttrRow,
-        tex_row: &[f32],
-        intensity: f32,
-        blend: BlendMode,
-    ) {
-        let tw = tex_row.len();
-        let vw = vdupq_n_f32(tw as f32);
-        let vzero = vdupq_n_f32(0.0);
-        let vhi = vdupq_n_f32(tw as f32 - 1.0);
-        let vint = vdupq_n_f32(intensity);
-        let (va, vb) = alpha4(blend);
-        let n = span.len() - span.len() % 4;
-        let mut i = 0;
-        while i < n {
-            let u = u4(lo + i, u_row);
-            let t = clamp4(vmulq_f32(u, vw), vzero, vhi);
-            let ti = lanes_i32(vcvtq_s32_f32(t));
-            let fetched = from_lanes([
-                tex_row[ti[0] as usize],
-                tex_row[ti[1] as usize],
-                tex_row[ti[2] as usize],
-                tex_row[ti[3] as usize],
-            ]);
-            blend4(blend, span, i, vmulq_f32(fetched, vint), va, vb);
-            i += 4;
-        }
-        for (offset, dst) in span[n..].iter_mut().enumerate() {
-            let px = lo + n + offset;
-            let sample = tex_row[nearest_index(u_row.at(px) as f32, tw)] * intensity;
-            *dst = blend.apply(*dst, sample);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "neon")]
-    pub(super) fn fill_nearest_2d_neon(
-        span: &mut [f32],
-        lo: usize,
-        u_row: AttrRow,
-        v_row: AttrRow,
-        texels: &[f32],
-        tw: usize,
-        th: usize,
-        intensity: f32,
-        blend: BlendMode,
-    ) {
-        let vww = vdupq_n_f32(tw as f32);
-        let vwh = vdupq_n_f32(th as f32);
-        let vzero = vdupq_n_f32(0.0);
-        let vxhi = vdupq_n_f32(tw as f32 - 1.0);
-        let vyhi = vdupq_n_f32(th as f32 - 1.0);
-        let vint = vdupq_n_f32(intensity);
-        let (va, vb) = alpha4(blend);
-        let n = span.len() - span.len() % 4;
-        let mut i = 0;
-        while i < n {
-            let px = lo + i;
-            let u = u4(px, u_row);
-            let v = u4(px, v_row);
-            let tu = clamp4(vmulq_f32(u, vww), vzero, vxhi);
-            let tv = clamp4(vmulq_f32(v, vwh), vzero, vyhi);
-            let xi = lanes_i32(vcvtq_s32_f32(tu));
-            let yi = lanes_i32(vcvtq_s32_f32(tv));
-            let fetched = from_lanes([
-                texels[yi[0] as usize * tw + xi[0] as usize],
-                texels[yi[1] as usize * tw + xi[1] as usize],
-                texels[yi[2] as usize * tw + xi[2] as usize],
-                texels[yi[3] as usize * tw + xi[3] as usize],
-            ]);
-            blend4(blend, span, i, vmulq_f32(fetched, vint), va, vb);
-            i += 4;
-        }
-        for (offset, dst) in span[n..].iter_mut().enumerate() {
-            let px = lo + n + offset;
-            let tx = nearest_index(u_row.at(px) as f32, tw);
-            let ty = nearest_index(v_row.at(px) as f32, th);
-            let sample = texels[ty * tw + tx] * intensity;
-            *dst = blend.apply(*dst, sample);
-        }
+    pub(super) fn fill_neon(span: &mut [f32], lo: usize, blend: BlendMode, sample: &impl Sample) {
+        fill(Neon, span, lo, blend, sample);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::lanes::{fill, fold, Lanes};
     use super::*;
     use crate::blend::AlphaFactor;
     use rand::{Rng, RngCore, SeedableRng};
@@ -1776,21 +1486,139 @@ mod tests {
         }
     }
 
-    /// Non-scalar levels this host can run.
-    fn vector_levels() -> Vec<SimdLevel> {
-        available()
-            .into_iter()
-            .filter(|l| *l != SimdLevel::Scalar)
-            .collect()
+    /// `N` lanes over plain arrays, with every access checked: the lane
+    /// semantics the kernel bodies assume, at any width. The gathers index
+    /// their slice, so a wrong texel index panics, and `trunc` panics
+    /// outside `[0, 2^31)`.
+    #[derive(Clone, Copy)]
+    struct Emu<const N: usize>;
+
+    impl<const N: usize> Lanes for Emu<N> {
+        const N: usize = N;
+        type F = [f32; N];
+        type I = [i32; N];
+        type Array = [f32; N];
+        const ZEROS: [f32; N] = [0.0; N];
+        unsafe fn load(self, s: &[f32], i: usize) -> [f32; N] {
+            s[i..i + N].try_into().unwrap()
+        }
+        unsafe fn store(self, s: &mut [f32], i: usize, v: [f32; N]) {
+            s[i..i + N].copy_from_slice(&v);
+        }
+        fn splat(self, x: f32) -> [f32; N] {
+            [x; N]
+        }
+        fn add(self, a: [f32; N], b: [f32; N]) -> [f32; N] {
+            std::array::from_fn(|k| a[k] + b[k])
+        }
+        fn sub(self, a: [f32; N], b: [f32; N]) -> [f32; N] {
+            std::array::from_fn(|k| a[k] - b[k])
+        }
+        fn mul(self, a: [f32; N], b: [f32; N]) -> [f32; N] {
+            std::array::from_fn(|k| a[k] * b[k])
+        }
+        fn min(self, a: [f32; N], b: [f32; N]) -> [f32; N] {
+            std::array::from_fn(|k| if a[k] < b[k] { a[k] } else { b[k] })
+        }
+        fn max(self, d: [f32; N], s: [f32; N]) -> [f32; N] {
+            std::array::from_fn(|k| if s[k] > d[k] { s[k] } else { d[k] })
+        }
+        fn trunc(self, v: [f32; N]) -> [i32; N] {
+            v.map(|x| {
+                assert!((0.0..2_147_483_648.0).contains(&x), "trunc of {x}");
+                x as i32
+            })
+        }
+        fn float(self, v: [i32; N]) -> [f32; N] {
+            v.map(|x| x as f32)
+        }
+        fn coords(self, row: AttrRow, px: usize) -> [f32; N] {
+            std::array::from_fn(|k| row.at(px + k) as f32)
+        }
+        unsafe fn gather(self, s: &[f32], i: [i32; N]) -> [f32; N] {
+            i.map(|i| s[usize::try_from(i).unwrap()])
+        }
+        unsafe fn gather_2d(self, s: &[f32], w: usize, x: [i32; N], y: [i32; N]) -> [f32; N] {
+            std::array::from_fn(|k| {
+                let (x, y) = (
+                    usize::try_from(x[k]).unwrap(),
+                    usize::try_from(y[k]).unwrap(),
+                );
+                assert!(x < w, "texel column {x} of a {w}-wide texture");
+                s[y * w + x]
+            })
+        }
     }
 
-    fn assert_bits_eq(got: &[f32], want: &[f32], level: SimdLevel, context: &str) {
+    /// Where a kernel runs: through the dispatcher at a level, or its body
+    /// on `Emu<N>` lanes.
+    #[derive(Clone, Copy)]
+    enum Target {
+        Level(SimdLevel),
+        Emu(usize),
+    }
+
+    impl Target {
+        fn name(self) -> String {
+            match self {
+                Target::Level(level) => level.name().to_string(),
+                Target::Emu(n) => format!("Emu<{n}>"),
+            }
+        }
+
+        /// `fold_acc` or `fold_copy` at a level; on `Emu<n>`, the fold body
+        /// with its narrow pass at half width (at least 2), as AVX2 hands
+        /// off to SSE2.
+        fn fold(self, acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
+            match self {
+                Target::Level(level) if acc => fold_acc(level, dst, srcs),
+                Target::Level(level) => fold_copy(level, dst, srcs),
+                Target::Emu(2) => fold(Emu::<2>, Emu::<2>, acc, dst, srcs),
+                Target::Emu(4) => fold(Emu::<4>, Emu::<2>, acc, dst, srcs),
+                Target::Emu(8) => fold(Emu::<8>, Emu::<4>, acc, dst, srcs),
+                Target::Emu(16) => fold(Emu::<16>, Emu::<8>, acc, dst, srcs),
+                Target::Emu(n) => unreachable!("no Emu<{n}>"),
+            }
+        }
+
+        /// A span fill: `dispatch` at a level; on `Emu<n>`, the fill body
+        /// over `sample()`.
+        fn fill<S: Sample>(
+            self,
+            span: &mut [f32],
+            lo: usize,
+            blend: BlendMode,
+            dispatch: impl FnOnce(SimdLevel, &mut [f32]),
+            sample: impl FnOnce() -> S,
+        ) {
+            match self {
+                Target::Level(level) => dispatch(level, span),
+                Target::Emu(2) => fill(Emu::<2>, span, lo, blend, &sample()),
+                Target::Emu(4) => fill(Emu::<4>, span, lo, blend, &sample()),
+                Target::Emu(8) => fill(Emu::<8>, span, lo, blend, &sample()),
+                Target::Emu(16) => fill(Emu::<16>, span, lo, blend, &sample()),
+                Target::Emu(n) => unreachable!("no Emu<{n}>"),
+            }
+        }
+    }
+
+    /// Every vector level the tests run (emulated NEON included), then the
+    /// kernel bodies on `Emu<2|4|8|16>`.
+    fn targets() -> Vec<Target> {
+        let levels = test_levels()
+            .into_iter()
+            .filter(|l| *l != SimdLevel::Scalar);
+        let emu = [2, 4, 8, 16].map(Target::Emu);
+        levels.map(Target::Level).chain(emu).collect()
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], target: Target, context: &str) {
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             assert_eq!(
                 g.to_bits(),
                 w.to_bits(),
                 "{} diverged at index {}: got {:?} ({:#x}), want {:?} ({:#x}); {}",
-                level.name(),
+                target.name(),
                 i,
                 g,
                 g.to_bits(),
@@ -1851,7 +1679,7 @@ mod tests {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let resolved = active();
-        for level in available() {
+        for level in test_levels() {
             force(Some(level));
             assert_eq!(active(), level);
         }
@@ -1865,11 +1693,13 @@ mod tests {
         for src in [0.0f32, -0.0] {
             let mut want = dst0;
             blend_uniform(SimdLevel::Scalar, BlendMode::Max, &mut want, src);
-            for level in vector_levels() {
+            for target in targets() {
                 let mut got = dst0;
-                blend_uniform(level, BlendMode::Max, &mut got, src);
+                let dispatch =
+                    |level, span: &mut [f32]| blend_uniform(level, BlendMode::Max, span, src);
+                target.fill(&mut got, 0, BlendMode::Max, dispatch, || Uniform(src));
                 let context = format!("Max blend of {src:?} over signed zeros");
-                assert_bits_eq(&got, &want, level, &context);
+                assert_bits_eq(&got, &want, target, &context);
             }
         }
     }
@@ -1890,10 +1720,11 @@ mod tests {
             let dst0 = data(&mut data_rng, len);
             let mut want = dst0.clone();
             blend_uniform(SimdLevel::Scalar, mode, &mut want, src);
-            for level in vector_levels() {
+            for target in targets() {
                 let mut got = dst0.clone();
-                blend_uniform(level, mode, &mut got, src);
-                assert_bits_eq(&got, &want, level, context);
+                let dispatch = |level, span: &mut [f32]| blend_uniform(level, mode, span, src);
+                target.fill(&mut got, 0, mode, dispatch, || Uniform(src));
+                assert_bits_eq(&got, &want, target, context);
             }
         };
         let seed = 0xB1F0;
@@ -1924,22 +1755,19 @@ mod tests {
             let sources: Vec<Vec<f32>> = (0..k).map(|_| data(&mut data_rng, len)).collect();
             let refs: Vec<&[f32]> = sources.iter().map(|v| v.as_slice()).collect();
             let dst0 = data(&mut data_rng, len);
-            for level in vector_levels() {
-                let mut want = dst0.clone();
-                fold_copy(SimdLevel::Scalar, &mut want, &refs);
-                let mut got = dst0.clone();
-                fold_copy(level, &mut got, &refs);
-                assert_bits_eq(&got, &want, level, context);
-
-                let mut want = dst0.clone();
-                fold_acc(SimdLevel::Scalar, &mut want, &refs);
-                let mut got = dst0.clone();
-                fold_acc(level, &mut got, &refs);
-                assert_bits_eq(&got, &want, level, context);
-
-                let mut got = dst0.clone();
-                copy_slice(level, &mut got, &sources[0]);
-                assert_bits_eq(&got, &sources[0], level, context);
+            for target in targets() {
+                for acc in [false, true] {
+                    let mut want = dst0.clone();
+                    Target::Level(SimdLevel::Scalar).fold(acc, &mut want, &refs);
+                    let mut got = dst0.clone();
+                    target.fold(acc, &mut got, &refs);
+                    assert_bits_eq(&got, &want, target, context);
+                }
+                if let Target::Level(level) = target {
+                    let mut got = dst0.clone();
+                    copy_slice(level, &mut got, &sources[0]);
+                    assert_bits_eq(&got, &sources[0], target, context);
+                }
             }
         };
         let seed = 0xF01D;
@@ -1989,10 +1817,16 @@ mod tests {
                 0.8,
                 mode,
             );
-            for level in vector_levels() {
+            for target in targets() {
                 let mut got = dst0.clone();
-                fill_hoisted(level, &mut got, lo, u_row, &r0, &r1, ty, 0.8, mode);
-                assert_bits_eq(&got, &want, level, context);
+                target.fill(
+                    &mut got,
+                    lo,
+                    mode,
+                    |level, span| fill_hoisted(level, span, lo, u_row, &r0, &r1, ty, 0.8, mode),
+                    || Hoisted::new(u_row, &r0, &r1, ty, 0.8),
+                );
+                assert_bits_eq(&got, &want, target, context);
             }
         }
     }
@@ -2067,10 +1901,16 @@ mod tests {
             let dst0 = data(&mut data_rng, len);
             let mut want = dst0.clone();
             fill_nearest_row(SimdLevel::Scalar, &mut want, lo, u_row, &tex_row, 0.8, mode);
-            for level in vector_levels() {
+            for target in targets() {
                 let mut got = dst0.clone();
-                fill_nearest_row(level, &mut got, lo, u_row, &tex_row, 0.8, mode);
-                assert_bits_eq(&got, &want, level, context);
+                target.fill(
+                    &mut got,
+                    lo,
+                    mode,
+                    |level, span| fill_nearest_row(level, span, lo, u_row, &tex_row, 0.8, mode),
+                    || NearestRow::new(u_row, &tex_row, 0.8),
+                );
+                assert_bits_eq(&got, &want, target, context);
             }
         };
         let seed = 0x2E42;
@@ -2109,8 +1949,9 @@ mod tests {
         }
     }
 
-    /// A span fill over a whole texture, as [`fill_bilinear`] takes it.
-    type Fill2d = fn(SimdLevel, &mut [f32], usize, AttrRow, AttrRow, &Texture, f32, BlendMode);
+    /// A span fill over a whole texture, as [`fill_bilinear`] takes it, at
+    /// a target.
+    type Fill2d = fn(Target, &mut [f32], usize, AttrRow, AttrRow, &Texture, f32, BlendMode);
 
     /// One case of a 2-D span fill: the scalar oracle against every vector
     /// level, through the dispatcher.
@@ -2136,12 +1977,12 @@ mod tests {
             let dst0 = data(&mut data_rng, self.len);
             let (lo, u_row, v_row, mode) = (self.lo, self.u_row, self.v_row, self.mode);
             let mut want = dst0.clone();
-            let scalar = SimdLevel::Scalar;
+            let scalar = Target::Level(SimdLevel::Scalar);
             (self.fill)(scalar, &mut want, lo, u_row, v_row, &texture, 0.8, mode);
-            for level in vector_levels() {
+            for target in targets() {
                 let mut got = dst0.clone();
-                (self.fill)(level, &mut got, lo, u_row, v_row, &texture, 0.8, mode);
-                assert_bits_eq(&got, &want, level, context);
+                (self.fill)(target, &mut got, lo, u_row, v_row, &texture, 0.8, mode);
+                assert_bits_eq(&got, &want, target, context);
             }
         }
     }
@@ -2227,10 +2068,18 @@ mod tests {
     #[test]
     fn fill_nearest_2d_bit_identical() {
         check_fill_2d(
-            |level, span, lo, u_row, v_row, tex, intensity, blend| {
+            |target, span, lo, u_row, v_row, tex, intensity, blend| {
                 let (texels, tw, th) = (tex.data(), tex.width(), tex.height());
-                fill_nearest_2d(
-                    level, span, lo, u_row, v_row, texels, tw, th, intensity, blend,
+                target.fill(
+                    span,
+                    lo,
+                    blend,
+                    |level, span| {
+                        fill_nearest_2d(
+                            level, span, lo, u_row, v_row, texels, tw, th, intensity, blend,
+                        )
+                    },
+                    || Nearest2d::new(u_row, v_row, texels, tw, th, intensity),
                 )
             },
             0x2D,
@@ -2239,9 +2088,145 @@ mod tests {
 
     /// Spans shorter than [`MIN_LANE_SPAN`] take the scalar fallback at
     /// every level, so the sweep's lengths 0-3 check the routing; the
-    /// longer ones reach every 8 → 4 → tail handoff of the kernel.
+    /// longer ones reach every 8 → 4 → tail handoff of the kernel. The
+    /// `Emu` widths run the body on every length.
     #[test]
     fn fill_bilinear_bit_identical() {
-        check_fill_2d(fill_bilinear, 0xB1);
+        check_fill_2d(
+            |target, span, lo, u_row, v_row, tex, intensity, blend| {
+                target.fill(
+                    span,
+                    lo,
+                    blend,
+                    |level, span| {
+                        fill_bilinear(level, span, lo, u_row, v_row, tex, intensity, blend)
+                    },
+                    || Bilinear2d::new(u_row, v_row, tex, intensity),
+                )
+            },
+            0xB1,
+        );
+    }
+
+    /// The tile blit's length contract holds at every level: a longer or a
+    /// shorter source panics, where a vector fold would copy a prefix.
+    #[test]
+    fn copy_slice_panics_on_a_length_mismatch_at_every_level() {
+        for level in test_levels() {
+            for len in [7, 9] {
+                let src = vec![1.0f32; len];
+                let copied = std::panic::catch_unwind(|| copy_slice(level, &mut [0.0; 8], &src));
+                assert!(
+                    copied.is_err(),
+                    "{}: a copy of {len} into 8 elements did not panic",
+                    level.name()
+                );
+            }
+        }
+    }
+}
+
+/// Lane-exact stand-ins for the `core::arch::aarch64` intrinsics the NEON
+/// impl uses, so that unit tests build and run it off aarch64. Each is an
+/// `unsafe fn`, as calling the real ones outside `#[target_feature]` code
+/// is, and computes what the instruction does under the default FPCR
+/// (round to nearest-even, no flush to zero). Only the loads and stores
+/// have a safety condition of their own.
+#[cfg(all(test, not(target_arch = "aarch64")))]
+#[allow(non_camel_case_types)]
+mod neon_emu {
+    #[derive(Clone, Copy)]
+    pub struct float32x4_t([f32; 4]);
+    #[derive(Clone, Copy)]
+    pub struct float32x2_t([f32; 2]);
+    #[derive(Clone, Copy)]
+    pub struct float64x2_t([f64; 2]);
+    #[derive(Clone, Copy)]
+    pub struct int32x4_t([i32; 4]);
+    #[derive(Clone, Copy)]
+    pub struct uint32x4_t([u32; 4]);
+
+    /// LD1 of four `f32`, unaligned.
+    ///
+    /// # Safety
+    /// `p` is valid for reading 4 `f32`.
+    pub unsafe fn vld1q_f32(p: *const f32) -> float32x4_t {
+        float32x4_t(p.cast::<[f32; 4]>().read_unaligned())
+    }
+    /// LD1 of two `f64`, unaligned.
+    ///
+    /// # Safety
+    /// `p` is valid for reading 2 `f64`.
+    pub unsafe fn vld1q_f64(p: *const f64) -> float64x2_t {
+        float64x2_t(p.cast::<[f64; 2]>().read_unaligned())
+    }
+    /// ST1 of four `f32`, unaligned.
+    ///
+    /// # Safety
+    /// `p` is valid for writing 4 `f32`.
+    pub unsafe fn vst1q_f32(p: *mut f32, v: float32x4_t) {
+        p.cast::<[f32; 4]>().write_unaligned(v.0)
+    }
+    /// ST1 of four `i32`, unaligned.
+    ///
+    /// # Safety
+    /// `p` is valid for writing 4 `i32`.
+    pub unsafe fn vst1q_s32(p: *mut i32, v: int32x4_t) {
+        p.cast::<[i32; 4]>().write_unaligned(v.0)
+    }
+    pub unsafe fn vdupq_n_f32(x: f32) -> float32x4_t {
+        float32x4_t([x; 4])
+    }
+    pub unsafe fn vdupq_n_f64(x: f64) -> float64x2_t {
+        float64x2_t([x; 2])
+    }
+    pub unsafe fn vaddq_f32(a: float32x4_t, b: float32x4_t) -> float32x4_t {
+        float32x4_t([0, 1, 2, 3].map(|k| a.0[k] + b.0[k]))
+    }
+    pub unsafe fn vsubq_f32(a: float32x4_t, b: float32x4_t) -> float32x4_t {
+        float32x4_t([0, 1, 2, 3].map(|k| a.0[k] - b.0[k]))
+    }
+    pub unsafe fn vmulq_f32(a: float32x4_t, b: float32x4_t) -> float32x4_t {
+        float32x4_t([0, 1, 2, 3].map(|k| a.0[k] * b.0[k]))
+    }
+    pub unsafe fn vaddq_f64(a: float64x2_t, b: float64x2_t) -> float64x2_t {
+        float64x2_t([a.0[0] + b.0[0], a.0[1] + b.0[1]])
+    }
+    pub unsafe fn vsubq_f64(a: float64x2_t, b: float64x2_t) -> float64x2_t {
+        float64x2_t([a.0[0] - b.0[0], a.0[1] - b.0[1]])
+    }
+    pub unsafe fn vmulq_f64(a: float64x2_t, b: float64x2_t) -> float64x2_t {
+        float64x2_t([a.0[0] * b.0[0], a.0[1] * b.0[1]])
+    }
+    /// FCMGT: all ones where `a > b`, so false on NaN.
+    pub unsafe fn vcgtq_f32(a: float32x4_t, b: float32x4_t) -> uint32x4_t {
+        uint32x4_t([0, 1, 2, 3].map(|k| if a.0[k] > b.0[k] { u32::MAX } else { 0 }))
+    }
+    /// FCMGT with the operands swapped: all ones where `a < b`, so false
+    /// on NaN.
+    pub unsafe fn vcltq_f32(a: float32x4_t, b: float32x4_t) -> uint32x4_t {
+        uint32x4_t([0, 1, 2, 3].map(|k| if a.0[k] < b.0[k] { u32::MAX } else { 0 }))
+    }
+    /// BSL: each bit from `b` where `mask` has it set, else from `c`.
+    pub unsafe fn vbslq_f32(mask: uint32x4_t, b: float32x4_t, c: float32x4_t) -> float32x4_t {
+        float32x4_t([0, 1, 2, 3].map(|k| {
+            let m = mask.0[k];
+            f32::from_bits((b.0[k].to_bits() & m) | (c.0[k].to_bits() & !m))
+        }))
+    }
+    /// FCVTZS: toward zero, saturating, NaN to 0 — exactly `as i32`.
+    pub unsafe fn vcvtq_s32_f32(v: float32x4_t) -> int32x4_t {
+        int32x4_t(v.0.map(|x| x as i32))
+    }
+    /// SCVTF: rounds to nearest-even, exactly `as f32`.
+    pub unsafe fn vcvtq_f32_s32(v: int32x4_t) -> float32x4_t {
+        float32x4_t(v.0.map(|x| x as f32))
+    }
+    /// FCVTN: narrows rounding to nearest-even, exactly `as f32`.
+    pub unsafe fn vcvt_f32_f64(v: float64x2_t) -> float32x2_t {
+        float32x2_t(v.0.map(|x| x as f32))
+    }
+    pub unsafe fn vcombine_f32(lo: float32x2_t, hi: float32x2_t) -> float32x4_t {
+        float32x4_t([lo.0[0], lo.0[1], hi.0[0], hi.0[1]])
     }
 }
