@@ -14,7 +14,9 @@
 
 use crate::json::Json;
 use flowfield::Vec2;
-use softpipe::raster::{axis_aligned_spot_quad, rasterize_quad, reference, RasterStats, Vertex};
+use softpipe::raster::{
+    axis_aligned_spot_quad, rasterize_quad, reference, RasterStats, Sampler, Vertex,
+};
 use softpipe::{
     disc_spot_texture, gather_additive, BlendMode, FootprintPyramid, Texture, TexturedMesh,
 };
@@ -127,7 +129,14 @@ fn quad_case(
 ) -> BenchCase {
     let draw_fast = |target: &mut Texture, stats: &mut RasterStats| {
         for quad in quads {
-            rasterize_quad(target, spot, *quad, intensity, BlendMode::Additive, stats);
+            rasterize_quad(
+                target,
+                Sampler::Exact(spot),
+                *quad,
+                intensity,
+                BlendMode::Additive,
+                stats,
+            );
         }
     };
     let draw_reference = |target: &mut Texture, stats: &mut RasterStats| {
@@ -214,7 +223,14 @@ fn simd_quad_case(
     use softpipe::simd::{self, SimdLevel};
     let draw = |target: &mut Texture, stats: &mut RasterStats| {
         for quad in quads {
-            rasterize_quad(target, spot, *quad, intensity, BlendMode::Additive, stats);
+            rasterize_quad(
+                target,
+                Sampler::Exact(spot),
+                *quad,
+                intensity,
+                BlendMode::Additive,
+                stats,
+            );
         }
     };
     // Parity: the forced-scalar and active-level kernels must produce
@@ -300,7 +316,13 @@ fn mesh_case(name: &'static str, description: &'static str, mesh: &TexturedMesh)
     let mut slow = Texture::new(512, 512);
     let mut fast_stats = RasterStats::default();
     let mut slow_stats = RasterStats::default();
-    mesh.rasterize(&mut fast, &spot, 0.5, BlendMode::Additive, &mut fast_stats);
+    mesh.rasterize(
+        &mut fast,
+        Sampler::Exact(&spot),
+        0.5,
+        BlendMode::Additive,
+        &mut fast_stats,
+    );
     mesh.rasterize_reference(&mut slow, &spot, 0.5, BlendMode::Additive, &mut slow_stats);
     assert_eq!(
         fast.absolute_difference(&slow),
@@ -327,7 +349,13 @@ fn mesh_case(name: &'static str, description: &'static str, mesh: &TexturedMesh)
         },
         || {
             let mut stats = RasterStats::default();
-            mesh.rasterize(&mut targets.1, &spot, 0.5, BlendMode::Additive, &mut stats);
+            mesh.rasterize(
+                &mut targets.1,
+                Sampler::Exact(&spot),
+                0.5,
+                BlendMode::Additive,
+                &mut stats,
+            );
         },
     );
     BenchCase {
@@ -364,14 +392,14 @@ fn bent_mesh_footprint_case(
     let mut approx_stats = RasterStats::default();
     mesh.rasterize(
         &mut exact,
-        &spot,
+        Sampler::Exact(&spot),
         0.5,
         BlendMode::Additive,
         &mut exact_stats,
     );
-    mesh.rasterize_footprint(
+    mesh.rasterize(
         &mut approx,
-        &pyramid,
+        Sampler::Footprint(&pyramid),
         0.5,
         BlendMode::Additive,
         &mut approx_stats,
@@ -412,13 +440,19 @@ fn bent_mesh_footprint_case(
             },
             &mut || {
                 let mut stats = RasterStats::default();
-                mesh.rasterize(exact_target, &spot, 0.5, BlendMode::Additive, &mut stats);
+                mesh.rasterize(
+                    exact_target,
+                    Sampler::Exact(&spot),
+                    0.5,
+                    BlendMode::Additive,
+                    &mut stats,
+                );
             },
             &mut || {
                 let mut stats = RasterStats::default();
-                mesh.rasterize_footprint(
+                mesh.rasterize(
                     footprint_target,
-                    &pyramid,
+                    Sampler::Footprint(&pyramid),
                     0.5,
                     BlendMode::Additive,
                     &mut stats,

@@ -125,14 +125,6 @@ impl BlendMode {
             }
         }
     }
-
-    /// True for modes where the order in which fragments arrive does not
-    /// change the final value (up to floating-point rounding). Divide and
-    /// conquer relies on this property of the additive mode: partial textures
-    /// can be generated independently and blended in any order.
-    pub fn is_order_independent(self) -> bool {
-        matches!(self, BlendMode::Additive | BlendMode::Max)
-    }
 }
 
 #[cfg(test)]
@@ -170,14 +162,6 @@ mod tests {
     fn alpha_factor_clamps_input() {
         assert_eq!(AlphaFactor::new(2.0).value(), 1.0);
         assert_eq!(AlphaFactor::new(-1.0).value(), 0.0);
-    }
-
-    #[test]
-    fn order_independence_classification() {
-        assert!(BlendMode::Additive.is_order_independent());
-        assert!(BlendMode::Max.is_order_independent());
-        assert!(!BlendMode::Replace.is_order_independent());
-        assert!(!BlendMode::Alpha(AlphaFactor::new(0.5)).is_order_independent());
     }
 
     #[test]

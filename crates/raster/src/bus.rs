@@ -51,15 +51,6 @@ impl BusStats {
             self.total_bytes() as f64 / seconds
         }
     }
-
-    /// Fraction of the given bus capacity (bytes/second) that the recorded
-    /// traffic would occupy over `seconds`.
-    pub fn utilization(&self, seconds: f64, capacity_bytes_per_second: f64) -> f64 {
-        if capacity_bytes_per_second <= 0.0 {
-            return 0.0;
-        }
-        self.bandwidth(seconds) / capacity_bytes_per_second
-    }
 }
 
 /// A thread-safe bus traffic recorder shared by all process groups.
@@ -124,16 +115,13 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_and_utilization() {
+    fn bandwidth_is_bytes_per_second() {
         let s = BusStats {
             vertex_bytes: 116_000_000,
             ..Default::default()
         };
         assert!((s.bandwidth(1.0) - 116.0e6).abs() < 1.0);
-        let u = s.utilization(1.0, 800.0e6);
-        assert!((u - 0.145).abs() < 0.01);
         assert_eq!(s.bandwidth(0.0), 0.0);
-        assert_eq!(s.utilization(1.0, 0.0), 0.0);
     }
 
     #[test]

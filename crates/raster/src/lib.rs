@@ -58,7 +58,7 @@ pub use machine::MachineConfig;
 pub use mesh::TexturedMesh;
 pub use pipe::{GraphicsPipe, PipeCore, PipeOutput, RenderCommand};
 pub use pool::{PipePool, PoolStats, PooledPipe};
-pub use raster::{RasterStats, Vertex};
+pub use raster::{RasterStats, Sampler, Vertex};
 pub use simd::SimdLevel;
 pub use state::{SamplingMode, StateChangeStats, StateMachine, Transform2};
 pub use texture::{disc_spot_texture, gaussian_spot_texture, FootprintPyramid, Texture};
@@ -67,7 +67,7 @@ pub use texture::{disc_spot_texture, gaussian_spot_texture, FootprintPyramid, Te
 mod proptests {
     use crate::blend::BlendMode;
     use crate::compose::gather_additive;
-    use crate::raster::{axis_aligned_spot_quad, rasterize_quad, RasterStats};
+    use crate::raster::{axis_aligned_spot_quad, rasterize_quad, RasterStats, Sampler};
     use crate::texture::{disc_spot_texture, Texture};
     use flowfield::Vec2;
     use rand::{Rng, SeedableRng};
@@ -88,7 +88,7 @@ mod proptests {
             let quad = axis_aligned_spot_quad(Vec2::new(cx, cy), r);
             rasterize_quad(
                 &mut target,
-                &spot,
+                Sampler::Exact(&spot),
                 quad,
                 1.0,
                 BlendMode::Additive,
@@ -140,7 +140,7 @@ mod proptests {
                 for (c, r, a) in subset {
                     rasterize_quad(
                         &mut t,
-                        &spot_tex,
+                        Sampler::Exact(&spot_tex),
                         axis_aligned_spot_quad(*c, *r),
                         *a,
                         BlendMode::Additive,

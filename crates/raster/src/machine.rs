@@ -39,12 +39,6 @@ impl MachineConfig {
         MachineConfig::new(8, 4)
     }
 
-    /// Replaces the cost model.
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// The number of process groups, which is always the number of pipes:
     /// each particle set is processed by "one or more processors and exactly
     /// one graphics pipe".
@@ -157,11 +151,5 @@ mod tests {
         assert!(sweep.contains(&MachineConfig::new(8, 4)));
         assert!(sweep.contains(&MachineConfig::new(1, 1)));
         assert!(!sweep.iter().any(|m| m.processors == 1 && m.pipes == 2));
-    }
-
-    #[test]
-    fn with_cost_overrides_model() {
-        let m = MachineConfig::new(2, 1).with_cost(crate::cost::CostModel::fast_pipe());
-        assert_eq!(m.cost, crate::cost::CostModel::fast_pipe());
     }
 }

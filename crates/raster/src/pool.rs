@@ -164,7 +164,7 @@ impl PipePool {
             }
             None => {
                 self.spawned.fetch_add(1, Ordering::Relaxed);
-                GraphicsPipe::spawn_with_arena(width, height, None, self.arena.clone())
+                GraphicsPipe::spawn(width, height, None, self.arena.clone())
             }
         };
         pipe.set_bus(bus);

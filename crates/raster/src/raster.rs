@@ -8,8 +8,8 @@
 //!
 //! # The span walker
 //!
-//! The production path is a scanline *span walker*, one per sampling mode,
-//! shared by triangles of every width: triangle setup derives a linear form
+//! The production path is one scanline *span walker*, shared by triangles
+//! of every width and both sampling modes: triangle setup derives a linear form
 //! `e(px, py) = c + px·a + py·b` per edge and a planar equation per texture
 //! coordinate; each scanline then determines its exact covered pixel
 //! interval and the interior pixels are filled through a mutable row slice
@@ -28,6 +28,19 @@
 //! loop). Otherwise — rotated quads, such as `browse`'s flow-aligned
 //! spots — each pixel takes the full four-tap sample in lanes, except on
 //! spans shorter than one 4-lane vector, which keep scalar sampling.
+//!
+//! # Sampling modes
+//!
+//! Every entry point — [`rasterize_triangle`], [`rasterize_quad`] and
+//! [`TexturedMesh::rasterize`](crate::TexturedMesh) — takes the sampling
+//! mode as a value, a [`Sampler`]: the spot texture (exact) or its
+//! [`FootprintPyramid`] (footprint). It resolves to a *filter*, bilinear
+//! taps of the spot texture or nearest fetches from one pyramid level,
+//! once per triangle or, for meshes, once per mesh row. The span walker
+//! and the cell walker are monomorphized per filter, so no sampler match
+//! runs inside their row or pixel loops; the nearest fill has the bilinear
+//! fill's shape (one texture row per span when `v` is row-constant, a 2-D
+//! fetch per pixel otherwise). Coverage is the same in both modes.
 //!
 //! A naive per-pixel reference rasterizer is retained behind
 //! `#[cfg(any(test, feature = "reference"))]` as the correctness oracle and
@@ -519,7 +532,8 @@ fn row_is_uniform(row: &[f32]) -> bool {
     row.iter().all(|&v| v == first)
 }
 
-/// Fills one covered span `[lo, hi]` of a scanline.
+/// Fills one covered span `[lo, hi]` of a scanline with bilinear taps of
+/// `spot` (the exact filter).
 ///
 /// `row` is the mutable slice of the *span* (index 0 corresponds to column
 /// `lo`), so the destination side needs no per-pixel bounds checks after the
@@ -531,7 +545,7 @@ fn row_is_uniform(row: &[f32]) -> bool {
 /// `spot.sample_bilinear` + `blend.apply` per pixel at every level.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn fill_span_with(
+fn fill_bilinear_span(
     row: &mut [f32],
     lo: usize,
     level: SimdLevel,
@@ -575,105 +589,157 @@ fn fill_span_with(
     }
 }
 
-/// Mesh cells narrower than this take the cell walker ([`rasterize_cell`]).
-/// Triangles of every width share the span walkers.
-const NARROW_TRIANGLE_WIDTH: usize = 12;
-
-/// The exact-sampling span walker: one covered span per scanline
-/// ([`covered_span`]), filled by lane-blocked, level-dispatched kernels.
-/// Shared by triangles of every width.
-fn rasterize_setup_span(
-    target: &mut Texture,
-    spot_texture: &Texture,
-    setup: &TriSetup,
+/// Fills one covered span `[lo, hi]` of a scanline with nearest fetches
+/// from `tex`, one footprint pyramid level, through the same kernels and
+/// row slicing as [`fill_bilinear_span`]: when `v` is constant along the row
+/// one texture row serves the whole span (a uniform row collapses to one
+/// uniform blend), and otherwise each pixel takes a 2-D fetch.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn fill_nearest_span(
+    row: &mut [f32],
+    lo: usize,
+    level: SimdLevel,
+    tex: &Texture,
+    u_row: AttrRow,
+    v_row: AttrRow,
     intensity: f32,
     blend: BlendMode,
-    stats: &mut RasterStats,
 ) {
-    let width = target.width();
-    let data = target.data_mut();
-    let level = simd::active();
-    for py in setup.y0..=setup.y1 {
-        let Some((lo, hi)) = covered_span(setup, py) else {
-            continue;
-        };
-        let u_row = setup.u_plane.row(py);
-        let v_row = setup.v_plane.row(py);
-        let row_start = py * width;
-        let span = &mut data[row_start + lo..=row_start + hi];
-        fill_span_with(
-            span,
-            lo,
+    let (tw, th) = (tex.width(), tex.height());
+    if v_row.ddx == 0.0 {
+        let ty = nearest_index(v_row.row_base as f32, th);
+        let tex_row = &tex.data()[ty * tw..(ty + 1) * tw];
+        if row_is_uniform(tex_row) {
+            simd::blend_uniform(level, blend, row, tex_row[0] * intensity);
+        } else {
+            simd::fill_nearest_row(level, row, lo, u_row, tex_row, intensity, blend);
+        }
+    } else {
+        simd::fill_nearest_2d(
             level,
-            spot_texture,
+            row,
+            lo,
             u_row,
             v_row,
+            tex.data(),
+            tw,
+            th,
             intensity,
             blend,
         );
-        stats.fragments += (hi - lo + 1) as u64;
     }
 }
 
-/// The exact covered pixel interval of scanline `py`, intersecting the three
-/// edges' root-guided intervals over the clipped bounding box (shared by the
-/// exact and the footprint span walkers).
-#[inline(always)]
-fn covered_span(setup: &TriSetup, py: usize) -> Option<(usize, usize)> {
-    let mut lo = setup.x0;
-    let mut hi = setup.x1;
-    for edge_fn in &setup.edges {
-        let (a, b) = edge_fn.row(py).interval(setup.x0, setup.x1)?;
-        lo = lo.max(a);
-        hi = hi.min(b);
-    }
-    (lo <= hi).then_some((lo, hi))
-}
+/// Mesh cells narrower than this take the cell walker ([`rasterize_cell`]).
+/// Triangles of every width share the span walker.
+const NARROW_TRIANGLE_WIDTH: usize = 12;
 
-/// Rasterizes a set-up triangle with footprint sampling: a single nearest
-/// fetch per fragment from the pyramid level selected from the triangle's uv
-/// extent, replacing the four-tap bilinear kernel of the exact path.
+/// How a draw samples the spot texture: the sampling mode
+/// ([`SamplingMode`](crate::state::SamplingMode)) as a value, which
+/// [`rasterize_triangle`], [`rasterize_quad`] and
+/// [`TexturedMesh::rasterize`](crate::TexturedMesh) all take.
 ///
-/// The level selection is per scanline in structure, but because the uv
-/// planes are affine their gradients — and therefore the footprint (base
-/// texels covered per pixel step) — are the same on every row of the
-/// triangle, so it is hoisted to triangle setup. Coverage decisions use the
-/// same edge predicate as the exact path, so adjacent mesh cells still cover
-/// every texel exactly once — footprint mode changes *sampling*, never
-/// coverage (a coverage change would double-blend shared edges and break the
-/// additive sum).
-fn rasterize_setup_footprint(
-    target: &mut Texture,
-    pyramid: &FootprintPyramid,
-    setup: &TriSetup,
-    intensity: f32,
-    blend: BlendMode,
-    stats: &mut RasterStats,
-) {
-    let level = pyramid.level_for_step(setup_footprint_step(
-        setup,
+/// Footprint sampling changes *sampling*, never coverage: every path decides
+/// coverage with the same edge predicate in both modes, so adjacent
+/// triangles and mesh cells still cover every texel exactly once (a
+/// coverage change would double-blend shared edges and break the additive
+/// sum), and the counters are those of exact sampling.
+#[derive(Debug, Clone, Copy)]
+pub enum Sampler<'a> {
+    /// Exact sampling: bilinear taps of the spot texture.
+    Exact(&'a Texture),
+    /// Footprint sampling: one nearest fetch per fragment from the pyramid
+    /// level matching the uv footprint. Lone triangles and the triangles of
+    /// a quad select the level per triangle, mesh cells per mesh row (see
+    /// [`TexturedMesh::rasterize`](crate::TexturedMesh::rasterize)).
+    Footprint(&'a FootprintPyramid),
+}
+
+impl<'a> Sampler<'a> {
+    /// The filter of one set-up triangle. A footprint sampler selects the
+    /// level from the triangle's uv planes: they are affine, so their
+    /// gradients, and with them the footprint, are the same on every row.
+    #[inline]
+    fn for_triangle(self, setup: &TriSetup) -> Filter<'a> {
+        let pyramid = match self {
+            Sampler::Exact(spot) => return Filter::Bilinear(spot),
+            Sampler::Footprint(pyramid) => pyramid,
+        };
+        let (base_w, base_h) = base_size(pyramid);
+        Filter::nearest(
+            pyramid,
+            footprint_step(&[setup.u_plane, setup.v_plane], base_w, base_h),
+        )
+    }
+
+    /// The filter of the mesh row between vertex rows `top` and `bottom`. A
+    /// footprint sampler selects the finest level any of the row's
+    /// triangles asks for ([`triangle_footprint_step`]; why per row:
+    /// [`TexturedMesh::rasterize`](crate::TexturedMesh::rasterize)).
+    /// Degenerate triangles do not vote (setup rejects them); a row without
+    /// any other keeps an infinite step, the deepest level, and rasterizes
+    /// nothing either way.
+    fn for_mesh_row(self, top: &[Vertex], bottom: &[Vertex]) -> Filter<'a> {
+        let pyramid = match self {
+            Sampler::Exact(spot) => return Filter::Bilinear(spot),
+            Sampler::Footprint(pyramid) => pyramid,
+        };
+        let (base_w, base_h) = base_size(pyramid);
+        let mut step = f32::INFINITY;
+        for c in 0..top.len() - 1 {
+            let [v00, v10, v11, v01] = [top[c], top[c + 1], bottom[c + 1], bottom[c]];
+            for [v0, v1, v2] in [[v00, v10, v11], [v00, v11, v01]] {
+                if let Some(s) = triangle_footprint_step(v0, v1, v2, base_w, base_h) {
+                    step = step.min(s);
+                }
+            }
+        }
+        Filter::nearest(pyramid, step)
+    }
+}
+
+/// A resolved [`Sampler`]: the one texture a triangle or a mesh row samples,
+/// and how. The walkers are monomorphized per filter.
+#[derive(Debug, Clone, Copy)]
+enum Filter<'a> {
+    /// Bilinear taps of the spot texture (exact sampling).
+    Bilinear(&'a Texture),
+    /// Nearest fetches from one (prefiltered) pyramid level.
+    Nearest(&'a Texture),
+}
+
+impl<'a> Filter<'a> {
+    /// Nearest sampling of the level of `pyramid` that footprint step
+    /// `step` selects.
+    fn nearest(pyramid: &'a FootprintPyramid, step: f32) -> Filter<'a> {
+        Filter::Nearest(pyramid.level(pyramid.level_for_step(step)))
+    }
+}
+
+/// The base texture's width and height, the scale of [`footprint_step`].
+fn base_size(pyramid: &FootprintPyramid) -> (f64, f64) {
+    (
         pyramid.base().width() as f64,
         pyramid.base().height() as f64,
-    ));
-    rasterize_setup_footprint_at(target, pyramid.level(level), setup, intensity, blend, stats);
+    )
 }
 
-/// The footprint step of a set-up triangle: base texels covered per pixel
-/// step, the input to [`FootprintPyramid::level_for_step`].
+/// The footprint step of a triangle with uv planes `planes`: base texels
+/// (of a `base_w`×`base_h` base) covered per pixel step, the input to
+/// [`FootprintPyramid::level_for_step`]. It reads only the gradients'
+/// magnitudes: negating a triangle's area negates every gradient exactly.
 #[inline]
-fn setup_footprint_step(setup: &TriSetup, base_w: f64, base_h: f64) -> f32 {
-    let step_u = setup.u_plane.ddx.abs().max(setup.u_plane.ddy.abs()) * base_w;
-    let step_v = setup.v_plane.ddx.abs().max(setup.v_plane.ddy.abs()) * base_h;
+fn footprint_step([u_plane, v_plane]: &[AttrPlane; 2], base_w: f64, base_h: f64) -> f32 {
+    let step_u = u_plane.ddx.abs().max(u_plane.ddy.abs()) * base_w;
+    let step_v = v_plane.ddx.abs().max(v_plane.ddy.abs()) * base_h;
     step_u.max(step_v) as f32
 }
 
-/// The footprint step a triangle *would* rasterize with, without
-/// rasterizing it — `None` for degenerate (rejected) triangles. Lets mesh
-/// walkers aggregate a level over several triangles (per-row selection)
-/// before committing to one. The uv gradients are winding-invariant in
-/// magnitude, so this matches [`setup_footprint_step`] without needing the
-/// full setup.
-pub(crate) fn triangle_footprint_step(
+/// The footprint step of triangle `(v0, v1, v2)` in the given vertex order,
+/// without setting it up — `None` for degenerate (rejected) triangles. Mesh
+/// rows take the minimum over their triangles ([`Sampler::for_mesh_row`]).
+fn triangle_footprint_step(
     v0: Vertex,
     v1: Vertex,
     v2: Vertex,
@@ -684,36 +750,63 @@ pub(crate) fn triangle_footprint_step(
     if area.abs() < DEGENERATE_AREA {
         return None;
     }
-    let inv_area = 1.0 / area.abs();
-    let (px0, px1, px2) = (v0.position, v1.position, v2.position);
-    let (u0, u1, u2) = (v0.uv.0 as f64, v1.uv.0 as f64, v2.uv.0 as f64);
-    let (w0, w1, w2) = (v0.uv.1 as f64, v1.uv.1 as f64, v2.uv.1 as f64);
-    let u_ddx = (u0 * (px1.y - px2.y) + u1 * (px2.y - px0.y) + u2 * (px0.y - px1.y)) * inv_area;
-    let u_ddy = (u0 * (px2.x - px1.x) + u1 * (px0.x - px2.x) + u2 * (px1.x - px0.x)) * inv_area;
-    let v_ddx = (w0 * (px1.y - px2.y) + w1 * (px2.y - px0.y) + w2 * (px0.y - px1.y)) * inv_area;
-    let v_ddy = (w0 * (px2.x - px1.x) + w1 * (px0.x - px2.x) + w2 * (px1.x - px0.x)) * inv_area;
-    let step_u = u_ddx.abs().max(u_ddy.abs()) * base_w;
-    let step_v = v_ddx.abs().max(v_ddy.abs()) * base_h;
-    Some(step_u.max(step_v) as f32)
+    Some(footprint_step(
+        &attr_planes([v0, v1, v2], area.abs()),
+        base_w,
+        base_h,
+    ))
 }
 
-/// The footprint-sampling span walker, with nearest sampling of one
-/// already-chosen pyramid level `tex` (shared by per-triangle and per-row
-/// level selection): the same spans as [`rasterize_setup_span`],
-/// lane-blocked nearest fills and the uniform-row collapse.
-fn rasterize_setup_footprint_at(
+/// Rasterizes a set-up triangle with `filter`, through the span walker's
+/// copy for that filter.
+fn rasterize_setup(
+    target: &mut Texture,
+    filter: Filter<'_>,
+    setup: &TriSetup,
+    intensity: f32,
+    blend: BlendMode,
+    stats: &mut RasterStats,
+) {
+    match filter {
+        Filter::Bilinear(spot) => rasterize_setup_span(
+            target,
+            spot,
+            setup,
+            intensity,
+            blend,
+            stats,
+            fill_bilinear_span,
+        ),
+        Filter::Nearest(tex) => rasterize_setup_span(
+            target,
+            tex,
+            setup,
+            intensity,
+            blend,
+            stats,
+            fill_nearest_span,
+        ),
+    }
+}
+
+/// The span walker: one covered span per scanline ([`covered_span`]),
+/// filled from `tex` by `fill` — [`fill_bilinear_span`] or
+/// [`fill_nearest_span`], one monomorphized copy each. Shared by triangles
+/// of every width and both sampling modes.
+#[inline(never)]
+fn rasterize_setup_span<F>(
     target: &mut Texture,
     tex: &Texture,
     setup: &TriSetup,
     intensity: f32,
     blend: BlendMode,
     stats: &mut RasterStats,
-) {
+    fill: F,
+) where
+    F: Fn(&mut [f32], usize, SimdLevel, &Texture, AttrRow, AttrRow, f32, BlendMode),
+{
     let width = target.width();
     let data = target.data_mut();
-    let tw = tex.width();
-    let th = tex.height();
-    let texels = tex.data();
     let level = simd::active();
     for py in setup.y0..=setup.y1 {
         let Some((lo, hi)) = covered_span(setup, py) else {
@@ -723,54 +816,23 @@ fn rasterize_setup_footprint_at(
         let v_row = setup.v_plane.row(py);
         let row_start = py * width;
         let span = &mut data[row_start + lo..=row_start + hi];
-        if v_row.ddx == 0.0 {
-            // Row-constant `v`: one texture row serves the whole span.
-            let ty = nearest_index(v_row.row_base as f32, th);
-            let tex_row = &texels[ty * tw..(ty + 1) * tw];
-            if row_is_uniform(tex_row) {
-                simd::blend_uniform(level, blend, span, tex_row[0] * intensity);
-            } else {
-                simd::fill_nearest_row(level, span, lo, u_row, tex_row, intensity, blend);
-            }
-        } else {
-            simd::fill_nearest_2d(
-                level, span, lo, u_row, v_row, texels, tw, th, intensity, blend,
-            );
-        }
+        fill(span, lo, level, tex, u_row, v_row, intensity, blend);
         stats.fragments += (hi - lo + 1) as u64;
     }
 }
 
-/// How a mesh cell's fragments are sampled: bilinearly from the spot texture
-/// (exact mode), or nearest from one footprint pyramid level.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum CellSampler<'a> {
-    /// Bilinear sampling of the spot texture.
-    Bilinear(&'a Texture),
-    /// Nearest sampling of one (prefiltered) pyramid level.
-    Nearest(&'a Texture),
-}
-
-impl CellSampler<'_> {
-    /// Rasterizes one set-up triangle on its own, through the per-triangle
-    /// walkers of the sampling mode.
-    fn triangle(
-        self,
-        target: &mut Texture,
-        setup: &TriSetup,
-        intensity: f32,
-        blend: BlendMode,
-        stats: &mut RasterStats,
-    ) {
-        match self {
-            CellSampler::Bilinear(tex) => {
-                rasterize_setup_span(target, tex, setup, intensity, blend, stats)
-            }
-            CellSampler::Nearest(tex) => {
-                rasterize_setup_footprint_at(target, tex, setup, intensity, blend, stats)
-            }
-        }
+/// The exact covered pixel interval of scanline `py`, intersecting the three
+/// edges' root-guided intervals over the clipped bounding box.
+#[inline(always)]
+fn covered_span(setup: &TriSetup, py: usize) -> Option<(usize, usize)> {
+    let mut lo = setup.x0;
+    let mut hi = setup.x1;
+    for edge_fn in &setup.edges {
+        let (a, b) = edge_fn.row(py).interval(setup.x0, setup.x1)?;
+        lo = lo.max(a);
+        hi = hi.min(b);
     }
+    (lo <= hi).then_some((lo, hi))
 }
 
 /// How far (in pixels) the cell walker's box reaches past the pixel centres
@@ -1043,29 +1105,30 @@ impl EdgeTable {
 
 /// Rasterizes a mesh of `cols`-vertex rows (`vertices` row-major) cell by
 /// cell, each cell as triangles `(v00, v10, v11)` and `(v00, v11, v01)`,
-/// sampling the cells of row `r` with `sampler(r)`. The shared path of
-/// [`TexturedMesh::rasterize`](crate::TexturedMesh) and its footprint twin,
-/// for every blend mode; vertex counting is theirs. Each row's edges are
-/// set up once, into an [`EdgeTable`] its cells share.
-pub(crate) fn rasterize_mesh<'t>(
+/// sampling the cells of each row with the row's filter
+/// ([`Sampler::for_mesh_row`]). The path of
+/// [`TexturedMesh::rasterize`](crate::TexturedMesh) for every sampler and
+/// blend mode; vertex counting is its caller's. Each row's edges are set up
+/// once, into an [`EdgeTable`] its cells share.
+pub(crate) fn rasterize_mesh(
     target: &mut Texture,
     cols: usize,
     vertices: &[Vertex],
-    mut sampler: impl FnMut(usize) -> CellSampler<'t>,
+    sampler: Sampler<'_>,
     intensity: f32,
     blend: BlendMode,
     stats: &mut RasterStats,
 ) {
     let mut table = EdgeTable::new(&vertices[..cols]);
-    for (r, rows) in vertices.windows(2 * cols).step_by(cols).enumerate() {
+    for rows in vertices.windows(2 * cols).step_by(cols) {
         let (top, bottom) = rows.split_at(cols);
         table.next_row(top, bottom);
-        let sampler = sampler(r);
+        let filter = sampler.for_mesh_row(top, bottom);
         for c in 0..cols - 1 {
             let corners = [top[c], top[c + 1], bottom[c + 1], bottom[c]];
             rasterize_cell(
                 target,
-                sampler,
+                filter,
                 corners,
                 table.cell(c),
                 intensity,
@@ -1090,7 +1153,7 @@ pub(crate) fn rasterize_mesh<'t>(
 #[inline(always)]
 fn rasterize_cell(
     target: &mut Texture,
-    sampler: CellSampler<'_>,
+    filter: Filter<'_>,
     [v00, v10, v11, v01]: [Vertex; 4],
     edges: CellEdges<'_>,
     intensity: f32,
@@ -1105,7 +1168,7 @@ fn rasterize_cell(
     let Some(cell) = CellBox::new(target, corners, areas) else {
         for [v0, v1, v2] in [[v00, v10, v11], [v00, v11, v01]] {
             if let Some(setup) = TriSetup::new(target, v0, v1, v2, stats) {
-                sampler.triangle(target, &setup, intensity, blend, stats);
+                rasterize_setup(target, filter, &setup, intensity, blend, stats);
             }
         }
         return;
@@ -1132,8 +1195,8 @@ fn rasterize_cell(
             (edges.diagonal, true),
         ],
     );
-    match (sampler, blend) {
-        (CellSampler::Bilinear(tex), BlendMode::Additive) => walk_cell(
+    match (filter, blend) {
+        (Filter::Bilinear(tex), BlendMode::Additive) => walk_cell(
             target,
             &cell,
             &a,
@@ -1143,7 +1206,7 @@ fn rasterize_cell(
             bilinear(tex),
             |d, s| d + s,
         ),
-        (CellSampler::Bilinear(tex), mode) => walk_cell(
+        (Filter::Bilinear(tex), mode) => walk_cell(
             target,
             &cell,
             &a,
@@ -1153,7 +1216,7 @@ fn rasterize_cell(
             bilinear(tex),
             move |d, s| mode.apply(d, s),
         ),
-        (CellSampler::Nearest(tex), BlendMode::Additive) => walk_cell(
+        (Filter::Nearest(tex), BlendMode::Additive) => walk_cell(
             target,
             &cell,
             &a,
@@ -1163,7 +1226,7 @@ fn rasterize_cell(
             nearest(tex),
             |d, s| d + s,
         ),
-        (CellSampler::Nearest(tex), mode) => walk_cell(
+        (Filter::Nearest(tex), mode) => walk_cell(
             target,
             &cell,
             &a,
@@ -1276,13 +1339,13 @@ impl RowTriangle {
     }
 }
 
-/// Footprint-mode counterpart of [`rasterize_triangle_uncounted`]: same
-/// setup, rejection and fragment accounting, nearest sampling of the
-/// pyramid level matching the triangle's uv footprint.
+/// Rasterizes a triangle without counting its vertices (quads count theirs
+/// up front). Footprint samplers pick the pyramid level from the
+/// triangle's own setup ([`Sampler::for_triangle`]).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rasterize_triangle_footprint_uncounted(
+fn rasterize_triangle_uncounted(
     target: &mut Texture,
-    pyramid: &FootprintPyramid,
+    sampler: Sampler<'_>,
     v0: Vertex,
     v1: Vertex,
     v2: Vertex,
@@ -1291,56 +1354,26 @@ pub(crate) fn rasterize_triangle_footprint_uncounted(
     stats: &mut RasterStats,
 ) {
     if let Some(setup) = TriSetup::new(target, v0, v1, v2, stats) {
-        rasterize_setup_footprint(target, pyramid, &setup, intensity, blend, stats);
-    }
-}
-
-/// Footprint-mode counterpart of [`rasterize_quad`]: both triangles sample
-/// the pyramid with the quad's footprint-selected level.
-pub fn rasterize_quad_footprint(
-    target: &mut Texture,
-    pyramid: &FootprintPyramid,
-    quad: [Vertex; 4],
-    intensity: f32,
-    blend: BlendMode,
-    stats: &mut RasterStats,
-) {
-    stats.vertices += 4;
-    rasterize_triangle_footprint_uncounted(
-        target, pyramid, quad[0], quad[1], quad[2], intensity, blend, stats,
-    );
-    rasterize_triangle_footprint_uncounted(
-        target, pyramid, quad[0], quad[2], quad[3], intensity, blend, stats,
-    );
-}
-
-/// Rasterizes a triangle without counting its vertices (used by quads and
-/// meshes, whose vertex accounting reflects shared vertices).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn rasterize_triangle_uncounted(
-    target: &mut Texture,
-    spot_texture: &Texture,
-    v0: Vertex,
-    v1: Vertex,
-    v2: Vertex,
-    intensity: f32,
-    blend: BlendMode,
-    stats: &mut RasterStats,
-) {
-    if let Some(setup) = TriSetup::new(target, v0, v1, v2, stats) {
-        rasterize_setup_span(target, spot_texture, &setup, intensity, blend, stats);
+        rasterize_setup(
+            target,
+            sampler.for_triangle(&setup),
+            &setup,
+            intensity,
+            blend,
+            stats,
+        );
     }
 }
 
 /// Rasterizes a single textured triangle into `target`.
 ///
-/// The spot texture is sampled bilinearly at the interpolated uv coordinate,
-/// multiplied by `intensity` (the random spot weight `aᵢ`) and blended into
-/// the target using `blend`.
+/// Each fragment samples the spot texture through `sampler` at the
+/// interpolated uv coordinate, is multiplied by `intensity` (the random
+/// spot weight `aᵢ`) and blended into the target using `blend`.
 #[allow(clippy::too_many_arguments)]
 pub fn rasterize_triangle(
     target: &mut Texture,
-    spot_texture: &Texture,
+    sampler: Sampler<'_>,
     v0: Vertex,
     v1: Vertex,
     v2: Vertex,
@@ -1349,44 +1382,28 @@ pub fn rasterize_triangle(
     stats: &mut RasterStats,
 ) {
     stats.vertices += 3;
-    rasterize_triangle_uncounted(target, spot_texture, v0, v1, v2, intensity, blend, stats);
+    rasterize_triangle_uncounted(target, sampler, v0, v1, v2, intensity, blend, stats);
 }
 
 /// Rasterizes a textured quadrilateral (the standard four-vertex spot) as two
-/// triangles. Vertices must be supplied in perimeter order.
+/// triangles, each sampled through `sampler` as [`rasterize_triangle`]
+/// samples. Vertices must be supplied in perimeter order.
 ///
 /// A quad streams exactly 4 vertices over the bus (the two triangles share
 /// the `quad[0]`–`quad[2]` diagonal), counted up front — so the accounting
 /// stays correct even when one of the triangles is rejected as degenerate.
 pub fn rasterize_quad(
     target: &mut Texture,
-    spot_texture: &Texture,
+    sampler: Sampler<'_>,
     quad: [Vertex; 4],
     intensity: f32,
     blend: BlendMode,
     stats: &mut RasterStats,
 ) {
     stats.vertices += 4;
-    rasterize_triangle_uncounted(
-        target,
-        spot_texture,
-        quad[0],
-        quad[1],
-        quad[2],
-        intensity,
-        blend,
-        stats,
-    );
-    rasterize_triangle_uncounted(
-        target,
-        spot_texture,
-        quad[0],
-        quad[2],
-        quad[3],
-        intensity,
-        blend,
-        stats,
-    );
+    for [v0, v1, v2] in [[quad[0], quad[1], quad[2]], [quad[0], quad[2], quad[3]]] {
+        rasterize_triangle_uncounted(target, sampler, v0, v1, v2, intensity, blend, stats);
+    }
 }
 
 /// Builds the axis-aligned quad covering a disc spot of radius `radius`
@@ -1557,7 +1574,7 @@ mod tests {
         let v2 = Vertex::new(Vec2::new(0.0, 16.0), 0.0, 1.0);
         rasterize_triangle(
             &mut target,
-            &spot,
+            Sampler::Exact(&spot),
             v0,
             v1,
             v2,
@@ -1587,8 +1604,26 @@ mod tests {
         let mut a = Texture::new(16, 16);
         let mut b = Texture::new(16, 16);
         let mut s = RasterStats::default();
-        rasterize_triangle(&mut a, &spot, v0, v1, v2, 1.0, BlendMode::Additive, &mut s);
-        rasterize_triangle(&mut b, &spot, v0, v2, v1, 1.0, BlendMode::Additive, &mut s);
+        rasterize_triangle(
+            &mut a,
+            Sampler::Exact(&spot),
+            v0,
+            v1,
+            v2,
+            1.0,
+            BlendMode::Additive,
+            &mut s,
+        );
+        rasterize_triangle(
+            &mut b,
+            Sampler::Exact(&spot),
+            v0,
+            v2,
+            v1,
+            1.0,
+            BlendMode::Additive,
+            &mut s,
+        );
         assert_eq!(a.absolute_difference(&b), 0.0);
     }
 
@@ -1600,7 +1635,7 @@ mod tests {
         let v = Vertex::new(Vec2::new(4.0, 4.0), 0.0, 0.0);
         rasterize_triangle(
             &mut target,
-            &spot,
+            Sampler::Exact(&spot),
             v,
             v,
             v,
@@ -1623,7 +1658,7 @@ mod tests {
         let v2 = Vertex::new(Vec2::new(100.0, 110.0), 0.0, 1.0);
         rasterize_triangle(
             &mut target,
-            &spot,
+            Sampler::Exact(&spot),
             v0,
             v1,
             v2,
@@ -1643,7 +1678,7 @@ mod tests {
         let quad = axis_aligned_spot_quad(Vec2::new(16.0, 16.0), 8.0);
         rasterize_quad(
             &mut target,
-            &spot,
+            Sampler::Exact(&spot),
             quad,
             2.0,
             BlendMode::Additive,
@@ -1673,7 +1708,7 @@ mod tests {
         ];
         rasterize_quad(
             &mut target,
-            &spot,
+            Sampler::Exact(&spot),
             quad,
             1.0,
             BlendMode::Additive,
@@ -1696,7 +1731,7 @@ mod tests {
         let quad = axis_aligned_spot_quad(Vec2::new(32.0, 32.0), 16.0);
         rasterize_quad(
             &mut target,
-            &spot,
+            Sampler::Exact(&spot),
             quad,
             1.0,
             BlendMode::Additive,
@@ -1714,7 +1749,7 @@ mod tests {
         let quad = axis_aligned_spot_quad(Vec2::new(32.0, 32.0), 16.0);
         rasterize_quad(
             &mut target,
-            &spot,
+            Sampler::Exact(&spot),
             quad,
             1.0,
             BlendMode::Additive,
@@ -1735,7 +1770,7 @@ mod tests {
         let quad = axis_aligned_spot_quad(Vec2::new(16.0, 16.0), 4.0);
         rasterize_quad(
             &mut target,
-            &spot,
+            Sampler::Exact(&spot),
             quad,
             -0.5,
             BlendMode::Additive,
@@ -1774,7 +1809,7 @@ mod tests {
         let quad = axis_aligned_spot_quad(Vec2::new(0.0, 8.0), 4.0);
         rasterize_quad(
             &mut target,
-            &spot,
+            Sampler::Exact(&spot),
             quad,
             1.0,
             BlendMode::Additive,
@@ -1834,7 +1869,7 @@ mod tests {
                 let mut ss = RasterStats::default();
                 rasterize_triangle(
                     &mut fast,
-                    &spot,
+                    Sampler::Exact(&spot),
                     v0,
                     v1,
                     v2,
@@ -1871,7 +1906,7 @@ mod tests {
                 let mut ss = RasterStats::default();
                 rasterize_quad(
                     &mut fast,
-                    &spot,
+                    Sampler::Exact(&spot),
                     quad,
                     intensity,
                     BlendMode::Additive,
@@ -1909,7 +1944,14 @@ mod tests {
                 let mut slow = Texture::new(64, 64);
                 let mut fs = RasterStats::default();
                 let mut ss = RasterStats::default();
-                rasterize_quad(&mut fast, &spot, quad, 1.0, BlendMode::Additive, &mut fs);
+                rasterize_quad(
+                    &mut fast,
+                    Sampler::Exact(&spot),
+                    quad,
+                    1.0,
+                    BlendMode::Additive,
+                    &mut fs,
+                );
                 reference::rasterize_quad(
                     &mut slow,
                     &spot,
@@ -1946,7 +1988,13 @@ mod tests {
                 let mut slow = Texture::new(64, 64);
                 let mut fs = RasterStats::default();
                 let mut ss = RasterStats::default();
-                mesh.rasterize(&mut fast, &spot, 0.7, BlendMode::Additive, &mut fs);
+                mesh.rasterize(
+                    &mut fast,
+                    Sampler::Exact(&spot),
+                    0.7,
+                    BlendMode::Additive,
+                    &mut fs,
+                );
                 mesh.rasterize_reference(&mut slow, &spot, 0.7, BlendMode::Additive, &mut ss);
                 assert_identical(&fast, &fs, &slow, &ss, &format!("mesh case {case}"));
             }
@@ -1975,7 +2023,14 @@ mod tests {
                 let mut slow = Texture::new(16, 16);
                 let mut fs = RasterStats::default();
                 let mut ss = RasterStats::default();
-                rasterize_quad(&mut fast, &spot, quad, 1.0, BlendMode::Additive, &mut fs);
+                rasterize_quad(
+                    &mut fast,
+                    Sampler::Exact(&spot),
+                    quad,
+                    1.0,
+                    BlendMode::Additive,
+                    &mut fs,
+                );
                 reference::rasterize_quad(
                     &mut slow,
                     &spot,
@@ -2026,7 +2081,7 @@ mod tests {
                 // c->b in the other, as adjacent primitives submit it.
                 rasterize_triangle(
                     &mut target,
-                    &spot,
+                    Sampler::Exact(&spot),
                     a,
                     b,
                     c,
@@ -2036,7 +2091,7 @@ mod tests {
                 );
                 rasterize_triangle(
                     &mut target,
-                    &spot,
+                    Sampler::Exact(&spot),
                     d,
                     c,
                     b,
@@ -2069,7 +2124,7 @@ mod tests {
                 let mut slow = fast.clone();
                 let mut fs = RasterStats::default();
                 let mut ss = RasterStats::default();
-                rasterize_quad(&mut fast, &spot, quad, 0.8, mode, &mut fs);
+                rasterize_quad(&mut fast, Sampler::Exact(&spot), quad, 0.8, mode, &mut fs);
                 reference::rasterize_quad(&mut slow, &spot, quad, 0.8, mode, &mut ss);
                 assert_identical(&fast, &fs, &slow, &ss, &format!("blend mode {mode:?}"));
             }
@@ -2095,7 +2150,7 @@ mod tests {
                 let mut fs = RasterStats::default();
                 rasterize_triangle(
                     &mut exact,
-                    &spot,
+                    Sampler::Exact(&spot),
                     v0,
                     v1,
                     v2,
@@ -2103,10 +2158,9 @@ mod tests {
                     BlendMode::Additive,
                     &mut es,
                 );
-                fs.vertices += 3;
-                rasterize_triangle_footprint_uncounted(
+                rasterize_triangle(
                     &mut approx,
-                    &pyramid,
+                    Sampler::Footprint(&pyramid),
                     v0,
                     v1,
                     v2,
@@ -2153,15 +2207,15 @@ mod tests {
                 let mut fs = RasterStats::default();
                 rasterize_quad(
                     &mut exact,
-                    &spot,
+                    Sampler::Exact(&spot),
                     quad,
                     intensity,
                     BlendMode::Additive,
                     &mut es,
                 );
-                rasterize_quad_footprint(
+                rasterize_quad(
                     &mut approx,
-                    &pyramid,
+                    Sampler::Footprint(&pyramid),
                     quad,
                     intensity,
                     BlendMode::Additive,
@@ -2187,7 +2241,13 @@ mod tests {
             let mesh = crate::mesh::rectangle_mesh(5, 4, 8.0, 8.0, 40.0, 40.0);
             let mut target = Texture::new(64, 64);
             let mut stats = RasterStats::default();
-            mesh.rasterize_footprint(&mut target, &pyramid, 1.0, BlendMode::Additive, &mut stats);
+            mesh.rasterize(
+                &mut target,
+                Sampler::Footprint(&pyramid),
+                1.0,
+                BlendMode::Additive,
+                &mut stats,
+            );
             let max = target.data().iter().cloned().fold(0.0f32, f32::max);
             assert!(max <= 1.0 + 1e-5, "footprint seam double-blended: {max}");
             assert!((target.texel(20, 20) - 1.0).abs() < 1e-6);
@@ -2203,7 +2263,14 @@ mod tests {
             let mut slow = Texture::new(48, 48);
             let mut fs = RasterStats::default();
             let mut ss = RasterStats::default();
-            rasterize_quad(&mut fast, &spot, quad, 1.5, BlendMode::Additive, &mut fs);
+            rasterize_quad(
+                &mut fast,
+                Sampler::Exact(&spot),
+                quad,
+                1.5,
+                BlendMode::Additive,
+                &mut fs,
+            );
             reference::rasterize_quad(&mut slow, &spot, quad, 1.5, BlendMode::Additive, &mut ss);
             assert_identical(&fast, &fs, &slow, &ss, "uniform fast path");
         }
@@ -2314,7 +2381,14 @@ mod tests {
                     let [v00, v10, v11, v01] = cell(mesh, r, c);
                     for (v0, v1, v2) in [(v00, v10, v11), (v00, v11, v01)] {
                         rasterize_triangle_uncounted(
-                            target, spot, v0, v1, v2, intensity, blend, stats,
+                            target,
+                            Sampler::Exact(spot),
+                            v0,
+                            v1,
+                            v2,
+                            intensity,
+                            blend,
+                            stats,
                         );
                     }
                 }
@@ -2350,8 +2424,13 @@ mod tests {
                     let [v00, v10, v11, v01] = cell(mesh, r, c);
                     for (v0, v1, v2) in [(v00, v10, v11), (v00, v11, v01)] {
                         if let Some(setup) = TriSetup::new(target, v0, v1, v2, stats) {
-                            rasterize_setup_footprint_at(
-                                target, tex, &setup, intensity, blend, stats,
+                            rasterize_setup(
+                                target,
+                                Filter::Nearest(tex),
+                                &setup,
+                                intensity,
+                                blend,
+                                stats,
                             );
                         }
                     }
@@ -2442,7 +2521,8 @@ mod tests {
                         (target, stats)
                     };
                     let context = format!("seed {seed:#x}, case {case}, {mode:?}");
-                    let walked = run(&|t, s| mesh.rasterize(t, &spot, intensity, mode, s));
+                    let walked =
+                        run(&|t, s| mesh.rasterize(t, Sampler::Exact(&spot), intensity, mode, s));
                     let split =
                         run(&|t, s| per_triangle_exact(&mesh, t, &spot, intensity, mode, s));
                     let reference =
@@ -2457,8 +2537,9 @@ mod tests {
                         &reference,
                         &format!("exact vs reference, {context}"),
                     );
-                    let walked =
-                        run(&|t, s| mesh.rasterize_footprint(t, &pyramid, intensity, mode, s));
+                    let walked = run(&|t, s| {
+                        mesh.rasterize(t, Sampler::Footprint(&pyramid), intensity, mode, s)
+                    });
                     let split =
                         run(&|t, s| per_triangle_footprint(&mesh, t, &pyramid, intensity, mode, s));
                     assert_same(&walked, &split, &format!("footprint, {context}"));
@@ -2753,7 +2834,13 @@ mod tests {
                 for mode in modes() {
                     let mut walked = (Texture::new(W, H), RasterStats::default());
                     let mut reference = walked.clone();
-                    mesh.rasterize(&mut walked.0, &spot, 0.8, mode, &mut walked.1);
+                    mesh.rasterize(
+                        &mut walked.0,
+                        Sampler::Exact(&spot),
+                        0.8,
+                        mode,
+                        &mut walked.1,
+                    );
                     mesh.rasterize_reference(&mut reference.0, &spot, 0.8, mode, &mut reference.1);
                     assert_same(&walked, &reference, &format!("sliver {found}, {mode:?}"));
                 }
@@ -2893,35 +2980,39 @@ mod tests {
             ]
         }
 
-        /// Per-pixel footprint oracle: every box pixel through the shared
-        /// predicate, one nearest fetch from the triangle's level.
+        /// Per-pixel footprint oracle for the triangle fan `fan[0], fan[i],
+        /// fan[i + 1]` (a triangle, or a quad's two triangles): every box
+        /// pixel of each triangle through the shared predicate, one nearest
+        /// fetch from that triangle's level.
         fn footprint_naive(
             target: &mut Texture,
             pyramid: &FootprintPyramid,
-            tri: [Vertex; 3],
+            fan: &[Vertex],
             intensity: f32,
             blend: BlendMode,
             stats: &mut RasterStats,
         ) {
-            stats.vertices += 3;
-            let Some(setup) = TriSetup::new(target, tri[0], tri[1], tri[2], stats) else {
-                return;
-            };
-            let tex = pyramid.level(pyramid.level_for_step(setup_footprint_step(
-                &setup,
-                pyramid.base().width() as f64,
-                pyramid.base().height() as f64,
-            )));
-            for py in setup.y0..=setup.y1 {
-                let (u_row, v_row) = (setup.u_plane.row(py), setup.v_plane.row(py));
-                for px in setup.x0..=setup.x1 {
-                    if covered(&setup, px, py) {
-                        let tx = nearest_index(u_row.at(px) as f32, tex.width());
-                        let ty = nearest_index(v_row.at(px) as f32, tex.height());
-                        let sample = tex.texel(tx, ty) * intensity;
-                        let dst = target.texel_mut(px, py);
-                        *dst = blend.apply(*dst, sample);
-                        stats.fragments += 1;
+            stats.vertices += fan.len() as u64;
+            for i in 1..fan.len() - 1 {
+                let Some(setup) = TriSetup::new(target, fan[0], fan[i], fan[i + 1], stats) else {
+                    continue;
+                };
+                let tex = pyramid.level(pyramid.level_for_step(footprint_step(
+                    &[setup.u_plane, setup.v_plane],
+                    pyramid.base().width() as f64,
+                    pyramid.base().height() as f64,
+                )));
+                for py in setup.y0..=setup.y1 {
+                    let (u_row, v_row) = (setup.u_plane.row(py), setup.v_plane.row(py));
+                    for px in setup.x0..=setup.x1 {
+                        if covered(&setup, px, py) {
+                            let tx = nearest_index(u_row.at(px) as f32, tex.width());
+                            let ty = nearest_index(v_row.at(px) as f32, tex.height());
+                            let sample = tex.texel(tx, ty) * intensity;
+                            let dst = target.texel_mut(px, py);
+                            *dst = blend.apply(*dst, sample);
+                            stats.fragments += 1;
+                        }
                     }
                 }
             }
@@ -2935,13 +3026,17 @@ mod tests {
         }
 
         /// One vertex's `u` of NaN or ±inf renders the same bits as the
-        /// per-pixel reference at every level, in every blend mode: a NaN
-        /// coordinate keeps its NaN weight and takes texel index 0, as in
-        /// the scalar kernel. The axis-aligned 20×20 px quad takes the
-        /// hoisted fill, the rotated one the general bilinear fill.
+        /// per-pixel oracle at every level, in every blend mode, with exact
+        /// sampling (against the reference) and footprint sampling (against
+        /// [`footprint_naive`]): a NaN coordinate keeps its NaN weight in
+        /// the bilinear taps and takes texel index 0, as in the scalar
+        /// kernels. The axis-aligned 20×20 px quad takes the hoisted and
+        /// row-nearest fills, the rotated one the general bilinear and 2-D
+        /// nearest fills.
         #[test]
         fn non_finite_uv_renders_the_same_bits_at_every_level() {
             let spot = disc_spot_texture(16, 0.5);
+            let pyramid = FootprintPyramid::build(Arc::new(spot.clone()));
             let center = Vec2::new(48.0, 20.0);
             let (sin, cos) = 0.6f64.sin_cos();
             let axis_aligned = axis_aligned_spot_quad(center, 10.0);
@@ -2962,32 +3057,41 @@ mod tests {
                     let mut quad = quad;
                     quad[1].uv.0 = bad;
                     for mode in modes() {
-                        let mut want = base.clone();
-                        let mut want_stats = RasterStats::default();
-                        reference::rasterize_quad(
-                            &mut want,
-                            &spot,
-                            quad,
-                            0.7,
-                            mode,
-                            &mut want_stats,
-                        );
-                        nan_texels += want.data().iter().filter(|t| t.is_nan()).count();
-                        for level in simd::test_levels() {
-                            simd::force(Some(level));
-                            let mut got = base.clone();
-                            let mut stats = RasterStats::default();
-                            rasterize_quad(&mut got, &spot, quad, 0.7, mode, &mut stats);
-                            if failure.is_none() && !(same_bits(&got, &want) && stats == want_stats)
-                            {
-                                let differ = (got.data().iter().zip(want.data()))
-                                    .filter(|(g, w)| g.to_bits() != w.to_bits())
-                                    .count();
-                                failure = Some(format!(
-                                    "{} {what} quad, u = {bad}, {mode:?}: {differ} texels \
-                                     differ, stats {stats:?} vs {want_stats:?}",
-                                    level.name()
-                                ));
+                        let oracle = |draw: &dyn Fn(&mut Texture, &mut RasterStats)| {
+                            let mut want = base.clone();
+                            let mut want_stats = RasterStats::default();
+                            draw(&mut want, &mut want_stats);
+                            (want, want_stats)
+                        };
+                        let exact =
+                            oracle(&|t, s| reference::rasterize_quad(t, &spot, quad, 0.7, mode, s));
+                        // Footprint frames have no NaN texel: a NaN
+                        // coordinate fetches texel 0.
+                        nan_texels += exact.0.data().iter().filter(|t| t.is_nan()).count();
+                        let footprint =
+                            oracle(&|t, s| footprint_naive(t, &pyramid, &quad, 0.7, mode, s));
+                        for (sampling, sampler, (want, want_stats)) in [
+                            ("exact", Sampler::Exact(&spot), exact),
+                            ("footprint", Sampler::Footprint(&pyramid), footprint),
+                        ] {
+                            for level in simd::test_levels() {
+                                simd::force(Some(level));
+                                let mut got = base.clone();
+                                let mut stats = RasterStats::default();
+                                rasterize_quad(&mut got, sampler, quad, 0.7, mode, &mut stats);
+                                if failure.is_none()
+                                    && !(same_bits(&got, &want) && stats == want_stats)
+                                {
+                                    let differ = (got.data().iter().zip(want.data()))
+                                        .filter(|(g, w)| g.to_bits() != w.to_bits())
+                                        .count();
+                                    failure = Some(format!(
+                                        "{} {sampling} {what} quad, u = {bad}, {mode:?}: \
+                                         {differ} texels differ, stats {stats:?} vs \
+                                         {want_stats:?}",
+                                        level.name()
+                                    ));
+                                }
                             }
                         }
                     }
@@ -2997,8 +3101,9 @@ mod tests {
             if let Some(failure) = failure {
                 panic!("{failure}");
             }
-            // The cases render NaN texels at all, or they would show nothing.
-            assert!(nan_texels > 0, "no case rendered a NaN texel");
+            // The exact cases render NaN texels at all, or they would show
+            // nothing.
+            assert!(nan_texels > 0, "no exact case rendered a NaN texel");
         }
 
         #[test]
@@ -3106,7 +3211,16 @@ mod tests {
                             (
                                 "triangle",
                                 run(&|t, s| {
-                                    rasterize_triangle(t, &spot, a, b, c, intensity, mode, s)
+                                    rasterize_triangle(
+                                        t,
+                                        Sampler::Exact(&spot),
+                                        a,
+                                        b,
+                                        c,
+                                        intensity,
+                                        mode,
+                                        s,
+                                    )
                                 }),
                                 run(&|t, s| {
                                     reference::rasterize_triangle(
@@ -3116,7 +3230,16 @@ mod tests {
                             ),
                             (
                                 "quad",
-                                run(&|t, s| rasterize_quad(t, &spot, quad, intensity, mode, s)),
+                                run(&|t, s| {
+                                    rasterize_quad(
+                                        t,
+                                        Sampler::Exact(&spot),
+                                        quad,
+                                        intensity,
+                                        mode,
+                                        s,
+                                    )
+                                }),
                                 run(&|t, s| {
                                     reference::rasterize_quad(t, &spot, quad, intensity, mode, s)
                                 }),
@@ -3124,12 +3247,18 @@ mod tests {
                             (
                                 "footprint triangle",
                                 run(&|t, s| {
-                                    s.vertices += 3;
-                                    rasterize_triangle_footprint_uncounted(
-                                        t, &pyramid, a, b, c, intensity, mode, s,
+                                    rasterize_triangle(
+                                        t,
+                                        Sampler::Footprint(&pyramid),
+                                        a,
+                                        b,
+                                        c,
+                                        intensity,
+                                        mode,
+                                        s,
                                     )
                                 }),
-                                run(&|t, s| footprint_naive(t, &pyramid, tri, intensity, mode, s)),
+                                run(&|t, s| footprint_naive(t, &pyramid, &tri, intensity, mode, s)),
                             ),
                         ];
                         for (what, got, want) in checks {

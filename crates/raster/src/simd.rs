@@ -343,8 +343,15 @@ fn fill_lanes<S: Sample>(
 /// The gather folds and the straight copy at `level`: `(s0 + s1) + …`, or
 /// `((dst + s0) + s1) + …` with `acc`. `srcs` holds 1–4 slices as long as
 /// `dst`.
+///
+/// # Panics
+/// Panics at every level when a source's length differs from `dst`'s.
 fn fold_at(level: SimdLevel, acc: bool, dst: &mut [f32], srcs: &[&[f32]]) {
     debug_assert!((1..=4).contains(&srcs.len()));
+    assert!(
+        srcs.iter().all(|s| s.len() == dst.len()),
+        "fold sources must be as long as the destination"
+    );
     // SAFETY: as in `fill_lanes`.
     match level {
         #[cfg(target_arch = "x86_64")]
@@ -470,17 +477,16 @@ pub(crate) fn fold_acc(level: SimdLevel, dst: &mut [f32], srcs: &[&[f32]]) {
 /// # Panics
 /// Panics at every level when `dst` and `src` differ in length.
 pub(crate) fn copy_slice(level: SimdLevel, dst: &mut [f32], src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "copy_slice between unequal lengths");
     fold_at(level, false, dst, &[src]);
 }
 
 // ---------------------------------------------------------------------------
-// Scalar fallbacks: exactly the pre-SIMD code (the sample closures formerly
-// inlined in `fill_span_with` / `rasterize_setup_footprint_at`, driven
-// through the lane-block loop). These are the oracle every vector kernel is
-// pinned against. The fallbacks that only the scalar level runs stay out of
-// line: inlined into the span walkers, the hoisted one slowed the AVX2 path
-// of `simd_quad_disc_*` by about 5 %.
+// Scalar fallbacks: the per-pixel sampling of the raster's span fills
+// (`fill_bilinear_span`, `fill_nearest_span`), driven through the
+// lane-block loop. These are the oracle every vector kernel is pinned
+// against. The fallbacks that only the scalar level runs stay out of line:
+// inlined into the span walker, the hoisted one slowed the AVX2 path of
+// `simd_quad_disc_*` by about 5 %.
 // ---------------------------------------------------------------------------
 
 /// Fragments per lane block of the scalar span fills.
@@ -2108,19 +2114,45 @@ mod tests {
         );
     }
 
-    /// The tile blit's length contract holds at every level: a longer or a
-    /// shorter source panics, where a vector fold would copy a prefix.
+    /// The folds' length contract holds at every level: a source longer or
+    /// shorter than `dst`, in any position of 1–4 sources, panics in the
+    /// tile blit and both folds, where a vector fold would fold a prefix.
     #[test]
     fn copy_slice_panics_on_a_length_mismatch_at_every_level() {
+        type Fold = fn(SimdLevel, &mut [f32], &[&[f32]]);
+        let folds: [(&str, Fold, usize); 3] = [
+            (
+                "copy_slice",
+                |level, dst, srcs| copy_slice(level, dst, srcs[0]),
+                1,
+            ),
+            ("fold_copy", fold_copy, 4),
+            ("fold_acc", fold_acc, 4),
+        ];
+        let fitting = [1.0f32; 8];
         for level in test_levels() {
-            for len in [7, 9] {
-                let src = vec![1.0f32; len];
-                let copied = std::panic::catch_unwind(|| copy_slice(level, &mut [0.0; 8], &src));
-                assert!(
-                    copied.is_err(),
-                    "{}: a copy of {len} into 8 elements did not panic",
-                    level.name()
-                );
+            for (name, fold, max_sources) in folds {
+                for k in 1..=max_sources {
+                    for (odd, len) in (0..k).flat_map(|i| [(i, 7), (i, 9)]) {
+                        let mismatched = vec![1.0f32; len];
+                        let srcs: Vec<&[f32]> = (0..k)
+                            .map(|i| {
+                                if i == odd {
+                                    &mismatched[..]
+                                } else {
+                                    &fitting[..]
+                                }
+                            })
+                            .collect();
+                        let folded = std::panic::catch_unwind(|| fold(level, &mut [0.0; 8], &srcs));
+                        assert!(
+                            folded.is_err(),
+                            "{}: {name} of {k} sources, source {odd} of {len} elements \
+                             into 8, did not panic",
+                            level.name()
+                        );
+                    }
+                }
             }
         }
     }

@@ -226,20 +226,6 @@ impl Texture {
         }
     }
 
-    /// Copies a sub-rectangle of `other` into the same location of `self`
-    /// (used when composing disjoint texture tiles).
-    pub fn blit_region(&mut self, other: &Texture, x0: usize, y0: usize, x1: usize, y1: usize) {
-        assert_eq!(self.width, other.width, "texture widths differ");
-        assert_eq!(self.height, other.height, "texture heights differ");
-        let x1 = x1.min(self.width);
-        let y1 = y1.min(self.height);
-        for y in y0..y1 {
-            for x in x0..x1 {
-                self.data[y * self.width + x] = other.data[y * self.width + x];
-            }
-        }
-    }
-
     /// Minimum and maximum texel value.
     pub fn range(&self) -> (f32, f32) {
         let mut lo = f32::INFINITY;
@@ -585,18 +571,6 @@ mod tests {
         let mut a = Texture::new(4, 4);
         let b = Texture::new(8, 4);
         a.accumulate(&b);
-    }
-
-    #[test]
-    fn blit_region_copies_only_requested_rect() {
-        let mut dst = Texture::new(8, 8);
-        let mut src = Texture::new(8, 8);
-        src.fill(2.0);
-        dst.blit_region(&src, 2, 2, 4, 4);
-        assert_eq!(dst.texel(2, 2), 2.0);
-        assert_eq!(dst.texel(3, 3), 2.0);
-        assert_eq!(dst.texel(4, 4), 0.0);
-        assert_eq!(dst.texel(1, 2), 0.0);
     }
 
     #[test]
