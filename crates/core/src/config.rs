@@ -84,8 +84,9 @@ pub struct SynthesisConfig {
     /// that trade-off (the `ablation_transform` bench). Ignored for bent
     /// spots, whose meshes must be computed in software anyway.
     pub transform_on_pipe: bool,
-    /// Number of spots a master accumulates before streaming one
-    /// [`RenderCommand::Batch`](softpipe::RenderCommand::Batch) to its pipe.
+    /// Number of spots a master accumulates before submitting their
+    /// commands to its pipe as one batch
+    /// ([`GraphicsPipe::submit`](softpipe::GraphicsPipe::submit)).
     /// Batching turns the per-spot channel round-trip (the dominant
     /// submission overhead at hundreds of thousands of spots per second)
     /// into one message per `spot_batch` spots, while staying small enough

@@ -18,9 +18,9 @@
 //! * [`spot`] — spot instances and standard (stretched-ellipse) spots,
 //! * [`bent`] — bent spots: stream-line-advected textured meshes,
 //! * [`synth`] — sequential synthesis (the eq. 2.1 baseline),
-//! * [`scheduler`] — the generic execution engine: [`ExecBackend`]s
-//!   (softpipe pipes, CPU-only), the fixed per-group [`Schedule`] (spot
-//!   sets or texture tiles) and the streaming gather,
+//! * [`scheduler`] — the execution engine: each process group renders its
+//!   fixed share (a spot set or texture tiles) on a pooled graphics pipe or
+//!   inline on its own thread, and a streaming gather composes the partials,
 //! * [`dnc`] — the divide-and-conquer executors as thin engine
 //!   configurations (round-robin, texture tiling, CPU-only),
 //! * [`partition`] — spot partitioning strategies,
@@ -77,10 +77,7 @@ pub use config::{SpotKind, SynthesisConfig};
 pub use dnc::{synthesize_cpu_only, synthesize_dnc, DncOutput, DncReport, GroupReport};
 pub use perfmodel::{eq_2_1, eq_3_2, PerfPrediction};
 pub use pipeline::{ExecutionMode, FrameOutput, Pipeline};
-pub use scheduler::{
-    CpuBackend, EngineOutput, ExecBackend, ExecSession, Schedule, Scheduler, SchedulerOptions,
-    SoftpipeBackend,
-};
+pub use scheduler::{EngineOutput, SchedulerOptions};
 pub use spot::{generate_spots, Spot};
 pub use synth::{synthesize_sequential, SequentialOutput, SynthesisContext};
 

@@ -6,7 +6,7 @@
 //! cross the bus (vertex streams toward the pipes, partial textures back for
 //! the gather step) so the harness can reproduce that observation. One
 //! tracker is shared by all process groups of a scheduler-engine run;
-//! backends that bypass the graphics subsystem (the CPU-only executor)
+//! groups that bypass the graphics subsystem (the CPU-only executor)
 //! record nothing, so their uniform reports show zero bus traffic.
 
 use crate::sync::lock_recover;

@@ -118,14 +118,12 @@ enum GatherMode {
 /// as it becomes available (in any order), and
 /// [`finish`](StreamingGather::finish) once every slot has arrived. The scheduler
 /// engine drives this from a channel so composition overlaps with
-/// still-running process groups; [`gather_additive`] and [`compose_tiles`]
-/// are the all-at-once convenience wrappers.
+/// still-running process groups; [`gather_additive`] is the all-at-once
+/// additive wrapper.
 ///
 /// With [`with_arena`](StreamingGather::with_arena) the gather recycles
-/// every partial it consumed through
-/// [`push_owned`](StreamingGather::push_owned) back into the pool the moment it has been
-/// folded or blitted — the return half of the engine's zero-alloc frame
-/// loop.
+/// every pushed partial back into the pool the moment it has been folded or
+/// blitted — the return half of the engine's zero-alloc frame loop.
 #[derive(Debug)]
 pub struct StreamingGather<'a> {
     mode: GatherMode,
@@ -197,9 +195,10 @@ impl<'a> StreamingGather<'a> {
         }
     }
 
-    /// Recycles consumed owned partials into `arena` instead of dropping
-    /// them (borrowed partials pushed via [`push`](StreamingGather::push)
-    /// are never recycled).
+    /// Recycles consumed partials into `arena` instead of dropping them
+    /// (partials folded through
+    /// [`push_slice`](StreamingGather::push_slice) are borrowed and never
+    /// recycled).
     pub fn with_arena(mut self, arena: &'a FrameArena) -> Self {
         self.arena = Some(arena);
         self
@@ -208,25 +207,13 @@ impl<'a> StreamingGather<'a> {
     /// Feeds the partial texture for `slot`. Tile partials are copied into
     /// place immediately; additive partials are folded as soon as every
     /// lower slot has been folded (early arrivals are parked, and the whole
-    /// unlocked run folds in one destination pass).
+    /// unlocked run folds in one destination pass). The consumed partial's
+    /// buffer is recycled when an arena is attached.
     ///
     /// # Panics
     /// Panics when the partial's size disagrees with the target, the slot is
-    /// out of range (tiles) or pushed twice (additive).
-    pub fn push(&mut self, slot: usize, partial: &Texture) {
-        if self.needs_parking(slot) {
-            self.park(slot, partial.clone());
-        } else {
-            self.push_ready(slot, partial);
-        }
-    }
-
-    /// Like [`push`](StreamingGather::push), but taking ownership of the
-    /// partial — an out-of-order additive arrival is parked without cloning
-    /// it, and a consumed partial's buffer is recycled when an arena is
-    /// attached. This is what the scheduler engine calls with the textures
-    /// it receives over the gather channel.
-    pub fn push_owned(&mut self, slot: usize, partial: Texture) {
+    /// out of range (tiles) or pushed twice.
+    pub fn push(&mut self, slot: usize, partial: Texture) {
         if self.needs_parking(slot) {
             self.park(slot, partial);
             return;
@@ -496,23 +483,6 @@ pub fn gather_additive(partials: &[Texture]) -> ComposeResult {
     gather.finish()
 }
 
-/// Composes per-tile partial textures by copying each tile's pixel region
-/// into the final texture. Tiles must not overlap; texels not covered by any
-/// tile remain zero.
-///
-/// # Panics
-/// Panics when `partials` is empty, sizes disagree, or tile counts mismatch.
-pub fn compose_tiles(partials: &[Texture], tiles: &[PixelTile]) -> ComposeResult {
-    assert!(!partials.is_empty(), "nothing to compose");
-    assert_eq!(partials.len(), tiles.len(), "one tile per partial texture");
-    let mut gather =
-        StreamingGather::tiles(partials[0].width(), partials[0].height(), tiles.to_vec());
-    for (slot, partial) in partials.iter().enumerate() {
-        gather.push(slot, partial);
-    }
-    gather.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,11 +537,7 @@ mod tests {
         let forward = gather_additive(&partials);
         let mut scrambled = StreamingGather::additive(16, 16, 5);
         for &slot in &[3usize, 0, 4, 1, 2] {
-            if slot % 2 == 0 {
-                scrambled.push(slot, &partials[slot]);
-            } else {
-                scrambled.push_owned(slot, partials[slot].clone());
-            }
+            scrambled.push(slot, partials[slot].clone());
         }
         assert_eq!(scrambled.received(), 5);
         let scrambled = scrambled.finish();
@@ -583,7 +549,7 @@ mod tests {
     #[should_panic(expected = "missing slots")]
     fn streaming_gather_rejects_missing_additive_slot() {
         let mut g = StreamingGather::additive(4, 4, 2);
-        g.push(1, &constant(4, 4, 1.0));
+        g.push(1, constant(4, 4, 1.0));
         let _ = g.finish();
     }
 
@@ -591,8 +557,8 @@ mod tests {
     #[should_panic(expected = "2/3 partials")]
     fn streaming_gather_rejects_missing_trailing_slot() {
         let mut g = StreamingGather::additive(4, 4, 3);
-        g.push(0, &constant(4, 4, 1.0));
-        g.push_owned(1, constant(4, 4, 2.0));
+        g.push(0, constant(4, 4, 1.0));
+        g.push(1, constant(4, 4, 2.0));
         let _ = g.finish();
     }
 
@@ -601,8 +567,8 @@ mod tests {
     fn streaming_gather_rejects_duplicate_tile() {
         let tiles = PixelTile::grid(8, 8, 2, 1);
         let mut g = StreamingGather::tiles(8, 8, tiles);
-        g.push(0, &constant(8, 8, 1.0));
-        g.push(0, &constant(8, 8, 2.0));
+        g.push(0, constant(8, 8, 1.0));
+        g.push(0, constant(8, 8, 2.0));
     }
 
     #[test]
@@ -611,7 +577,7 @@ mod tests {
         let tiles = PixelTile::grid(8, 8, 2, 2);
         let mut g = StreamingGather::tiles(8, 8, tiles);
         for slot in 0..3 {
-            g.push(slot, &constant(8, 8, 1.0));
+            g.push(slot, constant(8, 8, 1.0));
         }
         let _ = g.finish();
     }
@@ -623,7 +589,7 @@ mod tests {
         for &slot in &[2usize, 0, 3, 1] {
             let mut p = Texture::new(8, 8);
             p.fill(slot as f32 + 1.0);
-            g.push(slot, &p);
+            g.push(slot, p);
         }
         let r = g.finish();
         assert_eq!(r.blend_texels, 64);
@@ -654,9 +620,16 @@ mod tests {
         assert_eq!(total, 70);
     }
 
+    /// Composes two side-by-side tiles of an 8x8 target, pushed right first.
+    fn compose_halves(left: Texture, right: Texture) -> ComposeResult {
+        let mut gather = StreamingGather::tiles(8, 8, PixelTile::grid(8, 8, 2, 1));
+        gather.push(1, right);
+        gather.push(0, left);
+        gather.finish()
+    }
+
     #[test]
     fn compose_tiles_copies_each_region() {
-        let tiles = PixelTile::grid(8, 8, 2, 1);
         let mut left = Texture::new(8, 8);
         for y in 0..8 {
             for x in 0..4 {
@@ -669,7 +642,7 @@ mod tests {
                 *right.texel_mut(x, y) = 2.0;
             }
         }
-        let r = compose_tiles(&[left, right], &tiles);
+        let r = compose_halves(left, right);
         assert_eq!(r.texture.texel(0, 0), 1.0);
         assert_eq!(r.texture.texel(3, 7), 1.0);
         assert_eq!(r.texture.texel(4, 0), 2.0);
@@ -679,22 +652,13 @@ mod tests {
 
     #[test]
     fn compose_tiles_ignores_content_outside_owned_region() {
-        let tiles = PixelTile::grid(8, 8, 2, 1);
         // The left-tile texture also has garbage in the right half, which
         // must not leak into the final texture (overlap-boundary spots render
         // into both tiles; each tile only contributes its owned region).
         let mut left = constant(8, 8, 1.0);
-        let right = constant(8, 8, 2.0);
         *left.texel_mut(6, 6) = 99.0;
-        let r = compose_tiles(&[left, right], &tiles);
+        let r = compose_halves(left, constant(8, 8, 2.0));
         assert_eq!(r.texture.texel(6, 6), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one tile per partial texture")]
-    fn compose_tiles_rejects_count_mismatch() {
-        let tiles = PixelTile::grid(8, 8, 2, 2);
-        let _ = compose_tiles(&[constant(8, 8, 1.0)], &tiles);
     }
 
     #[test]
@@ -742,7 +706,7 @@ mod tests {
         let partials: Vec<Texture> = (0..tiles.len()).map(varied).collect();
         let mut gather = StreamingGather::tiles(512, 512, tiles.clone());
         for &slot in &[4usize, 8, 0, 6, 2, 7, 1, 5, 3] {
-            gather.push(slot, &partials[slot]);
+            gather.push(slot, partials[slot].clone());
         }
         let got = gather.finish();
         assert_eq!(got.blend_texels, 512 * 512);
@@ -758,32 +722,24 @@ mod tests {
 
     #[test]
     fn large_additive_gather_of_six_matches_sequential_fold() {
-        // Six partials take the fused fold's `> 4` split. Slot 0 arrives
-        // last, so the whole parked run folds at once: through `push` as a
-        // six-source copy fold, through `push_owned` as a move followed by
-        // a five-source accumulate.
+        // Six partials: slot 0 arrives last and is moved into place, then the
+        // whole parked run folds at once as a five-source accumulate, which
+        // takes the fused fold's `> 4` split. `push_slice` folds all six as
+        // one six-source copy fold.
         let partials: Vec<Texture> = (0..6).map(varied).collect();
         let mut expected = partials[0].clone();
         for partial in &partials[1..] {
             expected.accumulate(partial);
         }
-        for owned_first in [false, true] {
-            let mut gather = StreamingGather::additive(512, 512, 6);
-            for &slot in &[3usize, 5, 1, 4, 2] {
-                if slot % 2 == 0 {
-                    gather.push(slot, &partials[slot]);
-                } else {
-                    gather.push_owned(slot, partials[slot].clone());
-                }
-            }
-            if owned_first {
-                gather.push_owned(0, partials[0].clone());
-            } else {
-                gather.push(0, &partials[0]);
-            }
-            let got = gather.finish();
-            assert_eq!(got.blend_texels, 5 * 512 * 512);
-            assert_bits_equal(&expected, &got.texture);
+        let mut gather = StreamingGather::additive(512, 512, 6);
+        for &slot in &[3usize, 5, 1, 4, 2, 0] {
+            gather.push(slot, partials[slot].clone());
         }
+        let got = gather.finish();
+        assert_eq!(got.blend_texels, 5 * 512 * 512);
+        assert_bits_equal(&expected, &got.texture);
+        let fused = gather_additive(&partials);
+        assert_eq!(fused.blend_texels, 5 * 512 * 512);
+        assert_bits_equal(&expected, &fused.texture);
     }
 }

@@ -50,7 +50,7 @@ pub mod texture;
 pub use arena::{ArenaStats, FrameArena};
 pub use blend::BlendMode;
 pub use bus::{BusStats, BusTracker, Traffic};
-pub use compose::{compose_tiles, gather_additive, ComposeResult, PixelTile, StreamingGather};
+pub use compose::{gather_additive, ComposeResult, PixelTile, StreamingGather};
 pub use cost::{CostModel, CpuWork, PipeWork};
 pub use fault::{FaultKind, FaultPlan, FaultRule};
 pub use framebuffer::{Framebuffer, Rgb};

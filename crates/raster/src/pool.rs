@@ -25,7 +25,7 @@
 
 use crate::arena::FrameArena;
 use crate::bus::BusTracker;
-use crate::pipe::{GraphicsPipe, PipeOutput, RenderCommand};
+use crate::pipe::GraphicsPipe;
 use crate::sync::lock_recover;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,7 +141,7 @@ impl PipePool {
     /// `(width, height, group)` is reset and reused; otherwise a fresh
     /// worker is spawned. `bus` receives this checkout's traffic (recording
     /// happens on the submitting side, so per-frame trackers work with
-    /// persistent workers). The returned guard submits like a
+    /// persistent workers). The returned guard dereferences to the
     /// [`GraphicsPipe`] and shelves the worker when dropped.
     pub fn checkout(
         self: &Arc<Self>,
@@ -214,7 +214,7 @@ impl PipePool {
     }
 }
 
-/// A checked-out pipe: submits like a [`GraphicsPipe`] and returns the
+/// A checked-out pipe: dereferences to its [`GraphicsPipe`] and returns the
 /// worker to its pool shelf on drop (after `finish`, the pipe is idle and
 /// immediately reusable — no join).
 pub struct PooledPipe {
@@ -223,27 +223,11 @@ pub struct PooledPipe {
     key: ShelfKey,
 }
 
-impl PooledPipe {
-    fn pipe(&self) -> &GraphicsPipe {
+impl std::ops::Deref for PooledPipe {
+    type Target = GraphicsPipe;
+
+    fn deref(&self) -> &GraphicsPipe {
         self.pipe.as_ref().expect("pipe present until drop")
-    }
-
-    /// Submits a command (see [`GraphicsPipe::submit`]).
-    pub fn submit(&self, cmd: RenderCommand) {
-        self.pipe().submit(cmd);
-    }
-
-    /// Submits many commands as one FIFO entry (see
-    /// [`GraphicsPipe::submit_batch`]).
-    pub fn submit_batch(&self, cmds: Vec<RenderCommand>) {
-        self.pipe().submit_batch(cmds);
-    }
-
-    /// Flushes the queue and returns the frame output (see
-    /// [`GraphicsPipe::finish`]). The worker stays alive for the next
-    /// checkout.
-    pub fn finish(&self) -> PipeOutput {
-        self.pipe().finish()
     }
 }
 
@@ -258,13 +242,14 @@ impl Drop for PooledPipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipe::{PipeOutput, RenderCommand};
     use crate::raster::axis_aligned_spot_quad;
     use crate::texture::disc_spot_texture;
     use flowfield::Vec2;
 
     fn frame(pipe: &PooledPipe, offset: f64) -> PipeOutput {
         let spot = Arc::new(disc_spot_texture(16, 0.4));
-        pipe.submit_batch(vec![
+        pipe.submit(vec![
             RenderCommand::Clear,
             RenderCommand::UploadTexture(1, spot),
             RenderCommand::BindTexture(1),
@@ -353,10 +338,10 @@ mod tests {
         let pool = Arc::new(PipePool::new(None));
         {
             let pipe = pool.checkout(0, 48, 48, None);
-            pipe.submit(RenderCommand::Quad {
+            pipe.submit(vec![RenderCommand::Quad {
                 vertices: axis_aligned_spot_quad(Vec2::new(10.0, 10.0), 40.0),
                 intensity: 123.0,
-            });
+            }]);
             // No finish: dropped mid-frame.
         }
         let reused = frame(&pool.checkout(0, 48, 48, None), 0.0);

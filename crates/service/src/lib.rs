@@ -5,7 +5,7 @@
 //! This crate is the layer that serves that workload to many concurrent
 //! clients — the master/slave service topology the paper runs on the Onyx2,
 //! lifted into a long-lived server process over the
-//! [`Scheduler`](spotnoise::scheduler::Scheduler) engine:
+//! [`spotnoise::scheduler`] engine:
 //!
 //! * [`session`] — the session registry: one
 //!   [`Pipeline`](spotnoise::pipeline::Pipeline) per session, keyed ids,

@@ -103,7 +103,8 @@ fn cpu_only_rayon_matches_sequential_on_dns_slice() {
     // The CPU path reports through the same engine accounting as the
     // pipe-backed executors: per-group work, no bus traffic.
     assert_eq!(out.groups.len(), 8);
-    assert_eq!(out.total_cpu_work().spots, cfg.spot_count as u64);
+    let spots: u64 = out.groups.iter().map(|g| g.cpu_work.spots).sum();
+    assert_eq!(spots, cfg.spot_count as u64);
     assert!(out.groups.iter().all(|g| g.queue_exhausted));
     assert_eq!(out.bus.total_bytes(), 0);
 }
