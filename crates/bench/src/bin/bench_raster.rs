@@ -34,6 +34,12 @@
 //! while iterating locally; CI runs without it, so new cases must be
 //! banked into the committed artifact in the same PR.
 //!
+//! The ratchet also holds every compared case's `fragments_per_op` to
+//! its banked count exactly: it is work the case does, not time, so it
+//! depends on neither the host nor its noise, and a mismatch means the case
+//! now measures different work from the case that was banked (the failure
+//! names the case and both counts).
+//!
 //! The ratchet also refuses to compare across SIMD dispatch levels: the
 //! artifact records the level its kernels ran at (`"simd"`), and numbers
 //! banked under `avx2` are meaningless floors for a `SPOTNOISE_SIMD=off`
@@ -70,14 +76,21 @@ const RATCHET_RUNS: usize = 9;
 const USAGE: &str = "usage: bench_raster [--out <path>] [--check] [--filter <substrings>] \
                      [--ratchet <committed BENCH_raster.json> [--allow-new]]";
 
-/// One parsed `bench_raster/v1` document: the dispatch metadata plus
-/// `(name, speedup)` pairs.
+/// One parsed `bench_raster/v1` document: the dispatch metadata plus its
+/// cases.
 struct ParsedRun {
     /// Recorded SIMD dispatch level; `None` for artifacts written before
     /// the field existed.
     simd: Option<String>,
-    /// `(case name, speedup)` pairs.
-    cases: Vec<(String, f64)>,
+    /// The recorded cases, in order.
+    cases: Vec<ParsedCase>,
+}
+
+/// What the checks read of one recorded case.
+struct ParsedCase {
+    name: String,
+    speedup: f64,
+    fragments: u64,
 }
 
 /// Validates one `bench_raster/v1` envelope and extracts its run.
@@ -100,11 +113,16 @@ fn parse_run(doc: &Json) -> Result<ParsedRun, String> {
             .get("name")
             .and_then(Json::as_str)
             .ok_or("case without a name")?;
-        let speedup = case
-            .get("speedup")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("case {name}: missing speedup"))?;
-        out.push((name.to_string(), speedup));
+        let number = |key: &str| {
+            case.get(key)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| format!("case {name}: missing {key}"))
+        };
+        out.push(ParsedCase {
+            name: name.to_string(),
+            speedup: number("speedup")?,
+            fragments: number("fragments_per_op")? as u64,
+        });
     }
     Ok(ParsedRun { simd, cases: out })
 }
@@ -122,9 +140,12 @@ fn check_artifact(path: &PathBuf) -> Result<usize, String> {
     if run.cases.is_empty() {
         return Err("no benchmark cases recorded".to_string());
     }
-    for (name, speedup) in &run.cases {
-        if speedup.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(format!("case {name}: speedup {speedup} is not positive"));
+    for case in &run.cases {
+        if case.speedup.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            return Err(format!(
+                "case {}: speedup {} is not positive",
+                case.name, case.speedup
+            ));
         }
     }
     Ok(run.cases.len())
@@ -132,7 +153,8 @@ fn check_artifact(path: &PathBuf) -> Result<usize, String> {
 
 /// The regression ratchet: every freshly measured case that also exists in
 /// the committed artifact must retain at least [`RATCHET_FLOOR`] of its
-/// committed speedup, and — unless `allow_new` is set — every fresh case
+/// committed speedup and produce exactly its committed `fragments_per_op`,
+/// and — unless `allow_new` is set — every fresh case
 /// must exist in the committed artifact at all (an unbanked case is one the
 /// ratchet would silently never gate, which is exactly how a typo'd rename
 /// slips a banked win out of CI). Returns the number of cases compared.
@@ -169,17 +191,25 @@ fn check_ratchet(fresh: &PathBuf, committed: &PathBuf, allow_new: bool) -> Resul
     let mut compared = 0;
     let mut failures = Vec::new();
     let mut unbanked = Vec::new();
-    for (name, measured) in &fresh_cases {
-        let Some((_, banked)) = committed_cases.iter().find(|(n, _)| n == name) else {
+    for fresh in &fresh_cases {
+        let name = &fresh.name;
+        let Some(committed) = committed_cases.iter().find(|c| c.name == *name) else {
             unbanked.push(name.clone());
             continue;
         };
         compared += 1;
+        let (measured, banked) = (fresh.speedup, committed.speedup);
         let floor = (banked * RATCHET_FLOOR).min(banked - RATCHET_SLACK);
-        if *measured < floor {
+        if measured < floor {
             failures.push(format!(
                 "case {name}: speedup {measured:.3} fell below {floor:.3} \
                  (= min({RATCHET_FLOOR} x, -{RATCHET_SLACK}) of committed {banked:.3})"
+            ));
+        }
+        if fresh.fragments != committed.fragments {
+            failures.push(format!(
+                "case {name}: fragments_per_op {} differs from the committed {}",
+                fresh.fragments, committed.fragments
             ));
         }
     }
@@ -294,7 +324,7 @@ fn main() -> ExitCode {
                 Ok(compared) => {
                     println!(
                         "ratchet OK: {compared} cases at >= {RATCHET_FLOOR}x their committed \
-                         speedup in {}",
+                         speedup and at their committed fragments_per_op in {}",
                         committed.display()
                     );
                 }

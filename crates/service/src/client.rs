@@ -17,10 +17,12 @@
 //! desynced or was dropped mid-request.
 
 use crate::cache::FrameKey;
-use crate::http::{read_chunk, FrameRecord, FRAME_RECORD_HEADER};
+use crate::http::{
+    read_chunk, read_head, FrameRecord, Headers, FRAME_RECORD_HEADER, MAX_CHUNK_BYTES,
+};
 use softpipe::sync::lock_recover;
 use spotnoise::json::Json;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard};
@@ -273,15 +275,15 @@ impl ServiceClient {
         self.writer.flush()
     }
 
-    /// Reads a response's status line and headers (not its body).
-    fn read_reply_head(&mut self) -> io::Result<(u16, Vec<(String, String)>)> {
-        let mut status_line = String::new();
-        if self.reader.read_line(&mut status_line)? == 0 {
+    /// Reads a response's status line and headers (not its body), capped
+    /// like a request head.
+    fn read_reply_head(&mut self) -> io::Result<(u16, Headers)> {
+        let Some((status_line, headers)) = read_head(&mut self.reader)? else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
-        }
+        };
         let status: u16 = status_line
             .split_whitespace()
             .nth(1)
@@ -292,27 +294,12 @@ impl ServiceClient {
                     format!("bad status line {status_line:?}"),
                 )
             })?;
-        let mut headers = Vec::new();
-        loop {
-            let mut line = String::new();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-headers",
-                ));
-            }
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-            }
-        }
         Ok((status, headers))
     }
 
-    /// Sends one request and reads the full (fixed-length) response.
+    /// Sends one request and reads the full (fixed-length) response. A
+    /// reply whose head or announced body exceeds its cap fails with
+    /// [`io::ErrorKind::InvalidData`] before the excess is buffered.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<HttpReply> {
         self.request_with_headers(method, path, &[], body)
     }
@@ -337,6 +324,12 @@ impl ServiceClient {
                     io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
                 })?;
             }
+        }
+        if content_length > MAX_CHUNK_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "reply body too large",
+            ));
         }
         let mut body = vec![0u8; content_length];
         self.reader.read_exact(&mut body)?;
@@ -840,6 +833,39 @@ impl Drop for PooledClient<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufRead;
+
+    /// Answers the first request on a fresh loopback listener with `reply`
+    /// and closes; returns what `request()` made of it.
+    fn request_against(reply: Vec<u8>) -> io::Result<HttpReply> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept()?;
+            let mut reader = BufReader::new(stream.try_clone()?);
+            let mut line = String::new();
+            while reader.read_line(&mut line)? > 2 {
+                line.clear();
+            }
+            (&stream).write_all(&reply)
+        });
+        let result = ServiceClient::connect(addr)?.request("GET", "/stats", b"");
+        // The peer may see a reset once the client gives up early.
+        let _ = server.join().expect("server thread");
+        result
+    }
+
+    #[test]
+    fn oversized_replies_fail_as_invalid_data_before_buffering() {
+        let huge_body = b"HTTP/1.1 200 OK\r\nContent-Length: 67108864\r\n\r\n".to_vec();
+        let err = request_against(huge_body).expect_err("64 MiB body is over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+        let mut endless_header = b"HTTP/1.1 200 OK\r\nX-Big: ".to_vec();
+        endless_header.extend(vec![b'b'; 64 * 1024]);
+        let err = request_against(endless_header).expect_err("64 KiB header line");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
 
     #[test]
     fn poisoned_idle_shelf_is_recovered_and_counted() {

@@ -8,13 +8,15 @@
 //! chunk per [`FrameRecord`], terminal zero-length chunk, connection
 //! reusable afterwards). Chunked *requests* stay rejected: they are a
 //! request-smuggling vector for this parser. Request size is capped so a
-//! misbehaving client cannot balloon memory.
+//! misbehaving client cannot balloon memory; the service's own client reads
+//! reply heads through the same capped reader and caps reply bodies too.
 
 use spotnoise::json::Json;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 
-/// Upper bound on the request head (request line + headers).
+/// Upper bound on a message head (start line + headers), in either
+/// direction.
 const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
 const MAX_BODY_BYTES: usize = 256 * 1024;
@@ -49,10 +51,52 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize, line: &mut String) ->
     if n > cap || (n == cap && !line.ends_with('\n')) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "request head too large",
+            "line over its size cap",
         ));
     }
     Ok(n)
+}
+
+/// A message head's header lines as `(lower-cased name, trimmed value)`.
+pub(crate) type Headers = Vec<(String, String)>;
+
+/// Reads one message head: the start line and every header line up to the
+/// blank line, refusing to buffer more than [`MAX_HEAD_BYTES`] in total.
+/// Header names come back lower-cased, values trimmed. `Ok(None)` is a
+/// clean end-of-stream before the start line; an oversized head is
+/// [`io::ErrorKind::InvalidData`]. Requests and replies share it, so
+/// neither side reads an unbounded line from its peer.
+pub(crate) fn read_head(reader: &mut impl BufRead) -> io::Result<Option<(String, Headers)>> {
+    let mut start = String::new();
+    if read_line_capped(reader, MAX_HEAD_BYTES, &mut start)? == 0 {
+        return Ok(None);
+    }
+    let mut head_bytes = start.len();
+    let mut headers = Vec::new();
+    loop {
+        let budget = MAX_HEAD_BYTES.saturating_sub(head_bytes);
+        if budget == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "message head too large",
+            ));
+        }
+        let mut line = String::new();
+        if read_line_capped(reader, budget, &mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed mid-headers",
+            ));
+        }
+        head_bytes += line.len();
+        let line = line.trim_end();
+        if line.is_empty() {
+            return Ok(Some((start, headers)));
+        }
+        if let Some((name, value)) = line.split_once(':') {
+            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+        }
+    }
 }
 
 /// Reads one request from a buffered stream. `Ok(None)` is a clean
@@ -76,10 +120,9 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize, line: &mut String) ->
 /// request — the next head parse fails with a 400 and the connection
 /// closes, so the stream never serves desynced answers.
 pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if read_line_capped(reader, MAX_HEAD_BYTES, &mut line)? == 0 {
+    let Some((line, headers)) = read_head(reader)? else {
         return Ok(None);
-    }
+    };
     let mut parts = line.split_whitespace();
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(p), Some(v)) => (m.to_ascii_uppercase(), p.to_string(), v.to_string()),
@@ -96,43 +139,20 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> io::Result<Option<Req
     let mut chunked = false;
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
-    let mut head_bytes = line.len();
-    loop {
-        let mut header = String::new();
-        let budget = MAX_HEAD_BYTES.saturating_sub(head_bytes);
-        if budget == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "request head too large",
-            ));
-        }
-        if read_line_capped(reader, budget, &mut header)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-headers",
-            ));
-        }
-        head_bytes += header.len();
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("content-length") {
+    for (name, value) in &headers {
+        match name.as_str() {
+            "content-length" => {
                 content_length = Some(value.parse().map_err(|_| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("bad content-length {value:?}"),
                     )
                 })?);
-            } else if name.eq_ignore_ascii_case("connection") {
-                keep_alive = !value.eq_ignore_ascii_case("close");
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                chunked = true;
-            } else if name.eq_ignore_ascii_case("x-deadline-ms") {
-                deadline_ms = value.parse().ok();
             }
+            "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
+            "transfer-encoding" => chunked = true,
+            "x-deadline-ms" => deadline_ms = value.parse().ok(),
+            _ => {}
         }
     }
     let body_method = matches!(method.as_str(), "POST" | "PUT" | "PATCH");
@@ -287,10 +307,10 @@ impl Response {
     }
 }
 
-/// Upper bound on a single response chunk a client will accept. The largest
-/// legitimate chunk is one frame record: a 2048² `f32` texture (16 MiB)
-/// plus the record header.
-const MAX_CHUNK_BYTES: usize = 32 << 20;
+/// Upper bound on a single response chunk or fixed-length reply body a
+/// client will accept. The largest legitimate one is one frame record: a
+/// 2048² `f32` texture (16 MiB) plus the record header.
+pub(crate) const MAX_CHUNK_BYTES: usize = 32 << 20;
 
 /// Writes the head of a chunked streaming response. After this, the body is
 /// a sequence of [`write_chunk`] / [`write_frame_record`] calls closed by

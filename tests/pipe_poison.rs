@@ -1,7 +1,8 @@
 //! A pooled pipe worker that a render command panicked on is never reused:
 //! the frame it was rendering fails loudly, the pool discards the worker at
 //! check-in, and the next checkout for its shelf spawns a fresh worker whose
-//! frame has the bits a fresh spawn renders.
+//! frame has the bits a fresh spawn renders. A poisoned pipe also refuses
+//! further batches, so its master stops building the frame.
 //!
 //! Fault plans are process-global, so this binary holds this one test.
 
@@ -9,7 +10,7 @@ use flowfield::analytic::Vortex;
 use flowfield::{Rect, Vec2};
 use softpipe::fault::{self, FaultPlan};
 use softpipe::machine::MachineConfig;
-use softpipe::{PipePool, Texture};
+use softpipe::{GraphicsPipe, PipePool, RenderCommand, Texture};
 use spotnoise::config::SynthesisConfig;
 use spotnoise::dnc::{synthesize_dnc, synthesize_dnc_with_telemetry};
 use spotnoise::spot::generate_spots;
@@ -17,6 +18,7 @@ use spotnoise::telemetry::TraceSink;
 use spotnoise::{SchedulerOptions, SynthesisContext};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn same_bits(a: &Texture, b: &Texture) -> bool {
     a.width() == b.width()
@@ -78,7 +80,7 @@ fn a_poisoned_pooled_worker_is_discarded_and_respawned() {
     let poisoned = catch_unwind(AssertUnwindSafe(render));
     fault::clear();
     let Err(payload) = poisoned else {
-        panic!("finish on a poisoned worker must panic");
+        panic!("a frame on a poisoned worker must panic");
     };
     assert!(
         panic_message(payload.as_ref()).contains("poisoned"),
@@ -101,4 +103,27 @@ fn a_poisoned_pooled_worker_is_discarded_and_respawned() {
         "the next checkout spawns a new worker"
     );
     assert!(same_bits(&after.texture, &fresh));
+
+    // A batch that panics on the worker poisons the pipe; the next submit
+    // must refuse instead of queueing work the worker would drop.
+    let pipe = GraphicsPipe::spawn(8, 8, None, None);
+    fault::install(FaultPlan::parse("panic:raster:1").expect("plan parses"));
+    pipe.submit(vec![RenderCommand::Clear]);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !pipe.is_poisoned() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    fault::clear();
+    assert!(pipe.is_poisoned(), "the faulty batch poisons the pipe");
+    let refused = catch_unwind(AssertUnwindSafe(|| {
+        pipe.submit(vec![RenderCommand::Clear]);
+    }));
+    let Err(payload) = refused else {
+        panic!("submit to a poisoned pipe must panic");
+    };
+    assert!(
+        panic_message(payload.as_ref()).contains("poisoned"),
+        "unexpected panic: {:?}",
+        panic_message(payload.as_ref())
+    );
 }
