@@ -374,10 +374,10 @@ fn run_against(
         _ => return Err("32 private sessions all landed on one node".to_string()),
     };
     routed
-        .fetch_frame(&first.format(), 0)
+        .fetch_frame(&first.to_string(), 0)
         .map_err(|e| format!("render on node {}: {e}", first.node))?;
     let peer_frame = routed
-        .fetch_frame(&second.format(), 0)
+        .fetch_frame(&second.to_string(), 0)
         .map_err(|e| format!("peer fetch on node {}: {e}", second.node))?;
     let peer_frame_flagged = peer_frame.peer;
 

@@ -16,12 +16,14 @@
 //! connections out, and drop reshelves them unless the connection is
 //! desynced or was dropped mid-request.
 
+use crate::api::{self, Call, StreamCall};
 use crate::cache::FrameKey;
 use crate::http::{
     read_chunk, read_head, FrameRecord, Headers, FRAME_RECORD_HEADER, MAX_CHUNK_BYTES,
 };
 use softpipe::sync::lock_recover;
 use spotnoise::json::Json;
+use std::fmt::Display;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::{Deref, DerefMut};
@@ -42,11 +44,7 @@ pub struct HttpReply {
 impl HttpReply {
     /// The value of a header (name matched case-insensitively).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        api::header(&self.headers, name)
     }
 
     /// Parses the body as JSON.
@@ -110,6 +108,9 @@ pub struct FetchedFrame {
     /// Whether the frame was served from cache rather than synthesized —
     /// local or peer (`X-Frame-Cache` is `hit` or `peer`).
     pub cache_hit: bool,
+    /// Whether a fallen-behind subscriber of a shared session was skipped
+    /// forward to the channel's live frontier (`X-Frame-Skipped`).
+    pub skipped: bool,
     /// Whether the serving node fetched the frame from a sibling node's
     /// cache instead of rendering it (`X-Frame-Cache: peer`).
     pub peer: bool,
@@ -304,6 +305,11 @@ impl ServiceClient {
         self.request_with_headers(method, path, &[], body)
     }
 
+    /// Sends one call and maps a non-success status to its error.
+    fn call(&mut self, call: Call<&str>, body: &[u8]) -> Result<HttpReply, ClientError> {
+        Self::expect_success(self.request(call.method(), &call.path(), body)?)
+    }
+
     /// [`ServiceClient::request`] with extra request headers (e.g.
     /// `X-Deadline-Ms`).
     pub fn request_with_headers(
@@ -317,19 +323,19 @@ impl ServiceClient {
         self.dirty = true;
         self.write_request_head(method, path, extra_headers, body)?;
         let (status, headers) = self.read_reply_head()?;
-        let mut content_length = 0usize;
-        for (name, value) in &headers {
-            if name == "content-length" {
-                content_length = value.parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad content-length")
-                })?;
-            }
-        }
+        self.read_reply_body(status, headers)
+    }
+
+    /// Reads the fixed-length body a reply head announces, refusing one
+    /// over [`MAX_CHUNK_BYTES`] before buffering it.
+    fn read_reply_body(&mut self, status: u16, headers: Headers) -> io::Result<HttpReply> {
+        let invalid = |what| io::Error::new(io::ErrorKind::InvalidData, what);
+        let content_length = match api::header(&headers, "content-length") {
+            Some(value) => value.parse().map_err(|_| invalid("bad content-length"))?,
+            None => 0,
+        };
         if content_length > MAX_CHUNK_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "reply body too large",
-            ));
+            return Err(invalid("reply body too large"));
         }
         let mut body = vec![0u8; content_length];
         self.reader.read_exact(&mut body)?;
@@ -346,10 +352,7 @@ impl ServiceClient {
             200 | 201 | 204 => Ok(reply),
             404 => Err(ClientError::NotFound),
             503 => Err(ClientError::Busy {
-                retry_after: reply
-                    .header("retry-after")
-                    .and_then(|v| v.trim().parse::<u64>().ok())
-                    .map(Duration::from_secs),
+                retry_after: api::read_retry_after(&reply.headers),
             }),
             status => Err(ClientError::Http(
                 status,
@@ -361,8 +364,7 @@ impl ServiceClient {
     /// Creates a session from a JSON spec body (empty for the default
     /// session) and returns its id.
     pub fn create_session(&mut self, spec_body: &str) -> Result<String, ClientError> {
-        let reply =
-            Self::expect_success(self.request("POST", "/sessions", spec_body.as_bytes())?)?;
+        let reply = self.call(Call::Create, spec_body.as_bytes())?;
         let doc = reply
             .json()
             .map_err(|e| ClientError::Http(reply.status, e))?;
@@ -373,32 +375,22 @@ impl ServiceClient {
     }
 
     fn frame_from_reply(reply: HttpReply) -> Result<FetchedFrame, ClientError> {
-        let cache = reply.header("x-frame-cache");
-        let peer = cache == Some("peer");
-        let cache_hit = peer || cache == Some("hit");
-        let frame = reply
-            .header("x-frame-index")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let stale = reply.header("x-frame-stale") == Some("1");
-        let degraded = reply.header("x-frame-degraded") == Some("1");
-        let node = reply.header("x-node-id").map(str::to_string);
+        let record = api::read_frame_headers(&reply.headers, reply.body.len() as u32);
         Ok(FetchedFrame {
+            node: reply.header(api::NODE_ID).map(str::to_string),
             bytes: reply.body,
-            frame,
-            cache_hit,
-            peer,
-            stale,
-            degraded,
-            node,
+            frame: record.frame,
+            cache_hit: record.cached,
+            skipped: record.skipped,
+            peer: record.peer,
+            stale: record.stale,
+            degraded: record.degraded,
         })
     }
 
     /// Fetches frame `index` of a session.
     pub fn fetch_frame(&mut self, session: &str, index: u64) -> Result<FetchedFrame, ClientError> {
-        let path = format!("/sessions/{session}/frame/{index}");
-        let reply = Self::expect_success(self.request("GET", &path, b"")?)?;
-        Self::frame_from_reply(reply)
+        Self::frame_from_reply(self.call(Call::Frame(session, index), b"")?)
     }
 
     /// Probes the server's frame cache for a content-hash key
@@ -408,11 +400,7 @@ impl ServiceClient {
     /// triggers synthesis, so sibling nodes can consult each other without
     /// recursion or cache-statistics distortion.
     pub fn fetch_cached(&mut self, key: FrameKey) -> Result<Option<Vec<u8>>, ClientError> {
-        let path = format!(
-            "/cache/{:x}/{:x}/{:x}/{:x}",
-            key.field, key.config, key.seed, key.frame
-        );
-        match Self::expect_success(self.request("GET", &path, b"")?) {
+        match self.call(Call::CachePeek(key), b"") {
             Ok(reply) => Ok(Some(reply.body)),
             Err(ClientError::NotFound) => Ok(None),
             Err(err) => Err(err),
@@ -461,49 +449,44 @@ impl ServiceClient {
 
     /// Renders and returns the session's next natural frame.
     pub fn advance(&mut self, session: &str) -> Result<FetchedFrame, ClientError> {
-        let path = format!("/sessions/{session}/advance");
-        let reply = Self::expect_success(self.request("POST", &path, b"")?)?;
-        Self::frame_from_reply(reply)
+        Self::frame_from_reply(self.call(Call::Advance(session), b"")?)
     }
 
     /// Steers a session to a new field; `field_body` is the field JSON
     /// object (e.g. `{"kind": "shear", "rate": 2.0}`).
     pub fn steer(&mut self, session: &str, field_body: &str) -> Result<(), ClientError> {
-        let path = format!("/sessions/{session}/steer");
-        Self::expect_success(self.request("POST", &path, field_body.as_bytes())?)?;
+        self.call(Call::Steer(session), field_body.as_bytes())?;
         Ok(())
     }
 
     /// Closes a session.
     pub fn close_session(&mut self, session: &str) -> Result<(), ClientError> {
-        let path = format!("/sessions/{session}");
-        Self::expect_success(self.request("DELETE", &path, b"")?)?;
+        self.call(Call::Close(session), b"")?;
         Ok(())
     }
 
     /// Fetches and parses `/stats`.
     pub fn stats(&mut self) -> Result<Json, ClientError> {
-        let reply = Self::expect_success(self.request("GET", "/stats", b"")?)?;
+        let reply = self.call(Call::Stats, b"")?;
         reply.json().map_err(|e| ClientError::Http(200, e))
     }
 
     /// Fetches `/metrics` (Prometheus text exposition).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let reply = Self::expect_success(self.request("GET", "/metrics", b"")?)?;
+        let reply = self.call(Call::Metrics, b"")?;
         String::from_utf8(reply.body)
             .map_err(|e| ClientError::Http(200, format!("metrics body not UTF-8: {e}")))
     }
 
     /// Fetches and parses `/trace?last=N` (Chrome trace-event JSON).
     pub fn trace(&mut self, last: usize) -> Result<Json, ClientError> {
-        let path = format!("/trace?last={last}");
-        let reply = Self::expect_success(self.request("GET", &path, b"")?)?;
+        let reply = self.call(Call::Trace { last }, b"")?;
         reply.json().map_err(|e| ClientError::Http(200, e))
     }
 
     /// Asks the server to shut down.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        Self::expect_success(self.request("POST", "/shutdown", b"")?)?;
+        self.call(Call::Shutdown, b"")?;
         Ok(())
     }
 
@@ -519,48 +502,47 @@ impl ServiceClient {
         from: u64,
         count: u64,
     ) -> Result<FrameStream<'_>, ClientError> {
+        let call = Call::Stream(StreamCall {
+            session,
+            from,
+            count,
+        });
+        match self.open_stream(&call)? {
+            Ok(stream) => Ok(stream),
+            Err(reply) => Err(match Self::expect_success(reply) {
+                Err(err) => err,
+                Ok(reply) => ClientError::Http(reply.status, "unexpected stream status".into()),
+            }),
+        }
+    }
+
+    /// Sends a stream call and reads its head (see
+    /// [`ServiceClient::stream_frames`]): the open stream on a `200`, the
+    /// drained fixed-length reply on any other status.
+    pub(crate) fn open_stream<S: Display>(
+        &mut self,
+        call: &Call<S>,
+    ) -> io::Result<Result<FrameStream<'_>, HttpReply>> {
         self.check_synced()?;
         self.dirty = true;
-        let path = format!("/sessions/{session}/stream?from={from}&count={count}");
-        self.write_request_head("GET", &path, &[], b"")?;
+        self.write_request_head(call.method(), &call.path(), &[], b"")?;
         let (status, headers) = self.read_reply_head()?;
         if status != 200 {
-            // Error responses are fixed-length; drain the body to keep the
-            // connection in sync, then map the status.
-            let mut content_length = 0usize;
-            for (name, value) in &headers {
-                if name == "content-length" {
-                    content_length = value.parse().unwrap_or(0);
-                }
-            }
-            let mut body = vec![0u8; content_length];
-            self.reader.read_exact(&mut body)?;
-            self.dirty = false;
-            return Err(
-                match Self::expect_success(HttpReply {
-                    status,
-                    headers,
-                    body,
-                }) {
-                    Err(err) => err,
-                    Ok(reply) => ClientError::Http(reply.status, "unexpected stream status".into()),
-                },
-            );
+            return self.read_reply_body(status, headers).map(Err);
         }
-        let chunked = headers.iter().any(|(name, value)| {
-            name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked")
-        });
+        let chunked = api::header(&headers, "transfer-encoding")
+            .is_some_and(|value| value.eq_ignore_ascii_case("chunked"));
         if !chunked {
-            return Err(ClientError::Http(
-                status,
-                "stream response is not chunked".into(),
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream response is not chunked",
             ));
         }
-        Ok(FrameStream {
+        Ok(Ok(FrameStream {
             client: self,
             head: headers,
             finished: false,
-        })
+        }))
     }
 }
 
@@ -590,7 +572,8 @@ pub struct StreamedFrame {
 /// to `Ok(None)`; dropping it early desyncs the client.
 pub struct FrameStream<'a> {
     client: &'a mut ServiceClient,
-    head: Vec<(String, String)>,
+    /// The response head's headers, lower-cased names.
+    pub(crate) head: Headers,
     finished: bool,
 }
 
@@ -599,16 +582,29 @@ impl FrameStream<'_> {
     /// case-insensitively) — e.g. `X-Stream-From`, `X-Stream-Count`,
     /// `X-Node-Id`. The router's stream relay forwards these intact.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.head
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
+        api::header(&self.head, name)
     }
 
     /// Reads the next frame record; `Ok(None)` is the terminal chunk — the
     /// stream is complete and the connection is reusable.
     pub fn next_frame(&mut self) -> Result<Option<StreamedFrame>, ClientError> {
+        let Some((record, chunk)) = self.next_record()? else {
+            return Ok(None);
+        };
+        Ok(Some(StreamedFrame {
+            frame: record.frame,
+            bytes: chunk[FRAME_RECORD_HEADER..].to_vec(),
+            cached: record.cached,
+            skipped: record.skipped,
+            stale: record.stale,
+            degraded: record.degraded,
+            peer: record.peer,
+        }))
+    }
+
+    /// Reads the next record as its checked header and its whole chunk
+    /// (header and body, as sent); `Ok(None)` is the terminal chunk.
+    pub(crate) fn next_record(&mut self) -> Result<Option<(FrameRecord, Vec<u8>)>, ClientError> {
         if self.finished {
             return Ok(None);
         }
@@ -618,22 +614,13 @@ impl FrameStream<'_> {
             return Ok(None);
         };
         let record = FrameRecord::decode_header(&chunk)?;
-        let body = &chunk[FRAME_RECORD_HEADER..];
-        if body.len() != record.len as usize {
+        if chunk.len() - FRAME_RECORD_HEADER != record.len as usize {
             return Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "frame record length disagrees with its chunk",
             )));
         }
-        Ok(Some(StreamedFrame {
-            frame: record.frame,
-            bytes: body.to_vec(),
-            cached: record.cached,
-            skipped: record.skipped,
-            stale: record.stale,
-            degraded: record.degraded,
-            peer: record.peer,
-        }))
+        Ok(Some((record, chunk)))
     }
 }
 
@@ -705,16 +692,6 @@ impl ClientPool {
         self
     }
 
-    /// The address the pool connects to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// How many idle connections are currently shelved.
-    pub fn idle(&self) -> usize {
-        self.idle_shelf().len()
-    }
-
     fn idle_shelf(&self) -> MutexGuard<'_, Vec<ServiceClient>> {
         // The lock is never held across a request, so a panic while a
         // connection is checked *out* cannot poison the shelf. Should it be
@@ -745,25 +722,20 @@ impl ClientPool {
         })
     }
 
-    /// Sends one request through a pooled connection and reads the full
+    /// Sends one call through a pooled connection and reads the full
     /// response. A shelved connection the server closed while idle fails
     /// with a stale-keep-alive error before any reply byte arrives; that
     /// one case retries once on a guaranteed-fresh connection.
-    pub fn request(&self, method: &str, path: &str, body: &[u8]) -> io::Result<HttpReply> {
-        self.request_with_headers(method, path, &[], body)
-    }
-
-    /// [`ClientPool::request`] with extra request headers.
-    pub fn request_with_headers(
+    pub(crate) fn send(
         &self,
-        method: &str,
-        path: &str,
+        call: &Call,
         extra_headers: &[(&str, String)],
         body: &[u8],
     ) -> io::Result<HttpReply> {
+        let (method, path) = (call.method(), call.path());
         let mut client = self.checkout()?;
         let reused = client.reused;
-        match client.request_with_headers(method, path, extra_headers, body) {
+        match client.request_with_headers(method, &path, extra_headers, body) {
             Ok(reply) => Ok(reply),
             Err(err) if reused && is_stale_keepalive(&err) => {
                 drop(client);
@@ -772,7 +744,7 @@ impl ClientPool {
                     pool: self,
                     reused: false,
                 };
-                fresh.request_with_headers(method, path, extra_headers, body)
+                fresh.request_with_headers(method, &path, extra_headers, body)
             }
             Err(err) => Err(err),
         }
@@ -786,21 +758,6 @@ pub struct PooledClient<'a> {
     client: Option<ServiceClient>,
     pool: &'a ClientPool,
     reused: bool,
-}
-
-impl PooledClient<'_> {
-    /// Whether the connection came off the idle shelf (`true`) or was
-    /// freshly opened for this checkout (`false`). A request that fails
-    /// with a stale-keep-alive error on a reused connection is safe to
-    /// retry once; the same failure on a fresh connection is a real error.
-    pub fn reused(&self) -> bool {
-        self.reused
-    }
-
-    /// Drops the connection instead of reshelving it.
-    pub fn discard(mut self) {
-        self.client = None;
-    }
 }
 
 impl Deref for PooledClient<'_> {
@@ -834,6 +791,13 @@ impl Drop for PooledClient<'_> {
 mod tests {
     use super::*;
     use std::io::BufRead;
+
+    impl ClientPool {
+        /// How many idle connections are currently shelved.
+        fn idle(&self) -> usize {
+            self.idle_shelf().len()
+        }
+    }
 
     /// Answers the first request on a fresh loopback listener with `reply`
     /// and closes; returns what `request()` made of it.

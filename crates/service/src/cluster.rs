@@ -7,14 +7,17 @@
 //! *processes*. A [`HashRing`] places sessions (and shared-field channels)
 //! on worker nodes so that the same key always lands on the same node — a
 //! prerequisite for the frame cache and the shared-field broadcast
-//! channels to keep working across a cluster. [`ClusterSessionId`] embeds
-//! the owning node into the client-visible session id, so every later
-//! request routes without a lookup table. [`aggregate_stats`] folds the
+//! channels to keep working across a cluster. [`ClusterSessionId`] is the
+//! client-side view of a cluster-form [`SessionId`], which embeds the
+//! owning node into the client-visible session id, so every later request
+//! routes without a lookup table. [`aggregate_stats`] folds the
 //! per-node `/stats` documents into the router's cluster view by each
 //! field's declared kind, so the view never adds numbers that are
 //! meaningless to add.
 
+use crate::api::SessionId;
 use crate::metrics::{self, Kind};
+use crate::session::format_session_id;
 use spotnoise::hash::StableHasher;
 use spotnoise::json::Json;
 
@@ -40,7 +43,7 @@ pub struct HashRing {
 
 impl HashRing {
     /// Builds a ring over nodes `0..nodes`. A zero-node ring is legal but
-    /// places nothing ([`HashRing::node_for`] returns `None`).
+    /// places nothing ([`HashRing::nodes_for`] yields no node).
     pub fn new(nodes: usize) -> Self {
         let mut points = Vec::with_capacity(nodes * VIRTUAL_POINTS);
         for node in 0..nodes {
@@ -69,11 +72,6 @@ impl HashRing {
         h.write_str("spotnoise-ring-key");
         h.write_u64(key);
         h.finish()
-    }
-
-    /// The node that owns `key`, or `None` for an empty ring.
-    pub fn node_for(&self, key: u64) -> Option<usize> {
-        self.nodes_for(key).next()
     }
 
     /// Every node in ring order starting at `key`'s successor point, each
@@ -108,7 +106,8 @@ impl HashRing {
 }
 
 /// A cluster session id: the owning node's index plus that node's local
-/// session id, rendered as `n<node>.<local>` (e.g. `n2.s-17`).
+/// session id, rendered as `n<node>.<local>` (e.g. `n2.s-17`) — the
+/// cluster form of a [`SessionId`], with the local id in its wire form.
 ///
 /// The id the router hands out *is* the routing table — every follow-up
 /// request self-describes which worker owns it, so the router tier stays
@@ -122,22 +121,16 @@ pub struct ClusterSessionId {
 }
 
 impl ClusterSessionId {
-    /// Renders the id in its wire form.
-    pub fn format(&self) -> String {
-        format!("n{}.{}", self.node, self.local)
-    }
-
-    /// Parses a wire-form id; `None` when it is not a cluster id.
+    /// Parses a wire-form id; `None` when it is not a canonical cluster id
+    /// (see [`SessionId::parse`]).
     pub fn parse(text: &str) -> Option<ClusterSessionId> {
-        let rest = text.strip_prefix('n')?;
-        let (node, local) = rest.split_once('.')?;
-        if local.is_empty() {
-            return None;
+        match SessionId::parse(text)? {
+            SessionId::Cluster { node, local } => Some(ClusterSessionId {
+                node,
+                local: format_session_id(local),
+            }),
+            SessionId::Local(_) => None,
         }
-        Some(ClusterSessionId {
-            node: node.parse().ok()?,
-            local: local.to_string(),
-        })
     }
 }
 
@@ -175,6 +168,13 @@ pub fn aggregate_stats(per_node: &[Json]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HashRing {
+        /// The node that owns `key`, or `None` for an empty ring.
+        fn node_for(&self, key: u64) -> Option<usize> {
+            self.nodes_for(key).next()
+        }
+    }
 
     #[test]
     fn ring_is_deterministic_and_covers_all_nodes() {
@@ -236,12 +236,15 @@ mod tests {
             node: 2,
             local: "s-17".to_string(),
         };
-        assert_eq!(id.format(), "n2.s-17");
+        assert_eq!(id.to_string(), "n2.s-17");
         assert_eq!(ClusterSessionId::parse("n2.s-17"), Some(id));
         assert_eq!(ClusterSessionId::parse("s-17"), None);
         assert_eq!(ClusterSessionId::parse("n2"), None);
         assert_eq!(ClusterSessionId::parse("n2."), None);
         assert_eq!(ClusterSessionId::parse("nx.s-1"), None);
+        for alias in ["n+0.s-1", "n00.s-1", "n0.garbage", "n0.s-01"] {
+            assert_eq!(ClusterSessionId::parse(alias), None, "{alias}");
+        }
     }
 
     #[test]

@@ -26,18 +26,16 @@ const MAX_BODY_BYTES: usize = 256 * 1024;
 pub struct Request {
     /// Upper-cased method (`GET`, `POST`, ...).
     pub method: String,
-    /// Path component of the request target (query strings are not used by
-    /// this API and are kept attached).
+    /// The request target: path and query string, as sent
+    /// ([`Call::parse`](crate::api::Call::parse) splits them).
     pub path: String,
     /// Raw body bytes (empty when absent).
     pub body: Vec<u8>,
     /// Whether the client asked to keep the connection open.
     pub keep_alive: bool,
-    /// Per-request deadline budget from the `X-Deadline-Ms` header: the
-    /// client's statement of how long an answer is still worth producing.
-    /// An unparseable value is treated as absent rather than rejected — a
-    /// deadline is advisory, and refusing the request it rides on would
-    /// invert its purpose.
+    /// Per-request deadline budget from the
+    /// [`X-Deadline-Ms`](crate::api::DEADLINE_MS) header; an unparseable
+    /// value counts as absent.
     pub deadline_ms: Option<u64>,
 }
 
@@ -135,7 +133,6 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> io::Result<Option<Req
     };
 
     let mut content_length: Option<usize> = None;
-    let mut deadline_ms: Option<u64> = None;
     let mut chunked = false;
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
@@ -151,7 +148,6 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> io::Result<Option<Req
             }
             "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
             "transfer-encoding" => chunked = true,
-            "x-deadline-ms" => deadline_ms = value.parse().ok(),
             _ => {}
         }
     }
@@ -187,7 +183,7 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> io::Result<Option<Req
         path,
         body,
         keep_alive,
-        deadline_ms,
+        deadline_ms: crate::api::read_deadline(&headers),
     }))
 }
 
@@ -245,11 +241,6 @@ impl Response {
         }
     }
 
-    /// A raw binary response.
-    pub fn bytes(status: u16, body: Vec<u8>) -> Self {
-        Response::shared(status, Arc::new(body))
-    }
-
     /// A raw binary response over an existing shared buffer (no copy).
     pub fn shared(status: u16, body: Arc<Vec<u8>>) -> Self {
         Response {
@@ -286,12 +277,33 @@ impl Response {
 
     /// Serializes the response onto a stream.
     pub fn write_to(&self, out: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+        let head = self.head(
+            format_args!("Content-Length: {}", self.body.len()),
+            keep_alive,
+        );
+        out.write_all(head.as_bytes())?;
+        out.write_all(&self.body)?;
+        out.flush()
+    }
+
+    /// Writes only the head, announcing a chunked body: a sequence of
+    /// [`write_chunk_parts`] / [`write_frame_record`] calls closed by
+    /// [`finish_chunked`] follows. The connection stays framed, so
+    /// `keep_alive` works exactly as for fixed-length responses.
+    pub fn write_stream_head(&self, out: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+        let head = self.head(format_args!("Transfer-Encoding: chunked"), keep_alive);
+        out.write_all(head.as_bytes())?;
+        out.flush()
+    }
+
+    /// The head: status line, content type, the body's `framing` header,
+    /// the connection header and the extra headers.
+    fn head(&self, framing: std::fmt::Arguments<'_>, keep_alive: bool) -> String {
         let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n{framing}\r\nConnection: {}\r\n",
             self.status,
             status_text(self.status),
             self.content_type,
-            self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
         );
         for (name, value) in &self.headers {
@@ -301,9 +313,7 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        out.write_all(head.as_bytes())?;
-        out.write_all(&self.body)?;
-        out.flush()
+        head
     }
 }
 
@@ -311,33 +321,6 @@ impl Response {
 /// client will accept. The largest legitimate one is one frame record: a
 /// 2048² `f32` texture (16 MiB) plus the record header.
 pub(crate) const MAX_CHUNK_BYTES: usize = 32 << 20;
-
-/// Writes the head of a chunked streaming response. After this, the body is
-/// a sequence of [`write_chunk`] / [`write_frame_record`] calls closed by
-/// [`finish_chunked`]; the connection stays framed, so `keep_alive` works
-/// exactly as for fixed-length responses.
-pub fn write_stream_head(
-    out: &mut impl Write,
-    status: u16,
-    headers: &[(String, String)],
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/octet-stream\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",
-        status,
-        status_text(status),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    for (name, value) in headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    out.write_all(head.as_bytes())?;
-    out.flush()
-}
 
 /// Writes one chunk whose data is the concatenation of `parts` — the
 /// multi-part form exists so a frame record (tiny header + megabytes of
@@ -351,11 +334,6 @@ pub fn write_chunk_parts(out: &mut impl Write, parts: &[&[u8]]) -> io::Result<()
     }
     out.write_all(b"\r\n")?;
     out.flush()
-}
-
-/// Writes one chunk.
-pub fn write_chunk(out: &mut impl Write, data: &[u8]) -> io::Result<()> {
-    write_chunk_parts(out, &[data])
 }
 
 /// Writes the terminal zero-length chunk that ends a chunked body (no
@@ -423,7 +401,7 @@ pub const FRAME_RECORD_HEADER: usize = 16;
 /// rendered with degraded sampling, bit 4 = fetched from a sibling node's
 /// cache), frame index `u64` LE, body length `u32` LE — followed by the
 /// frame body. Each record is exactly one HTTP chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrameRecord {
     /// The frame index this record carries.
     pub frame: u64,
@@ -514,6 +492,11 @@ pub fn write_frame_record(
 mod tests {
     use super::*;
     use std::io::BufReader;
+
+    /// Writes one chunk.
+    fn write_chunk(out: &mut impl Write, data: &[u8]) -> io::Result<()> {
+        write_chunk_parts(out, &[data])
+    }
 
     #[test]
     fn parses_request_with_body() {
@@ -647,7 +630,8 @@ mod tests {
 
     #[test]
     fn response_serializes_with_length_and_headers() {
-        let resp = Response::bytes(200, vec![1, 2, 3]).with_header("X-Frame-Cache", "hit");
+        let resp =
+            Response::shared(200, Arc::new(vec![1, 2, 3])).with_header("X-Frame-Cache", "hit");
         let mut out = Vec::new();
         resp.write_to(&mut out, true).unwrap();
         let text = String::from_utf8_lossy(&out);
@@ -754,8 +738,8 @@ mod tests {
     #[test]
     fn stream_head_declares_chunked_and_no_content_length() {
         let mut out = Vec::new();
-        let headers = vec![("X-Stream-From".to_string(), "3".to_string())];
-        write_stream_head(&mut out, 200, &headers, true).unwrap();
+        let head = Response::shared(200, Arc::default()).with_header("X-Stream-From", "3");
+        head.write_stream_head(&mut out, true).unwrap();
         let text = String::from_utf8_lossy(&out);
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Transfer-Encoding: chunked\r\n"));

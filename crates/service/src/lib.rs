@@ -30,9 +30,12 @@
 //!   owns all of the above plus the synthesis workers, with no socket in
 //!   sight — the seam the cluster tier is built on (and a peer frame-cache
 //!   lookup that lets sibling nodes serve each other's cached frames);
+//! * [`api`] — the wire vocabulary, declared once: [`api::Call`] (one
+//!   variant per route), both session-id forms and every header name;
 //! * [`http`] + [`server`] — a std-only HTTP/1.1 codec/dispatch shell over
-//!   [`std::net::TcpListener`] with endpoints for session CRUD, frame fetch
-//!   (raw little-endian `f32` texture bytes), `/stats` (JSON), `/metrics`
+//!   [`std::net::TcpListener`] that parses each request once into a `Call`,
+//!   with endpoints for session CRUD, frame fetch and streams (raw
+//!   little-endian `f32` texture bytes), `/stats` (JSON), `/metrics`
 //!   (Prometheus text over [`spotnoise::telemetry`] histograms) and
 //!   `/trace` (Chrome trace-event JSON from the frame-lifecycle span ring);
 //! * [`cluster`] + [`router`] — the sharded cluster tier: a consistent-hash
@@ -67,6 +70,7 @@
 
 #![warn(missing_docs)]
 
+pub mod api;
 pub mod cache;
 pub mod channel;
 pub mod client;

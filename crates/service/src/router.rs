@@ -6,9 +6,11 @@
 //! is how the service scales past one box. The router holds no session
 //! state at all — placement is a pure function of the session spec (a
 //! [`HashRing`] over the worker set), and the cluster session id it hands
-//! out (`n<node>.s-<n>`, [`ClusterSessionId`]) embeds the owning node, so
-//! every follow-up request routes by parsing its own id. Three design
-//! points carry the tier:
+//! out (`n<node>.s-<n>`, a cluster-form [`SessionId`]) embeds the owning
+//! node, so every follow-up request routes by parsing its own id: the
+//! router parses each request into one [`Call`], places it by the call's
+//! session id and forwards the call's path under the worker's local id.
+//! Three design points carry the tier:
 //!
 //! * **Shared-field co-location** — a shared session's ring key is its
 //!   broadcast [`ChannelKey`], so every subscriber to one `(field, config,
@@ -33,14 +35,13 @@
 //! unchanged, so a frame fetched through the router is bit- and
 //! metadata-identical to one fetched from the worker directly.
 
+use crate::api::{self, Call, SessionId, StreamCall};
 use crate::channel::ChannelKey;
-use crate::client::{ClientError, ClientPool, HttpReply, ServiceClient};
-use crate::cluster::{aggregate_stats, ClusterSessionId, HashRing};
-use crate::http::{
-    finish_chunked, write_frame_record, write_stream_head, FrameRecord, Request, Response,
-};
+use crate::client::{ClientPool, HttpReply, ServiceClient};
+use crate::cluster::{aggregate_stats, HashRing};
+use crate::http::{finish_chunked, write_chunk_parts, Request, Response};
 use crate::metrics::{self, RouterCounters, RouterSnapshot};
-use crate::server::{parse_stream_request, serve_front, FrontHandle, Frontend};
+use crate::server::{serve_front, FrontHandle, Frontend};
 use crate::spec::SessionSpec;
 use softpipe::sync::lock_recover;
 use spotnoise::hash::StableHasher;
@@ -227,7 +228,8 @@ impl Router {
             Ok(client) => client,
             Err(_) => return NodeState::Down,
         };
-        let Ok(reply) = client.request("GET", "/healthz", b"") else {
+        let probe: Call = Call::Healthz;
+        let Ok(reply) = client.request(probe.method(), &probe.path(), b"") else {
             return NodeState::Down;
         };
         let status = reply
@@ -328,72 +330,52 @@ impl Router {
             }
             None => {
                 self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                Err(
-                    Response::error(503, "cluster_unavailable", "every worker node is down")
-                        .with_header("Retry-After", "1"),
-                )
+                Err(api::retry_later(
+                    "cluster_unavailable",
+                    "every worker node is down",
+                ))
             }
         }
     }
 
-    /// Sends one proxied request to a worker, mapping transport failure to
-    /// a `503` (and marking the node down).
-    fn forward_reply(
-        &self,
-        idx: usize,
-        method: &str,
-        path: &str,
-        extra_headers: &[(&str, String)],
-        body: &[u8],
-    ) -> Result<HttpReply, Response> {
-        match self.nodes[idx]
+    /// Sends one call to a worker with the request's body and deadline,
+    /// mapping transport failure to a `503` (and marking the node down).
+    fn forward(&self, node: usize, call: &Call, request: &Request) -> Result<HttpReply, Response> {
+        let deadline = request
+            .deadline_ms
+            .map(|ms| (api::DEADLINE_MS, ms.to_string()));
+        match self.nodes[node]
             .pool
-            .request_with_headers(method, path, extra_headers, body)
+            .send(call, deadline.as_slice(), &request.body)
         {
             Ok(reply) => {
                 self.counters.proxied.fetch_add(1, Ordering::Relaxed);
                 Ok(reply)
             }
             Err(_) => {
-                self.mark_down(idx);
-                Err(Response::error(
-                    503,
+                self.mark_down(node);
+                Err(api::retry_later(
                     "node_unavailable",
-                    &format!("worker node {idx} is unreachable"),
-                )
-                .with_header("Retry-After", "1"))
+                    &format!("worker node {node} is unreachable"),
+                ))
             }
         }
     }
 
     /// Re-encodes a worker reply as a router response: status and body
-    /// verbatim, `X-*` and `Retry-After` headers forwarded intact, content
-    /// type mapped back onto the codec's static set.
+    /// verbatim, the API's response headers forwarded intact, content type
+    /// mapped back onto the codec's static set.
     fn reply_to_response(reply: HttpReply) -> Response {
         let content_type = match reply.header("content-type") {
             Some(value) if value.starts_with("application/json") => "application/json",
             Some(value) if value.starts_with("text/plain") => "text/plain; version=0.0.4",
             _ => "application/octet-stream",
         };
-        let mut response = Response {
+        Response {
             status: reply.status,
             content_type,
-            headers: Vec::new(),
+            headers: api::relayed(&reply.headers),
             body: Arc::new(reply.body),
-        };
-        for (name, value) in &reply.headers {
-            if name.starts_with("x-") || name == "retry-after" {
-                response = response.with_header(name, value.clone());
-            }
-        }
-        response
-    }
-
-    /// The extra headers a proxied request carries forward.
-    fn forward_headers(request: &Request) -> Vec<(&'static str, String)> {
-        match request.deadline_ms {
-            Some(ms) => vec![("X-Deadline-Ms", ms.to_string())],
-            None => Vec::new(),
         }
     }
 
@@ -409,13 +391,7 @@ impl Router {
             Ok(node) => node,
             Err(response) => return response,
         };
-        let reply = match self.forward_reply(
-            node,
-            "POST",
-            "/sessions",
-            &Self::forward_headers(request),
-            &request.body,
-        ) {
+        let reply = match self.forward(node, &Call::Create, request) {
             Ok(reply) => reply,
             Err(response) => return response,
         };
@@ -425,74 +401,38 @@ impl Router {
         let Ok(Json::Object(mut entries)) = reply.json() else {
             return Response::error(502, "bad_upstream", "worker create reply is not JSON");
         };
-        let mut rewritten = false;
-        for (name, value) in entries.iter_mut() {
-            if name == "session" {
-                if let Json::Str(local) = value {
-                    *value = Json::str(
-                        ClusterSessionId {
-                            node,
-                            local: local.clone(),
-                        }
-                        .format(),
-                    );
-                    rewritten = true;
-                }
-            }
-        }
-        if !rewritten {
+        let session = entries.iter_mut().find(|(name, _)| name == "session");
+        let Some((_, value)) = session else {
             return Response::error(502, "bad_upstream", "worker create reply has no session id");
-        }
+        };
+        let Some(SessionId::Local(local)) = value.as_str().and_then(SessionId::parse) else {
+            return Response::error(502, "bad_upstream", "worker create reply has no local id");
+        };
+        *value = Json::str(SessionId::Cluster { node, local }.to_string());
         self.counters
             .sessions_created
             .fetch_add(1, Ordering::Relaxed);
-        let mut response = Response::json(201, Json::Object(entries));
-        for (name, value) in &reply.headers {
-            if name.starts_with("x-") {
-                response = response.with_header(name, value.clone());
-            }
-        }
+        let mut response = Self::reply_to_response(reply);
+        response.body = Arc::new(Json::Object(entries).to_string_pretty().into_bytes());
         response
     }
 
-    /// Rewrites a cluster session path onto the owning worker and proxies
-    /// it. `tail` is everything after the session id segment.
-    fn forward_session(
-        &self,
-        request: &Request,
-        cid: &str,
-        tail: &[&str],
-        query: &str,
-    ) -> Response {
-        let Some(id) = ClusterSessionId::parse(cid) else {
-            return Response::error(
+    /// The worker that owns a cluster session id, rewriting the id to the
+    /// local form that worker knows it by. A local-form id or an unknown
+    /// node is a 404, answered here without a hop.
+    fn owner(&self, id: &mut SessionId) -> Result<usize, Response> {
+        let SessionId::Cluster { node, local } = *id else {
+            return Err(Response::error(
                 404,
                 "not_found",
-                "not a cluster session id (expected n<node>.s-<n>)",
-            );
+                "not a cluster session id",
+            ));
         };
-        if id.node >= self.nodes.len() {
-            return Response::error(404, "not_found", "session id names an unknown node");
+        if node >= self.nodes.len() {
+            return Err(Response::error(404, "not_found", "no such node"));
         }
-        let mut path = format!("/sessions/{}", id.local);
-        for segment in tail {
-            path.push('/');
-            path.push_str(segment);
-        }
-        if !query.is_empty() {
-            path.push('?');
-            path.push_str(query);
-        }
-        match self.forward_reply(
-            id.node,
-            &request.method,
-            &path,
-            &Self::forward_headers(request),
-            &request.body,
-        ) {
-            Ok(reply) => Self::reply_to_response(reply),
-            Err(response) => response,
-        }
+        *id = SessionId::Local(local);
+        Ok(node)
     }
 
     /// The aggregated cluster `/healthz`: `ok` when every worker is
@@ -559,7 +499,7 @@ impl Router {
             .iter()
             .enumerate()
             .map(|(idx, node)| {
-                let reply = node.pool.request("GET", "/stats", b"").ok();
+                let reply = node.pool.send(&Call::Stats, &[], b"").ok();
                 let doc = reply.as_ref().and_then(|r| r.json().ok());
                 let up = doc.is_some();
                 let id = doc
@@ -603,7 +543,7 @@ impl Router {
             .nodes
             .iter()
             .filter_map(|node| {
-                let reply = node.pool.request("GET", "/metrics", b"").ok()?;
+                let reply = node.pool.send(&Call::Metrics, &[], b"").ok()?;
                 let text = String::from_utf8(reply.body).ok()?;
                 Some((node.addr.to_string(), text))
             })
@@ -614,157 +554,6 @@ impl Router {
             relabel_metrics(&mut out, text, label, i == 0);
         }
         Response::text(200, "text/plain; version=0.0.4", out)
-    }
-
-    fn route_untagged(&self, request: &Request) -> Response {
-        self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
-        softpipe::fault::fire("route");
-        let (path, query) = match request.path.split_once('?') {
-            Some((path, query)) => (path, query),
-            None => (request.path.as_str(), ""),
-        };
-        let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        match (request.method.as_str(), segments.as_slice()) {
-            ("GET", ["healthz"]) => self.healthz_response(),
-            ("GET", ["stats"]) => self.stats_response(),
-            ("GET", ["metrics"]) => self.metrics_response(),
-            ("GET", ["trace"]) => Response::error(
-                404,
-                "not_found",
-                "traces are per-node; query a worker's /trace directly",
-            ),
-            ("POST", ["shutdown"]) => {
-                // Shuts the *router* down; the workers keep serving (and
-                // another router replica can pick them up).
-                self.request_shutdown();
-                Response::json(200, Json::object([("status", Json::str("shutting down"))]))
-            }
-            ("POST", ["sessions"]) => self.create_session(request),
-            (_, ["sessions", cid, tail @ ..]) => self.forward_session(request, cid, tail, query),
-            (_, ["sessions"])
-            | (_, ["stats"])
-            | (_, ["healthz"])
-            | (_, ["shutdown"])
-            | (_, ["metrics"])
-            | (_, ["trace"]) => {
-                Response::error(405, "method_not_allowed", "wrong method for this path")
-            }
-            _ => Response::error(404, "not_found", "unknown path"),
-        }
-    }
-
-    /// Tags a router-origin response with the router's identity. Proxied
-    /// responses already carry the answering worker's `X-Node-Id`, which
-    /// is the interesting one — it is left untouched.
-    fn tag_node(&self, response: Response) -> Response {
-        if response
-            .headers
-            .iter()
-            .any(|(name, _)| name.eq_ignore_ascii_case("x-node-id"))
-        {
-            return response;
-        }
-        let id = self.node_id();
-        if id.is_empty() {
-            response
-        } else {
-            response.with_header("X-Node-Id", id)
-        }
-    }
-
-    /// Relays one frame stream from the owning worker: head and every
-    /// frame record pass through intact (flags included), re-framed onto
-    /// this connection's chunked encoding.
-    fn relay_stream(
-        &self,
-        out: &mut TcpStream,
-        sid: &str,
-        from: u64,
-        count: u64,
-        keep_alive: bool,
-    ) -> io::Result<()> {
-        let Some(id) = ClusterSessionId::parse(sid) else {
-            return self
-                .tag_node(Response::error(
-                    404,
-                    "not_found",
-                    "not a cluster session id",
-                ))
-                .write_to(out, keep_alive);
-        };
-        if id.node >= self.nodes.len() {
-            return self
-                .tag_node(Response::error(
-                    404,
-                    "not_found",
-                    "session id names an unknown node",
-                ))
-                .write_to(out, keep_alive);
-        }
-        let mut client = match self.nodes[id.node].pool.checkout() {
-            Ok(client) => client,
-            Err(_) => {
-                self.mark_down(id.node);
-                return Response::error(503, "node_unavailable", "worker node is unreachable")
-                    .with_header("Retry-After", "1")
-                    .write_to(out, keep_alive);
-            }
-        };
-        let mut upstream = match client.stream_frames(&id.local, from, count) {
-            Ok(stream) => stream,
-            Err(err) => {
-                let response = match err {
-                    ClientError::NotFound => {
-                        Response::error(404, "not_found", "no such session on its node")
-                    }
-                    ClientError::Busy { .. } => {
-                        Response::error(503, "busy", "worker at capacity, retry later")
-                            .with_header("Retry-After", "1")
-                    }
-                    ClientError::Http(status, body) => Response::error(status, "upstream", &body),
-                    ClientError::TimedOut | ClientError::Io(_) => {
-                        self.mark_down(id.node);
-                        Response::error(503, "node_unavailable", "worker node is unreachable")
-                            .with_header("Retry-After", "1")
-                    }
-                };
-                return self.tag_node(response).write_to(out, keep_alive);
-            }
-        };
-        self.counters
-            .streams_relayed
-            .fetch_add(1, Ordering::Relaxed);
-        let mut headers: Vec<(String, String)> = Vec::new();
-        for name in ["x-stream-from", "x-stream-count", "x-node-id"] {
-            if let Some(value) = upstream.header(name) {
-                headers.push((name.to_string(), value.to_string()));
-            }
-        }
-        write_stream_head(out, 200, &headers, keep_alive)?;
-        loop {
-            match upstream.next_frame() {
-                Ok(Some(frame)) => {
-                    let record = FrameRecord {
-                        frame: frame.frame,
-                        len: frame.bytes.len() as u32,
-                        cached: frame.cached,
-                        skipped: frame.skipped,
-                        stale: frame.stale,
-                        degraded: frame.degraded,
-                        peer: frame.peer,
-                    };
-                    write_frame_record(out, &record, &frame.bytes)?;
-                    self.counters.frames_relayed.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(None) => break,
-                // The relay's head is long written: end the downstream
-                // stream cleanly at the frames already delivered. The
-                // upstream connection is desynced and will be discarded
-                // rather than reshelved.
-                Err(_) => break,
-            }
-        }
-        finish_chunked(out)
     }
 }
 
@@ -777,25 +566,93 @@ impl Frontend for Router {
         self.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn route(&self, request: &Request) -> Response {
-        self.tag_node(self.route_untagged(request))
+    fn note_request(&self) {
+        self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn try_stream(
+    /// Tags a router-origin response with the router's identity. Proxied
+    /// responses already carry the answering worker's `X-Node-Id`, which
+    /// is the interesting one — it is left untouched.
+    fn tag_node(&self, response: Response) -> Response {
+        api::tag_node(response, &self.node_id())
+    }
+
+    fn answer(&self, mut call: Call, request: &Request) -> Response {
+        match call {
+            Call::Healthz => self.healthz_response(),
+            Call::Stats => self.stats_response(),
+            Call::Metrics => self.metrics_response(),
+            Call::Trace { .. } | Call::CachePeek(_) => Response::error(
+                404,
+                "not_found",
+                "traces and cache peeks are per-node; ask a worker directly",
+            ),
+            Call::Shutdown => {
+                // Shuts the *router* down; the workers keep serving (and
+                // another router replica can pick them up).
+                self.request_shutdown();
+                Response::json(200, Json::object([("status", Json::str("shutting down"))]))
+            }
+            Call::Create => self.create_session(request),
+            Call::Get(ref mut id)
+            | Call::Close(ref mut id)
+            | Call::Steer(ref mut id)
+            | Call::Advance(ref mut id)
+            | Call::Frame(ref mut id, _) => {
+                let owner = self.owner(id);
+                match owner.and_then(|node| self.forward(node, &call, request)) {
+                    Ok(reply) => Self::reply_to_response(reply),
+                    Err(response) => response,
+                }
+            }
+            Call::Stream(_) => api::stream_unbuffered(),
+        }
+    }
+
+    /// Relays one frame stream from the owning worker: the head's API
+    /// headers and every frame record pass through intact, re-framed onto
+    /// this connection's chunked encoding.
+    fn stream(
         &self,
         out: &mut TcpStream,
-        request: &Request,
+        mut call: StreamCall,
         keep_alive: bool,
-    ) -> Option<io::Result<()>> {
-        let raw = match parse_stream_request(request)? {
-            Ok(raw) => raw,
-            Err(response) => {
-                self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
-                return Some(self.tag_node(response).write_to(out, keep_alive));
-            }
+    ) -> io::Result<()> {
+        let mut refuse = |response: Response| self.tag_node(response).write_to(out, keep_alive);
+        let node = match self.owner(&mut call.session) {
+            Ok(node) => node,
+            Err(response) => return refuse(response),
         };
-        self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
-        Some(self.relay_stream(out, &raw.sid, raw.from, raw.count, keep_alive))
+        let unreachable = || {
+            self.mark_down(node);
+            api::retry_later("node_unavailable", "worker node is unreachable")
+        };
+        let mut client = match self.nodes[node].pool.checkout() {
+            Ok(client) => client,
+            Err(_) => return refuse(unreachable()),
+        };
+        let mut upstream = match client.open_stream(&Call::Stream(call)) {
+            Ok(Ok(stream)) => stream,
+            Ok(Err(reply)) => return refuse(Self::reply_to_response(reply)),
+            Err(_) => return refuse(unreachable()),
+        };
+        self.counters
+            .streams_relayed
+            .fetch_add(1, Ordering::Relaxed);
+        let head = Response {
+            headers: api::relayed(&upstream.head),
+            ..Response::shared(200, Arc::default())
+        };
+        head.write_stream_head(out, keep_alive)?;
+        // Each record is checked and passed on as the chunk it came in. An
+        // upstream error ends the downstream stream cleanly at the frames
+        // already delivered (its head is long written); the upstream
+        // connection is desynced and is discarded rather than reshelved.
+        while let Ok(Some((_, chunk))) = upstream.next_record() {
+            write_chunk_parts(out, &[&chunk])?;
+            self.counters.frames_relayed.fetch_add(1, Ordering::Relaxed);
+        }
+        finish_chunked(out)
     }
 }
 
@@ -900,5 +757,85 @@ mod tests {
         let c = router.ring_key_for(&private);
         let d = router.ring_key_for(&private);
         assert_ne!(c, d, "private placements must be salted apart");
+    }
+
+    /// Every refusal `Call::parse` owns, with the status both front ends
+    /// must answer it with.
+    const STATUS_TABLE: &[(&str, &str, u16)] = &[
+        // Unknown paths.
+        ("GET", "/", 404),
+        ("GET", "/nope", 404),
+        ("GET", "/stats/extra", 404),
+        ("GET", "/sessions/n0.s-1/bogus", 404),
+        ("GET", "/cache/1/2/3", 404),
+        ("GET", "/a/b/c/d/e/f/g", 404),
+        // A wrong method on every route.
+        ("PUT", "/sessions", 405),
+        ("POST", "/sessions/n0.s-1", 405),
+        ("GET", "/sessions/n0.s-1/steer", 405),
+        ("GET", "/sessions/n0.s-1/advance", 405),
+        ("POST", "/sessions/n0.s-1/frame/0", 405),
+        ("POST", "/sessions/n0.s-1/stream", 405),
+        ("DELETE", "/cache/1/2/3/4", 405),
+        ("PUT", "/stats", 405),
+        ("POST", "/metrics", 405),
+        ("POST", "/trace", 405),
+        ("POST", "/healthz", 405),
+        ("GET", "/shutdown", 405),
+        // Bad frame indexes.
+        ("GET", "/sessions/n0.s-1/frame/x", 400),
+        ("GET", "/sessions/n0.s-1/frame/01", 400),
+        ("GET", "/sessions/n0.s-1/frame/-1", 400),
+        // Bad trace and stream queries.
+        ("GET", "/trace?last=x", 400),
+        ("GET", "/trace?last=01", 400),
+        ("GET", "/trace?first=1", 400),
+        ("GET", "/sessions/n0.s-1/stream?count=0", 400),
+        ("GET", "/sessions/n0.s-1/stream?from=x", 400),
+        ("GET", "/sessions/n0.s-1/stream?to=3", 400),
+        // Bad session ids and cache keys.
+        ("GET", "/sessions/garbage", 404),
+        ("DELETE", "/sessions/s-", 404),
+        ("GET", "/sessions/s-01/frame/0", 404),
+        ("GET", "/sessions/n00.s-1/frame/0", 404),
+        ("GET", "/sessions/n+0.s-1/frame/0", 404),
+        ("POST", "/sessions/n0.garbage/advance", 404),
+        ("GET", "/sessions/n0.s-1x/stream", 404),
+        ("GET", "/cache/0a/1/1/1", 400),
+    ];
+
+    #[test]
+    fn worker_and_router_answer_one_status_table() {
+        let worker = crate::server::serve("127.0.0.1:0", crate::node::ServiceOptions::default())
+            .expect("bind worker");
+        let router = Router::new(RouterOptions {
+            workers: vec![worker.addr()],
+            ..RouterOptions::default()
+        })
+        .unwrap();
+        let request = |method: &str, path: &str| Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            body: Vec::new(),
+            keep_alive: true,
+            deadline_ms: None,
+        };
+        for &(method, path, status) in STATUS_TABLE {
+            let req = request(method, path);
+            let (from_worker, from_router) = (worker.service().route(&req), router.route(&req));
+            assert_eq!(from_worker.status, status, "worker: {method} {path}");
+            assert_eq!(from_router.status, status, "router: {method} {path}");
+        }
+        // The router refused every case itself: not one hop to the worker.
+        assert_eq!(router.counters.proxied.load(Ordering::Relaxed), 0);
+        // Traces and cache peeks are per node: the router keeps its 404.
+        assert_eq!(
+            worker.service().route(&request("GET", "/trace")).status,
+            200
+        );
+        for path in ["/trace", "/cache/1/2/3/4"] {
+            assert_eq!(router.route(&request("GET", path)).status, 404, "{path}");
+        }
+        worker.shutdown();
     }
 }

@@ -3,26 +3,27 @@
 //!
 //! Everything stateful — session registry, frame cache, admission queue,
 //! broadcast channels, pressure gauge, synthesis workers — lives in
-//! [`crate::node`]. This module only parses HTTP requests ([`crate::http`]
-//! does the wire work), dispatches them onto core methods, and serializes
-//! the results back: statuses, `X-Frame-*`/`X-Node-Id` headers, frame
+//! [`crate::node`]. This module only answers parsed calls: the connection
+//! loop reads a request ([`crate::http`] does the wire work), parses it
+//! once into an [`api::Call`] and dispatches it — a stream to the
+//! incremental writer, every other call to [`Frontend::answer`] — then
+//! serializes the result: statuses, `X-Frame-*`/`X-Node-Id` headers, frame
 //! records for streams. The same connection loop is shared with the
 //! cluster [`router`](crate::router) through the [`Frontend`] trait, so
 //! both tiers speak identical HTTP with one implementation of keep-alive,
 //! framing-error handling and panic containment.
 
-use crate::cache::FrameKey;
+use crate::api::{self, Call, SessionId, StreamCall};
 use crate::http::{
-    finish_chunked, read_request, write_frame_record, write_stream_head, FrameRecord, Request,
-    Response,
+    finish_chunked, read_request, write_frame_record, FrameRecord, Request, Response,
 };
 use crate::node::{revalidate_session, FrameResult, NodeCore, ServiceError, ServiceOptions};
 use crate::pressure::PressureState;
-use crate::session::{format_session_id, parse_session_id};
+use crate::session::format_session_id;
 use crate::spec::{FieldSpec, SessionSpec};
 use softpipe::sync::lock_recover;
 use spotnoise::json::Json;
-use std::io::BufReader;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Deref;
 use std::panic::AssertUnwindSafe;
@@ -79,8 +80,7 @@ impl Service {
     pub(crate) fn error_response(err: &ServiceError) -> Response {
         match err {
             ServiceError::Busy(what) => {
-                Response::error(503, "busy", &format!("{what} at capacity, retry later"))
-                    .with_header("Retry-After", "1")
+                api::retry_later("busy", &format!("{what} at capacity, retry later"))
             }
             ServiceError::NotFound => Response::error(404, "not_found", "no such session"),
             ServiceError::BadRequest(detail) => Response::error(400, "bad_request", detail),
@@ -93,45 +93,23 @@ impl Service {
                 "quarantined",
                 "session quarantined after a panicked render; close it and create a fresh one",
             ),
-            ServiceError::DeadlineExceeded => Response::error(
-                503,
+            ServiceError::DeadlineExceeded => api::retry_later(
                 "deadline",
                 "deadline cannot be met under the current queue wait",
-            )
-            .with_header("Retry-After", "1"),
+            ),
         }
     }
 
     fn frame_response(result: &FrameResult) -> Response {
-        let cache_state = if result.peer {
-            "peer"
-        } else if result.cached {
-            "hit"
-        } else {
-            "miss"
-        };
-        let mut response = Response::shared(200, Arc::clone(&result.bytes))
-            .with_header("X-Frame-Cache", cache_state)
-            .with_header("X-Frame-Index", result.frame.to_string());
-        if result.skipped {
-            response = response.with_header("X-Frame-Skipped", "1");
-        }
-        if result.stale {
-            response = response.with_header("X-Frame-Stale", "1");
-        }
-        if result.degraded {
-            response = response.with_header("X-Frame-Degraded", "1");
-        }
-        response
+        let response = Response::shared(200, Arc::clone(&result.bytes));
+        api::write_frame_headers(response, &record_of(result))
     }
 
-    fn session_info_response(&self, status: u16, id: u64) -> Response {
-        let Some(session) = self.session_handle(id) else {
-            return Self::error_response(&ServiceError::NotFound);
-        };
+    fn session_info_response(&self, status: u16, id: u64) -> Result<Response, ServiceError> {
+        let session = self.session_handle(id).ok_or(ServiceError::NotFound)?;
         let s = lock_recover(&session, revalidate_session);
         let spec = s.spec();
-        Response::json(
+        Ok(Response::json(
             status,
             Json::object([
                 ("session", Json::str(format_session_id(id))),
@@ -167,178 +145,202 @@ impl Service {
                 ("rewinds", Json::num(s.rewinds() as f64)),
                 ("steers", Json::num(s.steers() as f64)),
             ]),
+        ))
+    }
+
+    /// Routes one parsed request to a response (see [`Frontend::route`]).
+    pub fn route(&self, request: &Request) -> Response {
+        Frontend::route(self, request)
+    }
+
+    fn healthz_response(&self) -> Response {
+        // Tri-state health: `ok` and `elevated` answer 200 (the server is
+        // serving, possibly without speculative work), `saturated` answers
+        // 503 so load balancers steer away while the ladder degrades
+        // instead of collapses.
+        let state = self.pressure_tick();
+        let shutting_down = self.is_shutting_down();
+        let status = if shutting_down || state == PressureState::Saturated {
+            503
+        } else {
+            200
+        };
+        Response::json(
+            status,
+            Json::object([
+                (
+                    "status",
+                    Json::str(if shutting_down {
+                        "shutting_down"
+                    } else {
+                        state.name()
+                    }),
+                ),
+                ("pressure", Json::str(state.name())),
+                ("shutting_down", Json::Bool(shutting_down)),
+            ]),
         )
     }
 
-    /// Routes one parsed request to a response.
-    pub fn route(&self, request: &Request) -> Response {
-        self.tag_node(self.route_untagged(request))
+    fn steer_response(&self, id: u64, body: &[u8]) -> Result<Response, ServiceError> {
+        let field = std::str::from_utf8(body)
+            .map_err(|_| "body is not UTF-8".to_string())
+            .and_then(Json::parse)
+            .and_then(|value| {
+                // Accept either a bare field object or {"field": ...}.
+                let field = value.get("field").unwrap_or(&value).clone();
+                FieldSpec::from_json(&field)
+            })
+            .map_err(ServiceError::BadRequest)?;
+        self.steer(id, field)?;
+        self.session_info_response(200, id)
+    }
+
+    /// The answer to a buffered call, or the error it ends in.
+    fn answer_call(&self, call: Call, request: &Request) -> Result<Response, ServiceError> {
+        Ok(match call {
+            Call::Metrics => Response::text(200, "text/plain; version=0.0.4", self.metrics_text()),
+            Call::Trace { last } => {
+                let last = if last == 0 { usize::MAX } else { last };
+                Response::json(200, self.trace_json(last))
+            }
+            Call::Healthz => self.healthz_response(),
+            Call::Stats => {
+                self.sweep_idle();
+                Response::json(200, self.stats_json())
+            }
+            // The peer cache probe: sibling nodes ask for a frame by its
+            // content-hash key. A hit answers the raw bytes, a miss 404 —
+            // never synthesis, so probes stay cheap and cannot recurse.
+            Call::CachePeek(key) => match self.peer_peek(key) {
+                Some(bytes) => {
+                    let record = FrameRecord {
+                        frame: key.frame,
+                        cached: true,
+                        ..FrameRecord::default()
+                    };
+                    api::write_frame_headers(Response::shared(200, bytes), &record)
+                }
+                None => Response::error(404, "not_cached", "frame not in this node's cache"),
+            },
+            Call::Shutdown => {
+                self.request_shutdown();
+                Response::json(200, Json::object([("status", Json::str("shutting down"))]))
+            }
+            Call::Create => {
+                let spec =
+                    SessionSpec::from_body(&request.body).map_err(ServiceError::BadRequest)?;
+                self.session_info_response(201, self.create_session(spec)?)?
+            }
+            Call::Get(id) => self.session_info_response(200, local_id(id)?)?,
+            Call::Close(id) => {
+                self.close_session(local_id(id)?)?;
+                Response::empty(204)
+            }
+            Call::Steer(id) => self.steer_response(local_id(id)?, &request.body)?,
+            Call::Advance(id) => {
+                Self::frame_response(&self.advance_deadline(local_id(id)?, request.deadline_ms)?)
+            }
+            Call::Frame(id, frame) => {
+                let id = local_id(id)?;
+                Self::frame_response(&self.fetch_frame_deadline(id, frame, request.deadline_ms)?)
+            }
+            Call::Stream(_) => api::stream_unbuffered(),
+        })
+    }
+}
+
+/// The stream record (and frame header set) of one served frame.
+fn record_of(result: &FrameResult) -> FrameRecord {
+    FrameRecord {
+        frame: result.frame,
+        len: result.bytes.len() as u32,
+        cached: result.cached,
+        skipped: result.skipped,
+        stale: result.stale,
+        degraded: result.degraded,
+        peer: result.peer,
+    }
+}
+
+/// This node's own ids: a cluster-form id names a session on some node
+/// behind a router, never one here.
+fn local_id(session: SessionId) -> Result<u64, ServiceError> {
+    match session {
+        SessionId::Local(id) => Ok(id),
+        SessionId::Cluster { .. } => Err(ServiceError::NotFound),
+    }
+}
+
+/// What a transport front end must provide for the shared connection loop:
+/// a buffered answer per call, a stream writer, shutdown state, request and
+/// panic counting, and its identity tag. Implemented by the worker-facing
+/// [`Service`] and the cluster [`Router`](crate::router::Router), so both
+/// speak HTTP through one keep-alive/framing/containment implementation.
+pub trait Frontend: Send + Sync + 'static {
+    /// True once shutdown has been requested (new keep-alives are refused).
+    fn is_shutting_down(&self) -> bool;
+
+    /// Counts a panic contained by the connection loop's unwind barrier.
+    fn note_panic(&self);
+
+    /// Counts one request, whatever it turns out to be.
+    fn note_request(&self);
+
+    /// Stamps this front end's identity onto a response.
+    fn tag_node(&self, response: Response) -> Response;
+
+    /// Answers one parsed call with a buffered response. A stream call
+    /// gets [`Frontend::stream`] from the connection loop instead.
+    fn answer(&self, call: Call, request: &Request) -> Response;
+
+    /// Serves one stream call, writing its response incrementally.
+    fn stream(&self, out: &mut TcpStream, call: StreamCall, keep_alive: bool) -> io::Result<()>;
+
+    /// Answers a parsed (or refused) call with a tagged, buffered response.
+    fn respond(&self, parsed: Result<Call, Response>, request: &Request) -> Response {
+        // Chaos hook for the routing layer itself; a panic fired here is
+        // contained by the connection thread's unwind barrier.
+        softpipe::fault::fire("route");
+        self.tag_node(match parsed {
+            Ok(call) => self.answer(call, request),
+            Err(refused) => refused,
+        })
+    }
+
+    /// Counts, parses and answers one request in process, the way the
+    /// connection loop answers it (a stream call has no buffered answer).
+    fn route(&self, request: &Request) -> Response {
+        self.note_request();
+        self.respond(Call::parse(request), request)
+    }
+}
+
+impl Frontend for Service {
+    fn is_shutting_down(&self) -> bool {
+        self.core.is_shutting_down()
+    }
+
+    fn note_panic(&self) {
+        self.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn note_request(&self) {
+        self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Stamps the node's cluster identity onto an outgoing response, so a
     /// client (or the router) can always tell which worker answered.
     fn tag_node(&self, response: Response) -> Response {
-        let id = self.node_id();
-        if id.is_empty() {
-            response
-        } else {
-            response.with_header("X-Node-Id", id)
-        }
+        api::tag_node(response, &self.node_id())
     }
 
-    fn route_untagged(&self, request: &Request) -> Response {
-        self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
-        // Chaos hook for the routing layer itself; a panic fired here is
-        // contained by the connection thread's unwind barrier.
-        softpipe::fault::fire("route");
-        let (path, query) = match request.path.split_once('?') {
-            Some((path, query)) => (path, query),
-            None => (request.path.as_str(), ""),
-        };
-        let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        match (request.method.as_str(), segments.as_slice()) {
-            ("GET", ["metrics"]) => {
-                Response::text(200, "text/plain; version=0.0.4", self.metrics_text())
-            }
-            ("GET", ["trace"]) => match parse_trace_query(query) {
-                Err(detail) => Response::error(400, "bad_request", &detail),
-                Ok(last) => Response::json(200, self.trace_json(last)),
-            },
-            ("GET", ["healthz"]) => {
-                // Tri-state health: `ok` and `elevated` answer 200 (the
-                // server is serving, possibly without speculative work),
-                // `saturated` answers 503 so load balancers steer away
-                // while the ladder degrades instead of collapses.
-                let state = self.pressure_tick();
-                let shutting_down = self.is_shutting_down();
-                let status = if shutting_down || state == PressureState::Saturated {
-                    503
-                } else {
-                    200
-                };
-                Response::json(
-                    status,
-                    Json::object([
-                        (
-                            "status",
-                            Json::str(if shutting_down {
-                                "shutting_down"
-                            } else {
-                                state.name()
-                            }),
-                        ),
-                        ("pressure", Json::str(state.name())),
-                        ("shutting_down", Json::Bool(shutting_down)),
-                    ]),
-                )
-            }
-            ("GET", ["stats"]) => {
-                self.sweep_idle();
-                Response::json(200, self.stats_json())
-            }
-            // The peer cache probe: sibling nodes ask for a frame by its
-            // content-hash key (hex components). A hit answers the raw
-            // bytes, a miss 404 — never synthesis, so probes stay cheap
-            // and cannot recurse.
-            ("GET", ["cache", field, config, seed, frame]) => {
-                let parsed = (
-                    u64::from_str_radix(field, 16),
-                    u64::from_str_radix(config, 16),
-                    u64::from_str_radix(seed, 16),
-                    u64::from_str_radix(frame, 16),
-                );
-                let (Ok(field), Ok(config), Ok(seed), Ok(frame)) = parsed else {
-                    return Response::error(400, "bad_request", "cache key not hex");
-                };
-                let key = FrameKey {
-                    field,
-                    config,
-                    seed,
-                    frame,
-                };
-                match self.peer_peek(key) {
-                    Some(bytes) => Response::shared(200, bytes)
-                        .with_header("X-Frame-Cache", "hit")
-                        .with_header("X-Frame-Index", frame.to_string()),
-                    None => Response::error(404, "not_cached", "frame not in this node's cache"),
-                }
-            }
-            ("POST", ["shutdown"]) => {
-                self.request_shutdown();
-                Response::json(200, Json::object([("status", Json::str("shutting down"))]))
-            }
-            ("POST", ["sessions"]) => match SessionSpec::from_body(&request.body) {
-                Err(detail) => Response::error(400, "bad_request", &detail),
-                Ok(spec) => match self.create_session(spec) {
-                    Err(err) => Self::error_response(&err),
-                    Ok(id) => self.session_info_response(201, id),
-                },
-            },
-            ("GET", ["sessions", sid]) => match parse_session_id(sid) {
-                None => Self::error_response(&ServiceError::NotFound),
-                Some(id) => self.session_info_response(200, id),
-            },
-            ("DELETE", ["sessions", sid]) => {
-                match parse_session_id(sid).map(|id| self.close_session(id)) {
-                    Some(Ok(())) => Response::empty(204),
-                    _ => Self::error_response(&ServiceError::NotFound),
-                }
-            }
-            ("POST", ["sessions", sid, "steer"]) => {
-                let Some(id) = parse_session_id(sid) else {
-                    return Self::error_response(&ServiceError::NotFound);
-                };
-                let parsed = std::str::from_utf8(&request.body)
-                    .map_err(|_| "body is not UTF-8".to_string())
-                    .and_then(Json::parse)
-                    .and_then(|value| {
-                        // Accept either a bare field object or {"field": ...}.
-                        let field = value.get("field").unwrap_or(&value).clone();
-                        FieldSpec::from_json(&field)
-                    });
-                match parsed {
-                    Err(detail) => Response::error(400, "bad_request", &detail),
-                    Ok(field) => match self.steer(id, field) {
-                        Ok(()) => self.session_info_response(200, id),
-                        Err(err) => Self::error_response(&err),
-                    },
-                }
-            }
-            ("POST", ["sessions", sid, "advance"]) => {
-                let Some(id) = parse_session_id(sid) else {
-                    return Self::error_response(&ServiceError::NotFound);
-                };
-                match self.advance_deadline(id, request.deadline_ms) {
-                    Ok(result) => Self::frame_response(&result),
-                    Err(err) => Self::error_response(&err),
-                }
-            }
-            ("GET", ["sessions", sid, "frame", index]) => {
-                let Some(id) = parse_session_id(sid) else {
-                    return Self::error_response(&ServiceError::NotFound);
-                };
-                let Ok(frame) = index.parse::<u64>() else {
-                    return Response::error(400, "bad_request", "frame index not a number");
-                };
-                match self.fetch_frame_deadline(id, frame, request.deadline_ms) {
-                    Ok(result) => Self::frame_response(&result),
-                    Err(err) => Self::error_response(&err),
-                }
-            }
-            (_, ["sessions", ..])
-            | (_, ["stats"])
-            | (_, ["healthz"])
-            | (_, ["shutdown"])
-            | (_, ["metrics"])
-            | (_, ["trace"])
-            | (_, ["cache", ..]) => {
-                Response::error(405, "method_not_allowed", "wrong method for this path")
-            }
-            _ => Response::error(404, "not_found", "unknown path"),
-        }
+    fn answer(&self, call: Call, request: &Request) -> Response {
+        self.answer_call(call, request)
+            .unwrap_or_else(|err| Self::error_response(&err))
     }
 
-    /// Serves one `GET /session/<id>/stream?from=N&count=k` request: pushes
+    /// Serves one `GET /sessions/<id>/stream?from=N&count=k` call: pushes
     /// up to `count` frames as one chunked response, each frame one chunk
     /// ([`FrameRecord`] header + body straight from the shared buffer).
     ///
@@ -352,18 +354,12 @@ impl Service {
     /// served record carries the frontier's index and the stream continues
     /// from there, so a slow subscriber loses frames, never stalls the
     /// channel.
-    fn handle_stream(
-        &self,
-        out: &mut impl std::io::Write,
-        stream: StreamRequest,
-        keep_alive: bool,
-    ) -> std::io::Result<()> {
-        self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
-        let count = stream
-            .count
-            .clamp(1, self.options().max_stream_frames.max(1));
-        let mut result = match self.fetch_frame_retrying(stream.id, stream.from) {
-            Ok(result) => result,
+    fn stream(&self, out: &mut TcpStream, call: StreamCall, keep_alive: bool) -> io::Result<()> {
+        let count = call.count.clamp(1, self.options().max_stream_frames.max(1));
+        let first = local_id(call.session)
+            .and_then(|id| self.fetch_frame_retrying(id, call.from).map(|r| (id, r)));
+        let (id, mut result) = match first {
+            Ok(first) => first,
             Err(err) => {
                 return self
                     .tag_node(Self::error_response(&err))
@@ -379,33 +375,17 @@ impl Service {
         // in-flight guard is already released by the time a fetch returns,
         // so an abandoned stream leaves the session reapable by idle
         // eviction like any other.
-        let abort = |e: std::io::Error| {
+        let abort = |e: io::Error| {
             self.counters
                 .streams_aborted
                 .fetch_add(1, Ordering::Relaxed);
             e
         };
-        let mut headers = vec![
-            ("X-Stream-From".to_string(), stream.from.to_string()),
-            ("X-Stream-Count".to_string(), count.to_string()),
-        ];
-        let node_id = self.node_id();
-        if !node_id.is_empty() {
-            headers.push(("X-Node-Id".to_string(), node_id));
-        }
-        write_stream_head(out, 200, &headers, keep_alive).map_err(abort)?;
+        let head = self.tag_node(api::stream_head(call.from, count));
+        head.write_stream_head(out, keep_alive).map_err(abort)?;
         let mut sent = 0u64;
         loop {
-            let record = FrameRecord {
-                frame: result.frame,
-                len: result.bytes.len() as u32,
-                cached: result.cached,
-                skipped: result.skipped,
-                stale: result.stale,
-                degraded: result.degraded,
-                peer: result.peer,
-            };
-            write_frame_record(out, &record, &result.bytes).map_err(abort)?;
+            write_frame_record(out, &record_of(&result), &result.bytes).map_err(abort)?;
             self.counters
                 .frames_streamed
                 .fetch_add(1, Ordering::Relaxed);
@@ -413,7 +393,7 @@ impl Service {
             if sent >= count {
                 break;
             }
-            match self.fetch_frame_retrying(stream.id, result.frame.saturating_add(1)) {
+            match self.fetch_frame_retrying(id, result.frame.saturating_add(1)) {
                 Ok(next) => result = next,
                 // The status line is long gone: end the stream at the
                 // frames already delivered.
@@ -422,170 +402,6 @@ impl Service {
         }
         finish_chunked(out).map_err(abort)
     }
-}
-
-/// What a transport front end must provide for the shared connection loop:
-/// request dispatch, streaming bypass, shutdown state and panic counting.
-/// Implemented by the worker-facing [`Service`] and the cluster
-/// [`Router`](crate::router::Router), so both speak HTTP through one
-/// keep-alive/framing/containment implementation.
-pub trait Frontend: Send + Sync + 'static {
-    /// True once shutdown has been requested (new keep-alives are refused).
-    fn is_shutting_down(&self) -> bool;
-
-    /// Counts a panic contained by the connection loop's unwind barrier.
-    fn note_panic(&self);
-
-    /// Dispatches one buffered request to a response.
-    fn route(&self, request: &Request) -> Response;
-
-    /// Claims and serves a streaming request, writing the response
-    /// incrementally. Returns `None` when the request is not a stream (it
-    /// then goes through [`Frontend::route`] as usual); `Some(result)`
-    /// when the stream was handled (successfully or not).
-    fn try_stream(
-        &self,
-        out: &mut TcpStream,
-        request: &Request,
-        keep_alive: bool,
-    ) -> Option<std::io::Result<()>>;
-}
-
-impl Frontend for Service {
-    fn is_shutting_down(&self) -> bool {
-        self.core.is_shutting_down()
-    }
-
-    fn note_panic(&self) {
-        self.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn route(&self, request: &Request) -> Response {
-        Service::route(self, request)
-    }
-
-    fn try_stream(
-        &self,
-        out: &mut TcpStream,
-        request: &Request,
-        keep_alive: bool,
-    ) -> Option<std::io::Result<()>> {
-        let raw = match parse_stream_request(request)? {
-            Ok(raw) => raw,
-            Err(response) => {
-                self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
-                return Some(response.write_to(out, keep_alive));
-            }
-        };
-        let Some(id) = parse_session_id(&raw.sid) else {
-            self.counters.http_requests.fetch_add(1, Ordering::Relaxed);
-            return Some(
-                self.tag_node(Self::error_response(&ServiceError::NotFound))
-                    .write_to(out, keep_alive),
-            );
-        };
-        Some(self.handle_stream(
-            out,
-            StreamRequest {
-                id,
-                from: raw.from,
-                count: raw.count,
-            },
-            keep_alive,
-        ))
-    }
-}
-
-/// A parsed frame-stream request (session id resolved to this node).
-pub(crate) struct StreamRequest {
-    pub(crate) id: u64,
-    pub(crate) from: u64,
-    pub(crate) count: u64,
-}
-
-/// A parsed frame-stream request with the session id still in wire form —
-/// the router resolves cluster ids (`n<node>.s-<n>`), the worker local ids
-/// (`s-<n>`).
-pub(crate) struct RawStreamRequest {
-    pub(crate) sid: String,
-    pub(crate) from: u64,
-    pub(crate) count: u64,
-}
-
-/// Parses the `/trace` query string: `last=N` bounds how many of the newest
-/// spans are returned (default 256, `0` meaning "everything in the ring").
-pub(crate) fn parse_trace_query(query: &str) -> Result<usize, String> {
-    let mut last = 256usize;
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        match key {
-            "last" => match value.parse::<usize>() {
-                Ok(0) => last = usize::MAX,
-                Ok(n) => last = n,
-                Err(_) => return Err(format!("trace query last={value:?} not a number")),
-            },
-            other => return Err(format!("unknown trace query key {other:?}")),
-        }
-    }
-    Ok(last)
-}
-
-/// Recognizes `GET /sessions/<id>/stream[?from=N&count=k]`. Returns `None`
-/// for every other request (which goes through [`Frontend::route`] as
-/// usual), `Some(Err(response))` for a malformed stream request, and
-/// `Some(Ok(...))` for a well-formed one. The session id is left in wire
-/// form so the worker and the router resolve their own id shapes.
-pub(crate) fn parse_stream_request(
-    request: &Request,
-) -> Option<Result<RawStreamRequest, Response>> {
-    if request.method != "GET" {
-        return None;
-    }
-    let (path, query) = match request.path.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (request.path.as_str(), ""),
-    };
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let ["sessions", sid, "stream"] = segments.as_slice() else {
-        return None;
-    };
-    let sid = sid.to_string();
-    let mut from = 0u64;
-    let mut count = u64::MAX; // clamped to max_stream_frames by the handler
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        let parsed = match value.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                return Some(Err(Response::error(
-                    400,
-                    "bad_request",
-                    &format!("stream query {key}={value:?} not a number"),
-                )))
-            }
-        };
-        match key {
-            "from" => from = parsed,
-            "count" => {
-                if parsed == 0 {
-                    return Some(Err(Response::error(
-                        400,
-                        "bad_request",
-                        "stream count must be at least 1",
-                    )));
-                }
-                count = parsed;
-            }
-            other => {
-                return Some(Err(Response::error(
-                    400,
-                    "bad_request",
-                    &format!("unknown stream query key {other:?}"),
-                )))
-            }
-        }
-    }
-    Some(Ok(RawStreamRequest { sid, from, count }))
 }
 
 /// How long shutdown waits for in-flight connection threads to finish
@@ -685,10 +501,12 @@ impl<F: Frontend> Drop for FrontHandle<F> {
 }
 
 /// One connection's keep-alive loop, generic over the front end. Transport
-/// errors (malformed heads, unframed bodies) are answered here; everything
-/// else goes through [`Frontend::try_stream`] / [`Frontend::route`] under
-/// an unwind barrier, so a panicking handler costs one request (or one
-/// connection, for streams) and never the process.
+/// errors (malformed heads, unframed bodies) are answered here; every
+/// request is then counted, parsed once into a [`Call`] and dispatched — a
+/// stream to [`Frontend::stream`], anything else (a refusal included) to
+/// [`Frontend::respond`] — under an unwind barrier, so a panicking handler
+/// costs one request (or one connection, for streams) and never the
+/// process.
 fn handle_connection<F: Frontend>(front: Arc<F>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     // An idle keep-alive connection eventually times out so connection
@@ -707,7 +525,7 @@ fn handle_connection<F: Frontend>(front: Arc<F>, stream: TcpStream) {
             // a mid-request hang-up must close silently — writing a response
             // there would leave a stale 400 in the socket for the client to
             // misread as the answer to its *next* request.
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let _ = Response::error(400, "bad_request", "malformed request")
                     .write_to(&mut writer, false);
                 break;
@@ -715,7 +533,7 @@ fn handle_connection<F: Frontend>(front: Arc<F>, stream: TcpStream) {
             // A body-bearing request without Content-Length: the unframed
             // body would desync the stream, so answer 411 and close (the
             // close discards whatever body bytes follow).
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
                 let _ = Response::error(
                     411,
                     "length_required",
@@ -727,33 +545,35 @@ fn handle_connection<F: Frontend>(front: Arc<F>, stream: TcpStream) {
             Err(_) => break,
         };
         let keep_alive = request.keep_alive && !front.is_shutting_down();
-        // Streams bypass route(): their response is written incrementally
-        // as frames arrive, not built up front. The unwind barrier: a panic
-        // mid-stream cannot be turned into a clean 500 (the head may be
-        // written), so the connection is dropped — but the thread, and the
-        // server, survive.
-        let streamed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            front.try_stream(&mut writer, &request, keep_alive)
-        }));
-        match streamed {
-            Ok(Some(Ok(()))) if keep_alive => continue,
-            Ok(Some(_)) => break,
-            Ok(None) => {}
-            Err(_) => {
-                front.note_panic();
-                break;
+        front.note_request();
+        let parsed = Call::parse(&request);
+        if let Ok(Call::Stream(call)) = parsed {
+            // A stream's response is written incrementally as frames
+            // arrive, not built up front. The unwind barrier: a panic
+            // mid-stream cannot be turned into a clean 500 (the head may be
+            // written), so the connection is dropped — but the thread, and
+            // the server, survive.
+            let streamed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                front.stream(&mut writer, call, keep_alive)
+            }));
+            match streamed {
+                Ok(Ok(())) if keep_alive => continue,
+                Ok(_) => break,
+                Err(_) => {
+                    front.note_panic();
+                    break;
+                }
             }
         }
-        // The same barrier for buffered routes: a panicking handler answers
-        // *this* request with a 500 and the connection (and every other
-        // session) keeps going.
-        let response = match std::panic::catch_unwind(AssertUnwindSafe(|| front.route(&request))) {
-            Ok(response) => response,
-            Err(_) => {
-                front.note_panic();
-                Response::error(500, "internal", "request handler panicked")
-            }
-        };
+        // The same barrier for buffered answers: a panicking handler
+        // answers *this* request with a 500 and the connection (and every
+        // other session) keeps going.
+        let answered =
+            std::panic::catch_unwind(AssertUnwindSafe(|| front.respond(parsed, &request)));
+        let response = answered.unwrap_or_else(|_| {
+            front.note_panic();
+            Response::error(500, "internal", "request handler panicked")
+        });
         if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
             break;
         }
@@ -1111,6 +931,58 @@ mod tests {
         let cluster = stats.get("cluster").unwrap();
         assert_eq!(cluster.get("peer_serves").and_then(Json::as_f64), Some(1.0));
         assert_eq!(service.route(&req("/cache/zz/0/0/0")).status, 400);
+        handle.shutdown();
+    }
+
+    fn get(path: &str) -> Request {
+        Request {
+            method: "GET".to_string(),
+            path: path.to_string(),
+            body: Vec::new(),
+            keep_alive: true,
+            deadline_ms: None,
+        }
+    }
+
+    #[test]
+    fn session_id_and_cache_key_aliases_name_nothing() {
+        let handle = start();
+        let service = handle.service();
+        let id = service.create_session(tiny_spec()).unwrap();
+        assert_eq!(id, 1);
+        assert_eq!(service.route(&get("/sessions/s-1")).status, 200);
+        // `s-01` and `s-+1` parse to 1 under `u64::from_str`; only the
+        // formatter's own spelling names the session.
+        for alias in ["s-01", "s-+1", "s-001", "n0.s-1"] {
+            for path in [
+                format!("/sessions/{alias}"),
+                format!("/sessions/{alias}/frame/0"),
+            ] {
+                assert_eq!(service.route(&get(&path)).status, 404, "{path}");
+            }
+        }
+        for alias in ["/cache/01/1/1/1", "/cache/A/1/1/1", "/cache/+1/1/1/1"] {
+            assert_eq!(service.route(&get(alias)).status, 400, "{alias}");
+        }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_refused_stream_is_tagged_and_counted_once() {
+        let options = ServiceOptions {
+            node_id: Some("w7".to_string()),
+            ..tiny_options()
+        };
+        let handle = serve("127.0.0.1:0", options).expect("bind loopback");
+        let mut client = crate::client::ServiceClient::connect(handle.addr()).expect("connect");
+        let reply = client
+            .request("GET", "/sessions/s-1/stream?count=0", b"")
+            .expect("reply");
+        assert_eq!(reply.status, 400);
+        assert_eq!(reply.header("x-node-id"), Some("w7"));
+        let stats = handle.service().stats_json();
+        let requests = stats.get("http").and_then(|h| h.get("requests"));
+        assert_eq!(requests.and_then(Json::as_f64), Some(1.0));
         handle.shutdown();
     }
 }

@@ -19,6 +19,7 @@
 //! channel's shared synthesis clock — usually straight out of the frame
 //! cache. Steering a shared session forks it back into a private one.
 
+use crate::api::SessionId;
 use crate::cache::FrameKey;
 use crate::channel::{ChannelSubscription, FieldChannel};
 use crate::spec::{service_domain, FieldSpec, SessionSpec};
@@ -551,12 +552,15 @@ pub struct SessionRegistry {
 
 /// Formats a session id the way it appears in URLs.
 pub fn format_session_id(id: u64) -> String {
-    format!("s-{id}")
+    SessionId::Local(id).to_string()
 }
 
-/// Parses a session id from its URL form.
+/// Parses a local session id from its URL form (see [`SessionId::parse`]).
 pub fn parse_session_id(text: &str) -> Option<u64> {
-    text.strip_prefix("s-")?.parse().ok()
+    let SessionId::Local(id) = SessionId::parse(text)? else {
+        return None;
+    };
+    Some(id)
 }
 
 impl SessionRegistry {
