@@ -74,7 +74,7 @@ impl BenchCase {
     }
 
     /// Fragments per second through the optimized path.
-    pub fn optimized_fragments_per_second(&self) -> f64 {
+    pub(crate) fn optimized_fragments_per_second(&self) -> f64 {
         if self.optimized_ns_per_op > 0.0 {
             self.fragments_per_op as f64 / (self.optimized_ns_per_op * 1e-9)
         } else {
@@ -613,14 +613,9 @@ fn spot_batch_case(spot_batch: usize, unbatched: &OnceCell<(u64, f64)>) -> Measu
     }
 }
 
-/// Runs every case and assembles the report.
-pub fn run_raster_bench() -> RasterBenchReport {
-    run_raster_bench_filtered(None)
-}
-
-/// Like [`run_raster_bench`], but measuring only the cases whose name
-/// contains one of the comma-separated substrings in `filter` (all cases
-/// when `None`). Each case is measured lazily, so a filtered run really
+/// Runs the cases whose name contains one of the comma-separated
+/// substrings in `filter` (all cases when `None`) and assembles the report.
+/// Each case is measured lazily, so a filtered run really
 /// skips the excluded work — this is what lets CI's `--check` smoke run
 /// keep every fast case while leaving out the slow full-synthesis
 /// `dnc_spot_batch_*` sweep.

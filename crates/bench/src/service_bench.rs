@@ -103,7 +103,7 @@ impl ServiceBenchOptions {
 
 /// One measured (concurrency, cache mode) case.
 #[derive(Debug, Clone)]
-pub struct ServiceCase {
+pub(crate) struct ServiceCase {
     /// Case identifier, e.g. `cold_c16`.
     pub name: String,
     /// `"cold"` or `"hot"`.
@@ -130,7 +130,7 @@ pub struct ServiceCase {
 
 /// Outcome of the shared-field fan-out phase.
 #[derive(Debug, Clone, Copy)]
-pub struct FanoutResult {
+pub(crate) struct FanoutResult {
     /// Distinct shared fields (= broadcast channels).
     pub fields: usize,
     /// Streaming subscribers across all fields.
@@ -161,7 +161,7 @@ pub struct FanoutResult {
 
 /// Outcome of the overload phase.
 #[derive(Debug, Clone, Copy)]
-pub struct OverloadResult {
+pub(crate) struct OverloadResult {
     /// The tiny server's queue watermark.
     pub watermark: usize,
     /// Concurrent one-shot requests fired at it.
@@ -200,11 +200,11 @@ pub struct ServiceBenchReport {
     /// Bytes of one frame on the wire.
     pub frame_bytes: usize,
     /// The sweep cases.
-    pub cases: Vec<ServiceCase>,
+    pub(crate) cases: Vec<ServiceCase>,
     /// The shared-field fan-out phase outcome.
-    pub fanout: FanoutResult,
+    pub(crate) fanout: FanoutResult,
     /// The overload phase outcome.
-    pub overload: OverloadResult,
+    pub(crate) overload: OverloadResult,
 }
 
 struct ClientOutcome {

@@ -47,7 +47,7 @@ impl SpotAnimator {
     }
 
     /// Creates an animator with full control over the particle life cycle.
-    pub fn with_options(
+    pub(crate) fn with_options(
         domain: Rect,
         options: ParticleOptions,
         mode: PositionMode,

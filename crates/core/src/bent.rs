@@ -19,7 +19,7 @@ use softpipe::{TexturedMesh, Vertex};
 
 /// Parameters of bent-spot construction derived from the synthesis config.
 #[derive(Debug, Clone, Copy)]
-pub struct BentSpotParams {
+pub(crate) struct BentSpotParams {
     /// Mesh vertices along the stream line.
     pub rows: usize,
     /// Mesh vertices across the stream line.
@@ -35,7 +35,7 @@ impl BentSpotParams {
     /// the stream-line length grows with the local speed (up to
     /// `max_stretch` times the base diameter) and the width shrinks
     /// correspondingly, mirroring the standard spot transform.
-    pub fn at_position(
+    pub(crate) fn at_position(
         field: &dyn VectorField,
         position: Vec2,
         cfg: &SynthesisConfig,
@@ -63,7 +63,7 @@ impl BentSpotParams {
 /// `2 * half_width` around the resampled stream line. Texture `u` runs along
 /// the stream line, `v` across it, so the spot texture is stretched along the
 /// flow.
-pub fn bent_spot_mesh(
+pub(crate) fn bent_spot_mesh(
     streamline: &Streamline,
     params: &BentSpotParams,
     mapper: &FieldToPixel,
@@ -92,7 +92,7 @@ pub fn bent_spot_mesh(
 ///
 /// Falls back to a degenerate (but valid) mesh when the stream line collapses
 /// to a point (stagnation regions), so the caller never has to special-case.
-pub fn build_bent_spot(
+pub(crate) fn build_bent_spot(
     field: &dyn VectorField,
     spot: &Spot,
     cfg: &SynthesisConfig,

@@ -30,18 +30,10 @@ pub enum SpotKind {
 
 impl SpotKind {
     /// Number of vertices a single spot of this kind submits to the pipe.
-    pub fn vertices_per_spot(&self) -> usize {
+    pub(crate) fn vertices_per_spot(&self) -> usize {
         match self {
             SpotKind::Disc => 4,
             SpotKind::Bent { rows, cols } => rows * cols,
-        }
-    }
-
-    /// Number of quadrilaterals a single spot of this kind rasterizes.
-    pub fn quads_per_spot(&self) -> usize {
-        match self {
-            SpotKind::Disc => 1,
-            SpotKind::Bent { rows, cols } => (rows - 1) * (cols - 1),
         }
     }
 }
@@ -177,11 +169,6 @@ impl SynthesisConfig {
     /// bandwidth estimates).
     pub fn vertices_per_texture(&self) -> usize {
         self.spot_count * self.spot_kind.vertices_per_spot()
-    }
-
-    /// Total quadrilaterals rasterized per texture.
-    pub fn quads_per_texture(&self) -> usize {
-        self.spot_count * self.spot_kind.quads_per_spot()
     }
 
     /// A stable content hash of the configuration, usable as (part of) a
@@ -449,5 +436,22 @@ mod tests {
     #[test]
     fn default_is_small_test() {
         assert_eq!(SynthesisConfig::default(), SynthesisConfig::small_test());
+    }
+
+    impl SpotKind {
+        /// Number of quadrilaterals a single spot of this kind rasterizes.
+        fn quads_per_spot(&self) -> usize {
+            match self {
+                SpotKind::Disc => 1,
+                SpotKind::Bent { rows, cols } => (rows - 1) * (cols - 1),
+            }
+        }
+    }
+
+    impl SynthesisConfig {
+        /// Total quadrilaterals rasterized per texture.
+        fn quads_per_texture(&self) -> usize {
+            self.spot_count * self.spot_kind.quads_per_spot()
+        }
     }
 }

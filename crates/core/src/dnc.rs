@@ -111,7 +111,7 @@ impl std::ops::Deref for DncOutput {
 impl DncOutput {
     /// Splits the output into its texture and its report without cloning
     /// either (what the pipeline does to avoid duplicating the frame).
-    pub fn into_parts(self) -> (Texture, DncReport) {
+    pub(crate) fn into_parts(self) -> (Texture, DncReport) {
         (self.texture, self.report)
     }
 }

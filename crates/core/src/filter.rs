@@ -17,7 +17,7 @@ use softpipe::Texture;
 /// whole row (the horizontal pass reads a row padded with clamped copies of
 /// its end texels), so the adds vectorize across outputs while every output
 /// keeps the summation order — and therefore the bits — of a per-texel loop.
-pub fn box_blur(texture: &Texture, radius: usize) -> Texture {
+pub(crate) fn box_blur(texture: &Texture, radius: usize) -> Texture {
     if radius == 0 {
         return texture.clone();
     }
@@ -62,7 +62,7 @@ pub fn box_blur(texture: &Texture, radius: usize) -> Texture {
 /// High-pass filter: subtracts the local mean (a box blur of half-width
 /// `radius`) from every texel. This removes the blotchy low-frequency
 /// component of the noise while keeping the flow-aligned streaks.
-pub fn highpass(texture: &Texture, radius: usize) -> Texture {
+pub(crate) fn highpass(texture: &Texture, radius: usize) -> Texture {
     let low = box_blur(texture, radius);
     let mut out = texture.clone();
     for (dst, lo) in out.data_mut().iter_mut().zip(low.data()) {
@@ -74,7 +74,7 @@ pub fn highpass(texture: &Texture, radius: usize) -> Texture {
 /// Linearly rescales the texture so that `[mean - k*std, mean + k*std]` maps
 /// onto `[0, 1]`, clamping outliers. This is the contrast enhancement applied
 /// before the texture is mapped onto geometry for display.
-pub fn contrast_stretch(texture: &Texture, k: f32) -> Texture {
+pub(crate) fn contrast_stretch(texture: &Texture, k: f32) -> Texture {
     assert!(k > 0.0, "contrast factor must be positive");
     let mean = texture.mean();
     let std = texture.variance().sqrt();

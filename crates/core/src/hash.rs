@@ -31,7 +31,7 @@ impl StableHasher {
     }
 
     /// Feeds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= b as u64;
             self.state = self.state.wrapping_mul(FNV_PRIME);
@@ -39,7 +39,7 @@ impl StableHasher {
     }
 
     /// Feeds one byte.
-    pub fn write_u8(&mut self, v: u8) {
+    pub(crate) fn write_u8(&mut self, v: u8) {
         self.write_bytes(&[v]);
     }
 
@@ -54,7 +54,7 @@ impl StableHasher {
     }
 
     /// Feeds a boolean as one byte.
-    pub fn write_bool(&mut self, v: bool) {
+    pub(crate) fn write_bool(&mut self, v: bool) {
         self.write_u8(u8::from(v));
     }
 

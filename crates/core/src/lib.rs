@@ -16,14 +16,14 @@
 //!
 //! * [`config`] — synthesis parameters and the paper's two workload presets,
 //! * [`spot`] — spot instances and standard (stretched-ellipse) spots,
-//! * [`bent`] — bent spots: stream-line-advected textured meshes,
+//! * bent spots — stream-line-advected textured meshes, built by
+//!   [`SynthesisContext::build_job`] for [`SpotKind::Bent`],
 //! * [`synth`] — sequential synthesis (the eq. 2.1 baseline),
 //! * [`scheduler`] — the execution engine: each process group renders its
 //!   fixed share (a spot set or texture tiles) on a pooled graphics pipe or
 //!   inline on its own thread, and a streaming gather composes the partials,
 //! * [`dnc`] — the divide-and-conquer executors as thin engine
-//!   configurations (round-robin, texture tiling, CPU-only),
-//! * [`partition`] — spot partitioning strategies,
+//!   configurations (round-robin spot sets, texture tiling, CPU-only),
 //! * [`advect`] — spot/particle animation with life cycles,
 //! * [`filter`] — spot filtering and display post-processing,
 //! * [`pipeline`] — the interactive four-step pipeline,
@@ -56,14 +56,14 @@
 #![warn(missing_docs)]
 
 pub mod advect;
-pub mod bent;
+mod bent;
 pub mod config;
 pub mod dnc;
 pub mod filter;
 pub mod hash;
 pub mod json;
 pub mod metrics;
-pub mod partition;
+mod partition;
 pub mod perfmodel;
 pub mod pipeline;
 pub mod quality;
@@ -75,7 +75,7 @@ pub mod telemetry;
 pub use advect::{PositionMode, SpotAnimator};
 pub use config::{SpotKind, SynthesisConfig};
 pub use dnc::{synthesize_cpu_only, synthesize_dnc, DncOutput, DncReport, GroupReport};
-pub use perfmodel::{eq_2_1, eq_3_2, PerfPrediction};
+pub use perfmodel::{eq_2_1, PerfPrediction};
 pub use pipeline::{ExecutionMode, FrameOutput, Pipeline};
 pub use scheduler::{EngineOutput, SchedulerOptions};
 pub use spot::{generate_spots, Spot};

@@ -21,7 +21,7 @@ use softpipe::PixelTile;
 
 /// Result of a tiled partition.
 #[derive(Debug, Clone)]
-pub struct TiledPartition {
+pub(crate) struct TiledPartition {
     /// Per-group spot sets (group `g` owns `tiles[g]`).
     pub groups: Vec<Vec<Spot>>,
     /// Pixel region owned by each group.
@@ -34,7 +34,7 @@ pub struct TiledPartition {
 
 /// Splits `spots` into `groups` sets by dealing them round-robin.
 /// Every spot lands in exactly one group and group sizes differ by at most 1.
-pub fn partition_round_robin(spots: &[Spot], groups: usize) -> Vec<Vec<Spot>> {
+pub(crate) fn partition_round_robin(spots: &[Spot], groups: usize) -> Vec<Vec<Spot>> {
     assert!(groups > 0, "need at least one group");
     let mut out: Vec<Vec<Spot>> = (0..groups)
         .map(|g| Vec::with_capacity(spots.len() / groups + 1 + usize::from(g == 0)))
@@ -47,7 +47,7 @@ pub fn partition_round_robin(spots: &[Spot], groups: usize) -> Vec<Vec<Spot>> {
 
 /// Splits `spots` into `groups` contiguous chunks (preserving order): one
 /// chunk per task of the CPU-only executor.
-pub fn partition_chunks(spots: &[Spot], groups: usize) -> Vec<Vec<Spot>> {
+pub(crate) fn partition_chunks(spots: &[Spot], groups: usize) -> Vec<Vec<Spot>> {
     chunk_slices(spots, groups)
         .into_iter()
         .map(<[Spot]>::to_vec)
@@ -72,7 +72,7 @@ fn chunk_slices(spots: &[Spot], groups: usize) -> Vec<&[Spot]> {
 
 /// Chooses a tile-grid shape `(nx, ny)` with `nx * ny == groups`, as close to
 /// square as possible (e.g. 2 -> 2x1, 4 -> 2x2, 6 -> 3x2).
-pub fn tile_grid_shape(groups: usize) -> (usize, usize) {
+pub(crate) fn tile_grid_shape(groups: usize) -> (usize, usize) {
     assert!(groups > 0, "need at least one group");
     let mut best = (groups, 1);
     let mut best_score = usize::MAX;
@@ -93,7 +93,7 @@ pub fn tile_grid_shape(groups: usize) -> (usize, usize) {
 
 /// Options of the tiled partition.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TilingOptions {
+pub(crate) struct TilingOptions {
     /// Extra margin (in pixels) added to every spot's footprint when deciding
     /// which tiles it may affect; covers the stretching of spots by the flow.
     pub overlap_margin_pixels: f64,
@@ -106,7 +106,7 @@ impl TilingOptions {
     /// pixels of rasterization slack are added so that every fragment of a
     /// duplicated spot is guaranteed to fall inside a tile whose group
     /// received that spot.
-    pub fn from_config(cfg: &SynthesisConfig) -> Self {
+    pub(crate) fn from_config(cfg: &SynthesisConfig) -> Self {
         TilingOptions {
             overlap_margin_pixels: cfg.spot_radius_pixels() * (cfg.max_stretch + 1.0) + 2.0,
         }
@@ -115,7 +115,7 @@ impl TilingOptions {
 
 /// Partitions spots by location into one texture tile per group, duplicating
 /// spots that may affect more than one tile.
-pub fn partition_tiled(
+pub(crate) fn partition_tiled(
     spots: &[Spot],
     mapper: &FieldToPixel,
     groups: usize,

@@ -22,25 +22,9 @@ pub fn eq_2_1(cpu_seconds: f64, pipe_seconds: f64) -> f64 {
     cpu_seconds.max(pipe_seconds)
 }
 
-/// Equation 3.2 in its aggregate form: CPU work divided over `n_processors`,
-/// pipe work divided over `n_pipes`, plus the sequential blend overhead `c`.
-pub fn eq_3_2(
-    total_cpu_seconds: f64,
-    total_pipe_seconds: f64,
-    n_processors: usize,
-    n_pipes: usize,
-    blend_overhead: f64,
-) -> f64 {
-    assert!(n_processors >= 1 && n_pipes >= 1);
-    eq_2_1(
-        total_cpu_seconds / n_processors as f64,
-        total_pipe_seconds / n_pipes as f64,
-    ) + blend_overhead
-}
-
 /// The measured work of one process group during a synthesis run.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GroupWork {
+pub(crate) struct GroupWork {
     /// CPU-side spot shape work of the group.
     pub cpu: CpuWork,
     /// Pipe-side rasterization work of the group.
@@ -74,7 +58,7 @@ pub struct PerfPrediction {
 /// runs on the group's single pipe. Group times are overlapped (the frame is
 /// done when the slowest group is done), then the sequential gather/blend
 /// cost is added.
-pub fn predict(
+pub(crate) fn predict(
     machine: &MachineConfig,
     groups: &[GroupWork],
     compose_texels: u64,
@@ -117,7 +101,7 @@ pub fn predict(
 /// Predicts a machine's throughput straight from the per-group reports the
 /// scheduler engine produces — the glue between the engine's uniform
 /// accounting and the cost model, used by every pipe-backed executor.
-pub fn predict_from_reports(
+pub(crate) fn predict_from_reports(
     machine: &MachineConfig,
     reports: &[crate::scheduler::GroupReport],
     compose_texels: u64,
@@ -303,5 +287,21 @@ mod tests {
     #[should_panic(expected = "at least one group")]
     fn predict_rejects_empty_groups() {
         let _ = predict(&machine(1, 1), &[], 0);
+    }
+
+    /// Equation 3.2 in its aggregate form: CPU work divided over `n_processors`,
+    /// pipe work divided over `n_pipes`, plus the sequential blend overhead `c`.
+    fn eq_3_2(
+        total_cpu_seconds: f64,
+        total_pipe_seconds: f64,
+        n_processors: usize,
+        n_pipes: usize,
+        blend_overhead: f64,
+    ) -> f64 {
+        assert!(n_processors >= 1 && n_pipes >= 1);
+        eq_2_1(
+            total_cpu_seconds / n_processors as f64,
+            total_pipe_seconds / n_pipes as f64,
+        ) + blend_overhead
     }
 }

@@ -3,184 +3,34 @@
 //! The paper trades speed against quality ("speed can be traded for quality
 //! and higher speeds than presented in the paper are possible") but never
 //! defines a quantitative quality measure. For the reproduction's regression
-//! tests and ablation benches we need one, so this module provides the two
-//! standard measures used in the later texture-based flow-visualization
+//! tests and ablation benches we need one, so the reproduction uses the two
+//! standard measures of the later texture-based flow-visualization
 //! literature:
 //!
+//! * **contrast** — the texture variance, which drops when too few spots (or
+//!   too-small spots) cover the texture; this module's sampling-quality
+//!   gate compares it between footprint and exact sampling, and
 //! * **directional autocorrelation** — the correlation of the texture with a
 //!   copy of itself shifted *along* the local flow direction should be much
 //!   higher than with a copy shifted *across* it; their ratio (the
-//!   *anisotropy*) measures how well the texture encodes the flow, and
-//! * **contrast** — the texture variance, which drops when too few spots (or
-//!   too-small spots) cover the texture.
-//!
-//! These metrics are what the tests use to verify that spot deformation
-//! actually works (isotropic noise has anisotropy ≈ 1, flow-deformed spot
-//! noise clearly > 1) and that quality degrades gracefully in the ablations.
+//!   *anisotropy*) measures how well the texture encodes the flow. Only the
+//!   tests use it, to verify that spot deformation actually works
+//!   (isotropic noise has anisotropy ≈ 1, flow-deformed spot noise clearly
+//!   above 1), so it lives in this module's tests.
 
-use flowfield::{Vec2, VectorField};
 use softpipe::Texture;
-
-/// Correlation of the texture with itself shifted by `offset` pixels,
-/// computed over all texels whose shifted position stays inside the texture.
-/// Returns a value in `[-1, 1]`; degenerate (constant) textures return 0.
-pub fn shifted_correlation(texture: &Texture, offset: (f64, f64)) -> f64 {
-    let w = texture.width();
-    let h = texture.height();
-    let (dx, dy) = offset;
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for y in 0..h {
-        for x in 0..w {
-            let sx = x as f64 + dx;
-            let sy = y as f64 + dy;
-            if sx < 0.0 || sy < 0.0 || sx >= (w - 1) as f64 || sy >= (h - 1) as f64 {
-                continue;
-            }
-            xs.push(texture.texel(x, y) as f64);
-            ys.push(
-                texture.sample_bilinear((sx as f32 + 0.5) / w as f32, (sy as f32 + 0.5) / h as f32)
-                    as f64,
-            );
-        }
-    }
-    pearson(&xs, &ys)
-}
-
-fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    let denom = (vx * vy).sqrt();
-    if denom <= 1e-300 {
-        0.0
-    } else {
-        cov / denom
-    }
-}
-
-/// Flow-alignment report of a spot-noise texture with respect to the field
-/// it was synthesised from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlignmentReport {
-    /// Mean correlation for shifts along the local flow direction.
-    pub along_flow: f64,
-    /// Mean correlation for shifts perpendicular to the local flow.
-    pub across_flow: f64,
-    /// Shift distance used, in pixels.
-    pub shift_pixels: f64,
-}
-
-impl AlignmentReport {
-    /// Anisotropy ratio `along / across` (clamped away from division by
-    /// zero). Values clearly above 1 mean the texture is correlated along
-    /// stream lines — the visual signature of spot noise on a flow field.
-    pub fn anisotropy(&self) -> f64 {
-        let across = self.across_flow.max(1e-3);
-        (self.along_flow / across).max(0.0)
-    }
-}
-
-/// Measures how strongly the texture is correlated along versus across the
-/// flow. The texture is sampled on a coarse lattice; at every sample the
-/// local flow direction determines the along/across shift directions, and the
-/// per-sample correlations of small patches are averaged.
-pub fn flow_alignment(
-    texture: &Texture,
-    field: &dyn VectorField,
-    shift_pixels: f64,
-    lattice: usize,
-) -> AlignmentReport {
-    assert!(lattice >= 2, "need at least a 2x2 sampling lattice");
-    let w = texture.width();
-    let h = texture.height();
-    let domain = field.domain();
-    let patch = 8usize; // half-size of the correlation patch in texels
-    let mut along_vals = Vec::new();
-    let mut across_vals = Vec::new();
-
-    for j in 0..lattice {
-        for i in 0..lattice {
-            let u = (i as f64 + 0.5) / lattice as f64;
-            let v = (j as f64 + 0.5) / lattice as f64;
-            let p = domain.from_unit(Vec2::new(u, v));
-            let dir = field.velocity(p).normalized();
-            if dir == Vec2::ZERO {
-                continue;
-            }
-            let cx = (u * w as f64) as isize;
-            let cy = (v * h as f64) as isize;
-            // Extract a small patch and correlate with along/across shifts.
-            let (mut base, mut along, mut across) = (Vec::new(), Vec::new(), Vec::new());
-            for dy in -(patch as isize)..=(patch as isize) {
-                for dx in -(patch as isize)..=(patch as isize) {
-                    let x = cx + dx;
-                    let y = cy + dy;
-                    if x < 0 || y < 0 || x >= w as isize || y >= h as isize {
-                        continue;
-                    }
-                    let sample = |ox: f64, oy: f64| -> Option<f32> {
-                        let sx = x as f64 + ox;
-                        let sy = y as f64 + oy;
-                        if sx < 0.0 || sy < 0.0 || sx >= (w - 1) as f64 || sy >= (h - 1) as f64 {
-                            return None;
-                        }
-                        Some(texture.sample_bilinear(
-                            (sx as f32 + 0.5) / w as f32,
-                            (sy as f32 + 0.5) / h as f32,
-                        ))
-                    };
-                    let a = sample(dir.x * shift_pixels, dir.y * shift_pixels);
-                    let c = sample(-dir.y * shift_pixels, dir.x * shift_pixels);
-                    if let (Some(a), Some(c)) = (a, c) {
-                        base.push(texture.texel(x as usize, y as usize) as f64);
-                        along.push(a as f64);
-                        across.push(c as f64);
-                    }
-                }
-            }
-            if base.len() > 16 {
-                along_vals.push(pearson(&base, &along));
-                across_vals.push(pearson(&base, &across));
-            }
-        }
-    }
-    let mean = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
-    AlignmentReport {
-        along_flow: mean(&along_vals),
-        across_flow: mean(&across_vals),
-        shift_pixels,
-    }
-}
 
 /// Tolerance on the texture-variance ratio between footprint-sampled and
 /// exact synthesis: `|variance(approx)/variance(exact) − 1|` must stay
 /// below this. Variance is the paper's "contrast" — the quality measure the
 /// speed-for-quality trade is gated on. Measured headroom: random
 /// disc/bent workloads sit well under half of this bound.
-pub const FOOTPRINT_VARIANCE_TOLERANCE: f64 = 0.25;
+pub(crate) const FOOTPRINT_VARIANCE_TOLERANCE: f64 = 0.25;
 
 /// Tolerance on the mean absolute texel error between footprint-sampled and
 /// exact synthesis, normalized by the exact texture's standard deviation
 /// (so it is scale-free in the spot intensity amplitude).
-pub const FOOTPRINT_MEAN_ERROR_TOLERANCE: f64 = 0.5;
+pub(crate) const FOOTPRINT_MEAN_ERROR_TOLERANCE: f64 = 0.5;
 
 /// Quality deltas of an approximate synthesis against the exact one —
 /// the gate for [`SamplingMode::Footprint`](crate::config::SamplingMode).
@@ -240,6 +90,7 @@ mod tests {
     use crate::synth::synthesize_sequential;
     use flowfield::analytic::Uniform;
     use flowfield::Rect;
+    use flowfield::{Vec2, VectorField};
 
     fn domain() -> Rect {
         Rect::new(Vec2::ZERO, Vec2::new(1.0, 1.0))
@@ -406,5 +257,156 @@ mod tests {
             domain: domain(),
         };
         let _ = flow_alignment(&t, &field, 2.0, 1);
+    }
+
+    /// Correlation of the texture with itself shifted by `offset` pixels,
+    /// computed over all texels whose shifted position stays inside the texture.
+    /// Returns a value in `[-1, 1]`; degenerate (constant) textures return 0.
+    fn shifted_correlation(texture: &Texture, offset: (f64, f64)) -> f64 {
+        let w = texture.width();
+        let h = texture.height();
+        let (dx, dy) = offset;
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let sx = x as f64 + dx;
+                let sy = y as f64 + dy;
+                if sx < 0.0 || sy < 0.0 || sx >= (w - 1) as f64 || sy >= (h - 1) as f64 {
+                    continue;
+                }
+                xs.push(texture.texel(x, y) as f64);
+                ys.push(
+                    texture
+                        .sample_bilinear((sx as f32 + 0.5) / w as f32, (sy as f32 + 0.5) / h as f32)
+                        as f64,
+                );
+            }
+        }
+        pearson(&xs, &ys)
+    }
+
+    fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+        if xs.len() < 2 {
+            return 0.0;
+        }
+        let n = xs.len() as f64;
+        let mx = xs.iter().sum::<f64>() / n;
+        let my = ys.iter().sum::<f64>() / n;
+        let mut cov = 0.0;
+        let mut vx = 0.0;
+        let mut vy = 0.0;
+        for (x, y) in xs.iter().zip(ys) {
+            cov += (x - mx) * (y - my);
+            vx += (x - mx) * (x - mx);
+            vy += (y - my) * (y - my);
+        }
+        let denom = (vx * vy).sqrt();
+        if denom <= 1e-300 {
+            0.0
+        } else {
+            cov / denom
+        }
+    }
+
+    /// Flow-alignment report of a spot-noise texture with respect to the field
+    /// it was synthesised from.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct AlignmentReport {
+        /// Mean correlation for shifts along the local flow direction.
+        pub along_flow: f64,
+        /// Mean correlation for shifts perpendicular to the local flow.
+        pub across_flow: f64,
+        /// Shift distance used, in pixels.
+        pub shift_pixels: f64,
+    }
+
+    impl AlignmentReport {
+        /// Anisotropy ratio `along / across` (clamped away from division by
+        /// zero). Values clearly above 1 mean the texture is correlated along
+        /// stream lines — the visual signature of spot noise on a flow field.
+        fn anisotropy(&self) -> f64 {
+            let across = self.across_flow.max(1e-3);
+            (self.along_flow / across).max(0.0)
+        }
+    }
+
+    /// Measures how strongly the texture is correlated along versus across the
+    /// flow. The texture is sampled on a coarse lattice; at every sample the
+    /// local flow direction determines the along/across shift directions, and the
+    /// per-sample correlations of small patches are averaged.
+    fn flow_alignment(
+        texture: &Texture,
+        field: &dyn VectorField,
+        shift_pixels: f64,
+        lattice: usize,
+    ) -> AlignmentReport {
+        assert!(lattice >= 2, "need at least a 2x2 sampling lattice");
+        let w = texture.width();
+        let h = texture.height();
+        let domain = field.domain();
+        let patch = 8usize; // half-size of the correlation patch in texels
+        let mut along_vals = Vec::new();
+        let mut across_vals = Vec::new();
+
+        for j in 0..lattice {
+            for i in 0..lattice {
+                let u = (i as f64 + 0.5) / lattice as f64;
+                let v = (j as f64 + 0.5) / lattice as f64;
+                let p = domain.from_unit(Vec2::new(u, v));
+                let dir = field.velocity(p).normalized();
+                if dir == Vec2::ZERO {
+                    continue;
+                }
+                let cx = (u * w as f64) as isize;
+                let cy = (v * h as f64) as isize;
+                // Extract a small patch and correlate with along/across shifts.
+                let (mut base, mut along, mut across) = (Vec::new(), Vec::new(), Vec::new());
+                for dy in -(patch as isize)..=(patch as isize) {
+                    for dx in -(patch as isize)..=(patch as isize) {
+                        let x = cx + dx;
+                        let y = cy + dy;
+                        if x < 0 || y < 0 || x >= w as isize || y >= h as isize {
+                            continue;
+                        }
+                        let sample = |ox: f64, oy: f64| -> Option<f32> {
+                            let sx = x as f64 + ox;
+                            let sy = y as f64 + oy;
+                            if sx < 0.0 || sy < 0.0 || sx >= (w - 1) as f64 || sy >= (h - 1) as f64
+                            {
+                                return None;
+                            }
+                            Some(texture.sample_bilinear(
+                                (sx as f32 + 0.5) / w as f32,
+                                (sy as f32 + 0.5) / h as f32,
+                            ))
+                        };
+                        let a = sample(dir.x * shift_pixels, dir.y * shift_pixels);
+                        let c = sample(-dir.y * shift_pixels, dir.x * shift_pixels);
+                        if let (Some(a), Some(c)) = (a, c) {
+                            base.push(texture.texel(x as usize, y as usize) as f64);
+                            along.push(a as f64);
+                            across.push(c as f64);
+                        }
+                    }
+                }
+                if base.len() > 16 {
+                    along_vals.push(pearson(&base, &along));
+                    across_vals.push(pearson(&base, &across));
+                }
+            }
+        }
+        let mean = |v: &[f64]| {
+            if v.is_empty() {
+                0.0
+            } else {
+                v.iter().sum::<f64>() / v.len() as f64
+            }
+        };
+        AlignmentReport {
+            along_flow: mean(&along_vals),
+            across_flow: mean(&across_vals),
+            shift_pixels,
+        }
     }
 }

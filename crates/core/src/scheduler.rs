@@ -268,7 +268,7 @@ impl Scheduler<'_> {
     /// single group, so a pooled single-group frame spawns no thread at
     /// all), streaming finished partials through a channel and composing
     /// them on the calling thread while stragglers are still rendering.
-    pub fn run(&self, schedule: &Schedule) -> EngineOutput {
+    pub(crate) fn run(&self, schedule: &Schedule) -> EngineOutput {
         let start = Instant::now();
         let groups = self.procs_per_group.len();
         assert!(groups > 0, "need at least one process group");

@@ -44,14 +44,14 @@ pub fn generate_spots(count: usize, domain: Rect, amplitude: f64, seed: u64) -> 
 
 /// Maps between field coordinates and texture pixel coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FieldToPixel {
+pub(crate) struct FieldToPixel {
     domain: Rect,
     texture_size: usize,
 }
 
 impl FieldToPixel {
     /// Creates a mapper for a field domain rendered onto a square texture.
-    pub fn new(domain: Rect, texture_size: usize) -> Self {
+    pub(crate) fn new(domain: Rect, texture_size: usize) -> Self {
         assert!(texture_size > 0);
         FieldToPixel {
             domain,
@@ -59,34 +59,19 @@ impl FieldToPixel {
         }
     }
 
-    /// The field domain.
-    pub fn domain(&self) -> Rect {
-        self.domain
-    }
-
     /// The texture resolution (texels per side).
-    pub fn texture_size(&self) -> usize {
+    pub(crate) fn texture_size(&self) -> usize {
         self.texture_size
     }
 
     /// Maps a field-space point to pixel coordinates.
-    pub fn to_pixel(&self, p: Vec2) -> Vec2 {
+    pub(crate) fn to_pixel(self, p: Vec2) -> Vec2 {
         let uv = self.domain.to_unit(p);
         uv * self.texture_size as f64
     }
 
-    /// Maps pixel coordinates back to field space.
-    pub fn to_field(&self, px: Vec2) -> Vec2 {
-        self.domain.from_unit(px / self.texture_size as f64)
-    }
-
-    /// Converts a length along x in field units into pixels.
-    pub fn length_to_pixels(&self, len: f64) -> f64 {
-        len / self.domain.width() * self.texture_size as f64
-    }
-
     /// Converts a pixel length into field units (along x).
-    pub fn pixels_to_length(&self, px: f64) -> f64 {
+    pub(crate) fn pixels_to_length(&self, px: f64) -> f64 {
         px / self.texture_size as f64 * self.domain.width()
     }
 }
@@ -108,7 +93,7 @@ pub struct SpotTransform {
 /// the normalised speed up to `max_stretch`, while (approximately) preserving
 /// the spot area so the overall texture energy stays comparable across the
 /// field.
-pub fn spot_transform(
+pub(crate) fn spot_transform(
     field: &dyn VectorField,
     position: Vec2,
     radius_pixels: f64,
@@ -143,52 +128,21 @@ pub fn standard_spot_quad(transform: &SpotTransform, center_pixels: Vec2) -> [Ve
 /// The CPU-side product of processing one spot: either a quad or a bent-spot
 /// mesh, plus the spot intensity and the work counters the cost model needs.
 #[derive(Debug, Clone)]
-pub enum SpotGeometry {
+pub(crate) enum SpotGeometry {
     /// A standard four-vertex spot.
     Quad([Vertex; 4]),
     /// A bent spot (textured mesh around a stream line).
     Mesh(TexturedMesh),
 }
 
-impl SpotGeometry {
-    /// Number of vertices this geometry submits to a pipe.
-    pub fn vertex_count(&self) -> usize {
-        match self {
-            SpotGeometry::Quad(_) => 4,
-            SpotGeometry::Mesh(m) => m.vertex_count(),
-        }
-    }
-
-    /// Axis-aligned bounding box of the geometry in pixel coordinates.
-    pub fn bounds(&self) -> Rect {
-        let mut min = Vec2::splat(f64::INFINITY);
-        let mut max = Vec2::splat(f64::NEG_INFINITY);
-        let mut extend = |p: Vec2| {
-            min = min.min(p);
-            max = max.max(p);
-        };
-        match self {
-            SpotGeometry::Quad(q) => {
-                for v in q {
-                    extend(v.position);
-                }
-            }
-            SpotGeometry::Mesh(m) => {
-                for v in m.vertices() {
-                    extend(v.position);
-                }
-            }
-        }
-        Rect::new(min, max)
-    }
-}
+impl SpotGeometry {}
 
 /// A fully processed spot ready for submission to a graphics pipe.
 #[derive(Debug, Clone)]
 pub struct SpotJob {
     /// The geometry in pixel coordinates (or in spot-local coordinates when
     /// `pipe_transform` is set).
-    pub geometry: SpotGeometry,
+    pub(crate) geometry: SpotGeometry,
     /// The spot intensity `aᵢ`.
     pub intensity: f32,
     /// CPU work expended to build this geometry (for the cost model).
@@ -206,7 +160,7 @@ pub struct SpotJob {
 /// With `cfg.transform_on_pipe` enabled the quad is emitted in spot-local
 /// coordinates (axis-aligned, centred at the origin) and the
 /// rotation+translation is attached as a pipe transform instead.
-pub fn build_standard_spot(
+pub(crate) fn build_standard_spot(
     field: &dyn VectorField,
     spot: &Spot,
     cfg: &SynthesisConfig,
@@ -388,6 +342,51 @@ mod tests {
         let b = g.bounds();
         for v in &quad {
             assert!(b.expanded(1e-12).contains(v.position));
+        }
+    }
+
+    impl FieldToPixel {
+        /// Maps pixel coordinates back to field space.
+        fn to_field(self, px: Vec2) -> Vec2 {
+            self.domain.from_unit(px / self.texture_size as f64)
+        }
+
+        /// Converts a length along x in field units into pixels.
+        pub(crate) fn length_to_pixels(&self, len: f64) -> f64 {
+            len / self.domain.width() * self.texture_size as f64
+        }
+    }
+
+    impl SpotGeometry {
+        /// Number of vertices this geometry submits to a pipe.
+        pub(crate) fn vertex_count(&self) -> usize {
+            match self {
+                SpotGeometry::Quad(_) => 4,
+                SpotGeometry::Mesh(m) => m.vertex_count(),
+            }
+        }
+
+        /// Axis-aligned bounding box of the geometry in pixel coordinates.
+        pub(crate) fn bounds(&self) -> Rect {
+            let mut min = Vec2::splat(f64::INFINITY);
+            let mut max = Vec2::splat(f64::NEG_INFINITY);
+            let mut extend = |p: Vec2| {
+                min = min.min(p);
+                max = max.max(p);
+            };
+            match self {
+                SpotGeometry::Quad(q) => {
+                    for v in q {
+                        extend(v.position);
+                    }
+                }
+                SpotGeometry::Mesh(m) => {
+                    for v in m.vertices() {
+                        extend(v.position);
+                    }
+                }
+            }
+            Rect::new(min, max)
         }
     }
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct SynthesisContext {
     /// Field-to-pixel coordinate mapping.
-    pub mapper: FieldToPixel,
+    pub(crate) mapper: FieldToPixel,
     /// Speed normaliser derived from the field statistics.
     pub normalizer: SpeedNormalizer,
     /// The pre-rendered spot-function texture `h(x)`.
@@ -45,9 +45,6 @@ pub struct SynthesisContext {
     /// `(spot_texture_size, spot_softness)` — so `refresh` can tell a
     /// cosmetic frame boundary from a real invalidation.
     spot_shape: (usize, f32),
-    /// Times the spot texture (and pyramid, when present) were rendered
-    /// over this context's lifetime. Telemetry for the reuse tests.
-    spot_texture_builds: u64,
 }
 
 impl SynthesisContext {
@@ -64,7 +61,6 @@ impl SynthesisContext {
             sampling: cfg.sampling,
             spot_pyramid,
             spot_shape: (cfg.spot_texture_size, cfg.spot_softness),
-            spot_texture_builds: 1,
         }
     }
 
@@ -88,7 +84,6 @@ impl SynthesisContext {
                 Arc::new(disc_spot_texture(cfg.spot_texture_size, cfg.spot_softness));
             self.spot_pyramid = None;
             self.spot_shape = shape;
-            self.spot_texture_builds += 1;
         }
         self.sampling = cfg.sampling;
         match cfg.sampling {
@@ -100,12 +95,6 @@ impl SynthesisContext {
             SamplingMode::Footprint => {}
             SamplingMode::Exact => self.spot_pyramid = None,
         }
-    }
-
-    /// Times the spot texture was rendered over this context's lifetime
-    /// (1 for a fresh context; unchanged by refreshes that reuse it).
-    pub fn spot_texture_builds(&self) -> u64 {
-        self.spot_texture_builds
     }
 
     /// Builds the geometry job for one spot (dispatching on the spot kind).
@@ -151,7 +140,7 @@ pub fn preamble_commands(ctx: &SynthesisContext) -> Vec<RenderCommand> {
 }
 
 /// Converts a spot geometry into the render command submitted to a pipe.
-pub fn geometry_command(geometry: SpotGeometry, intensity: f32) -> RenderCommand {
+pub(crate) fn geometry_command(geometry: SpotGeometry, intensity: f32) -> RenderCommand {
     match geometry {
         SpotGeometry::Quad(vertices) => RenderCommand::Quad {
             vertices,
@@ -334,7 +323,6 @@ mod tests {
         let cfg = SynthesisConfig::small_test();
         let field = vortex();
         let mut ctx = SynthesisContext::new(&field, &cfg);
-        assert_eq!(ctx.spot_texture_builds(), 1);
         let original = Arc::clone(&ctx.spot_texture);
 
         // Frame-to-frame refresh with unchanged shape parameters: the spot
@@ -342,7 +330,6 @@ mod tests {
         // matches a freshly built one value for value.
         ctx.refresh(&field, &cfg);
         assert!(Arc::ptr_eq(&ctx.spot_texture, &original));
-        assert_eq!(ctx.spot_texture_builds(), 1);
         let fresh = SynthesisContext::new(&field, &cfg);
         assert_eq!(
             fresh.spot_texture.absolute_difference(&ctx.spot_texture),
@@ -356,8 +343,8 @@ mod tests {
         };
         ctx.refresh(&field, &resized);
         assert!(!Arc::ptr_eq(&ctx.spot_texture, &original));
-        assert_eq!(ctx.spot_texture_builds(), 2);
         assert_eq!(ctx.spot_texture.width(), resized.spot_texture_size);
+        let rebuilt = Arc::clone(&ctx.spot_texture);
 
         // ...and flipping the sampling mode builds (then drops) the
         // pyramid without touching the texture.
@@ -367,7 +354,7 @@ mod tests {
         };
         ctx.refresh(&field, &footprint);
         assert!(ctx.spot_pyramid.is_some());
-        assert_eq!(ctx.spot_texture_builds(), 2);
+        assert!(Arc::ptr_eq(&ctx.spot_texture, &rebuilt));
         ctx.refresh(&field, &resized);
         assert!(ctx.spot_pyramid.is_none());
     }

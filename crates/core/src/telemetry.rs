@@ -9,8 +9,7 @@
 //! * [`Histogram`] — log-bucketed latency histograms over atomic `u64`
 //!   buckets. Recording is a handful of relaxed atomic adds (no locks, no
 //!   allocation); snapshots are mergeable and expose p50/p90/p99/max with a
-//!   bounded relative error of about 3.2% (values below
-//!   [`LINEAR_CUTOFF`] are exact).
+//!   bounded relative error of about 3.2% (values below 32 are exact).
 //! * [`TraceSink`] — a bounded ring buffer of typed span events covering the
 //!   frame lifecycle (admitted → queue-wait → advect → per-group raster →
 //!   gather → cache-insert → delivered). Off by default; enabled via
@@ -30,7 +29,7 @@ use std::time::{Duration, Instant};
 /// Values below this are recorded exactly (one bucket per integer); above
 /// it, buckets are log-linear: 32 sub-buckets per octave, for a worst-case
 /// relative error of `1/32` ≈ 3.2%.
-pub const LINEAR_CUTOFF: u64 = 32;
+pub(crate) const LINEAR_CUTOFF: u64 = 32;
 
 /// Sub-bucket resolution: each octave above [`LINEAR_CUTOFF`] is split into
 /// `2^SUB_BITS` equal-width buckets.
@@ -41,7 +40,8 @@ const SUBS_PER_OCTAVE: usize = 1 << SUB_BITS;
 
 /// Total bucket count: 32 exact buckets plus 32 sub-buckets for each of the
 /// octaves `[2^5, 2^6) .. [2^63, 2^64)`.
-pub const BUCKET_COUNT: usize = LINEAR_CUTOFF as usize + (64 - SUB_BITS as usize) * SUBS_PER_OCTAVE;
+pub(crate) const BUCKET_COUNT: usize =
+    LINEAR_CUTOFF as usize + (64 - SUB_BITS as usize) * SUBS_PER_OCTAVE;
 
 /// The bucket index a value lands in.
 fn bucket_index(v: u64) -> usize {
@@ -177,8 +177,8 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
     }
 
-    /// The nearest-rank percentile `q` (in `[0, 100]`). Values below
-    /// [`LINEAR_CUTOFF`] are exact; above it the result overshoots the true
+    /// The nearest-rank percentile `q` (in `[0, 100]`). Values below 32
+    /// are exact; above it the result overshoots the true
     /// value by at most one bucket width (≈ 3.2% relative). Returns 0 for an
     /// empty snapshot.
     pub fn percentile(&self, q: f64) -> u64 {
@@ -237,7 +237,7 @@ pub enum TraceMode {
 
 /// Parses a `SPOTNOISE_TRACE` value. Unknown strings parse to `None` (the
 /// caller falls back to [`TraceMode::Off`]).
-pub fn parse_trace_mode(s: &str) -> Option<TraceMode> {
+pub(crate) fn parse_trace_mode(s: &str) -> Option<TraceMode> {
     match s {
         "off" => Some(TraceMode::Off),
         "ring" => Some(TraceMode::Ring),
@@ -266,7 +266,7 @@ pub fn force_mode(mode: Option<TraceMode>) {
 
 /// Resolves the effective trace mode: a [`force_mode`] override wins, then
 /// the `SPOTNOISE_TRACE` environment variable, then [`TraceMode::Off`].
-pub fn trace_mode() -> TraceMode {
+pub(crate) fn trace_mode() -> TraceMode {
     match FORCED_MODE.load(Ordering::SeqCst) {
         1 => return TraceMode::Off,
         2 => return TraceMode::Ring,
@@ -415,7 +415,7 @@ struct SinkInner {
 /// carry disabled (`Default` is a disabled sink; recording through it is one
 /// branch). Instrumented layers hold a `TraceSink` unconditionally; whether
 /// anything is recorded is decided once, at construction, from the resolved
-/// [`trace_mode`].
+/// trace mode ([`TraceSink::from_env`]).
 #[derive(Clone, Default)]
 pub struct TraceSink {
     inner: Option<Arc<SinkInner>>,
@@ -454,7 +454,9 @@ impl TraceSink {
         }
     }
 
-    /// A sink in the mode resolved by [`trace_mode`] (force > env > off).
+    /// A sink in the resolved trace mode: a [`force_mode`] override wins,
+    /// then the `SPOTNOISE_TRACE` environment variable, then
+    /// [`TraceMode::Off`].
     pub fn from_env(capacity: usize) -> Self {
         TraceSink::with_mode(trace_mode(), capacity)
     }

@@ -140,103 +140,6 @@ impl VectorField for DoubleGyre {
     }
 }
 
-/// A Lamb–Oseen (viscous) vortex with finite core radius, useful for
-/// exercising the "bent spot" path in regions of strong curvature.
-#[derive(Debug, Clone, Copy)]
-pub struct LambOseen {
-    /// Circulation of the vortex.
-    pub circulation: f64,
-    /// Core radius.
-    pub core_radius: f64,
-    /// Vortex centre.
-    pub center: Vec2,
-    /// Domain of definition.
-    pub domain: Rect,
-}
-
-impl VectorField for LambOseen {
-    fn velocity(&self, p: Vec2) -> Vec2 {
-        let d = p - self.center;
-        let r2 = d.norm_sq().max(1e-12);
-        let r = r2.sqrt();
-        let v_theta = self.circulation / (2.0 * std::f64::consts::PI * r)
-            * (1.0 - (-r2 / (self.core_radius * self.core_radius)).exp());
-        d.perp() / r * v_theta
-    }
-    fn domain(&self) -> Rect {
-        self.domain
-    }
-}
-
-/// A synthetic von Kármán-like vortex street: a uniform stream with a row of
-/// alternating-sign Lamb–Oseen vortices superimposed, mimicking the wake
-/// behind a block without running the DNS solver.
-#[derive(Debug, Clone)]
-pub struct VortexStreet {
-    /// Free-stream velocity (along +x).
-    pub free_stream: f64,
-    /// Circulation magnitude of each shed vortex.
-    pub circulation: f64,
-    /// Core radius of each vortex.
-    pub core_radius: f64,
-    /// Horizontal spacing between successive vortices.
-    pub spacing: f64,
-    /// Vertical offset of the two staggered rows.
-    pub offset: f64,
-    /// x coordinate at which shedding starts (the block's trailing edge).
-    pub start_x: f64,
-    /// Number of vortices in each row.
-    pub count: usize,
-    /// Domain of definition.
-    pub domain: Rect,
-}
-
-impl VortexStreet {
-    /// A street with sensible defaults for a given domain; the block trailing
-    /// edge is placed at 25 % of the domain width.
-    pub fn new(domain: Rect) -> Self {
-        let w = domain.width();
-        VortexStreet {
-            free_stream: 1.0,
-            circulation: 0.8,
-            core_radius: 0.04 * w,
-            spacing: 0.12 * w,
-            offset: 0.05 * domain.height(),
-            start_x: domain.min.x + 0.25 * w,
-            count: 8,
-            domain,
-        }
-    }
-
-    fn vortices(&self) -> impl Iterator<Item = (Vec2, f64)> + '_ {
-        let cy = self.domain.center().y;
-        (0..self.count).map(move |k| {
-            let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
-            let x = self.start_x + (k as f64 + 0.5) * self.spacing;
-            let y = cy + sign * self.offset;
-            (Vec2::new(x, y), sign * self.circulation)
-        })
-    }
-}
-
-impl VectorField for VortexStreet {
-    fn velocity(&self, p: Vec2) -> Vec2 {
-        let mut v = Vec2::new(self.free_stream, 0.0);
-        for (c, gamma) in self.vortices() {
-            let d = p - c;
-            let r2 = d.norm_sq().max(1e-12);
-            let r = r2.sqrt();
-            let v_theta = gamma / (2.0 * std::f64::consts::PI * r)
-                * (1.0 - (-r2 / (self.core_radius * self.core_radius)).exp());
-            v += d.perp() / r * v_theta;
-        }
-        v
-    }
-    fn domain(&self) -> Rect {
-        self.domain
-    }
-}
-
 /// Taylor–Green cellular vortex array, a standard divergence-free test field.
 #[derive(Debug, Clone, Copy)]
 pub struct TaylorGreen {
@@ -263,23 +166,6 @@ impl VectorField for TaylorGreen {
     }
 }
 
-/// A field defined by an arbitrary closure; handy in tests.
-pub struct FnField<F: Fn(Vec2) -> Vec2 + Sync> {
-    /// The closure evaluated for every query.
-    pub f: F,
-    /// Domain of definition.
-    pub domain: Rect,
-}
-
-impl<F: Fn(Vec2) -> Vec2 + Sync> VectorField for FnField<F> {
-    fn velocity(&self, p: Vec2) -> Vec2 {
-        (self.f)(p)
-    }
-    fn domain(&self) -> Rect {
-        self.domain
-    }
-}
-
 /// Numerically estimates the divergence of a field at `p` with central
 /// differences (used by property tests on divergence-free fields).
 pub fn divergence(field: &dyn VectorField, p: Vec2, h: f64) -> f64 {
@@ -288,15 +174,6 @@ pub fn divergence(field: &dyn VectorField, p: Vec2, h: f64) -> f64 {
     let dudx = (field.velocity(p + dx).x - field.velocity(p - dx).x) / (2.0 * h);
     let dvdy = (field.velocity(p + dy).y - field.velocity(p - dy).y) / (2.0 * h);
     dudx + dvdy
-}
-
-/// Numerically estimates the scalar curl (vorticity) of a field at `p`.
-pub fn curl(field: &dyn VectorField, p: Vec2, h: f64) -> f64 {
-    let dx = Vec2::new(h, 0.0);
-    let dy = Vec2::new(0.0, h);
-    let dvdx = (field.velocity(p + dx).y - field.velocity(p - dx).y) / (2.0 * h);
-    let dudy = (field.velocity(p + dy).x - field.velocity(p - dy).x) / (2.0 * h);
-    dvdx - dudy
 }
 
 #[cfg(test)]
@@ -429,5 +306,128 @@ mod tests {
             domain: unit_domain(),
         };
         assert_eq!(f.velocity(Vec2::new(0.5, -0.25)), Vec2::new(1.0, -0.5));
+    }
+
+    /// A Lamb–Oseen (viscous) vortex with finite core radius, useful for
+    /// exercising the "bent spot" path in regions of strong curvature.
+    #[derive(Debug, Clone, Copy)]
+    struct LambOseen {
+        /// Circulation of the vortex.
+        pub circulation: f64,
+        /// Core radius.
+        pub core_radius: f64,
+        /// Vortex centre.
+        pub center: Vec2,
+        /// Domain of definition.
+        pub domain: Rect,
+    }
+
+    impl VectorField for LambOseen {
+        fn velocity(&self, p: Vec2) -> Vec2 {
+            let d = p - self.center;
+            let r2 = d.norm_sq().max(1e-12);
+            let r = r2.sqrt();
+            let v_theta = self.circulation / (2.0 * std::f64::consts::PI * r)
+                * (1.0 - (-r2 / (self.core_radius * self.core_radius)).exp());
+            d.perp() / r * v_theta
+        }
+        fn domain(&self) -> Rect {
+            self.domain
+        }
+    }
+
+    /// A synthetic von Kármán-like vortex street: a uniform stream with a row of
+    /// alternating-sign Lamb–Oseen vortices superimposed, mimicking the wake
+    /// behind a block without running the DNS solver.
+    #[derive(Debug, Clone)]
+    struct VortexStreet {
+        /// Free-stream velocity (along +x).
+        pub free_stream: f64,
+        /// Circulation magnitude of each shed vortex.
+        pub circulation: f64,
+        /// Core radius of each vortex.
+        pub core_radius: f64,
+        /// Horizontal spacing between successive vortices.
+        pub spacing: f64,
+        /// Vertical offset of the two staggered rows.
+        pub offset: f64,
+        /// x coordinate at which shedding starts (the block's trailing edge).
+        pub start_x: f64,
+        /// Number of vortices in each row.
+        pub count: usize,
+        /// Domain of definition.
+        pub domain: Rect,
+    }
+
+    impl VortexStreet {
+        /// A street with sensible defaults for a given domain; the block trailing
+        /// edge is placed at 25 % of the domain width.
+        fn new(domain: Rect) -> Self {
+            let w = domain.width();
+            VortexStreet {
+                free_stream: 1.0,
+                circulation: 0.8,
+                core_radius: 0.04 * w,
+                spacing: 0.12 * w,
+                offset: 0.05 * domain.height(),
+                start_x: domain.min.x + 0.25 * w,
+                count: 8,
+                domain,
+            }
+        }
+
+        fn vortices(&self) -> impl Iterator<Item = (Vec2, f64)> + '_ {
+            let cy = self.domain.center().y;
+            (0..self.count).map(move |k| {
+                let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+                let x = self.start_x + (k as f64 + 0.5) * self.spacing;
+                let y = cy + sign * self.offset;
+                (Vec2::new(x, y), sign * self.circulation)
+            })
+        }
+    }
+
+    impl VectorField for VortexStreet {
+        fn velocity(&self, p: Vec2) -> Vec2 {
+            let mut v = Vec2::new(self.free_stream, 0.0);
+            for (c, gamma) in self.vortices() {
+                let d = p - c;
+                let r2 = d.norm_sq().max(1e-12);
+                let r = r2.sqrt();
+                let v_theta = gamma / (2.0 * std::f64::consts::PI * r)
+                    * (1.0 - (-r2 / (self.core_radius * self.core_radius)).exp());
+                v += d.perp() / r * v_theta;
+            }
+            v
+        }
+        fn domain(&self) -> Rect {
+            self.domain
+        }
+    }
+
+    /// A field defined by an arbitrary closure; handy in tests.
+    struct FnField<F: Fn(Vec2) -> Vec2 + Sync> {
+        /// The closure evaluated for every query.
+        pub f: F,
+        /// Domain of definition.
+        pub domain: Rect,
+    }
+
+    impl<F: Fn(Vec2) -> Vec2 + Sync> VectorField for FnField<F> {
+        fn velocity(&self, p: Vec2) -> Vec2 {
+            (self.f)(p)
+        }
+        fn domain(&self) -> Rect {
+            self.domain
+        }
+    }
+
+    /// Numerically estimates the scalar curl (vorticity) of a field at `p`.
+    fn curl(field: &dyn VectorField, p: Vec2, h: f64) -> f64 {
+        let dx = Vec2::new(h, 0.0);
+        let dy = Vec2::new(0.0, h);
+        let dvdx = (field.velocity(p + dx).y - field.velocity(p - dx).y) / (2.0 * h);
+        let dudy = (field.velocity(p + dy).x - field.velocity(p - dy).x) / (2.0 * h);
+        dvdx - dudy
     }
 }

@@ -132,12 +132,6 @@ impl RegularGrid {
         g
     }
 
-    /// Creates a grid by discretising an arbitrary continuous field.
-    pub fn sample_field(nx: usize, ny: usize, field: &dyn VectorField) -> Self {
-        let domain = field.domain();
-        RegularGrid::from_fn(nx, ny, domain, |p| field.velocity(p))
-    }
-
     /// Number of samples along x.
     pub fn nx(&self) -> usize {
         self.nx

@@ -22,16 +22,6 @@ pub enum Integrator {
 }
 
 impl Integrator {
-    /// Number of field evaluations performed per step (used by the cost
-    /// model to charge CPU time for particle advection).
-    pub fn evals_per_step(self) -> usize {
-        match self {
-            Integrator::Euler => 1,
-            Integrator::Midpoint => 2,
-            Integrator::RungeKutta4 => 4,
-        }
-    }
-
     /// Advances position `p` by one step of size `dt` through `field`.
     pub fn step(self, field: &dyn VectorField, p: Vec2, dt: f64) -> Vec2 {
         match self {
@@ -60,39 +50,6 @@ impl Integrator {
         }
         p
     }
-}
-
-/// Advects a whole slice of positions in place; the basic CPU work of the
-/// "advect particles" pipeline stage.
-pub fn advect_positions(
-    field: &dyn VectorField,
-    positions: &mut [Vec2],
-    dt: f64,
-    integrator: Integrator,
-) {
-    for p in positions.iter_mut() {
-        *p = integrator.step(field, *p, dt);
-    }
-}
-
-/// Integrates a trajectory and records every intermediate position
-/// (including the start), clamping to the field domain.
-pub fn trajectory(
-    field: &dyn VectorField,
-    start: Vec2,
-    dt: f64,
-    steps: usize,
-    integrator: Integrator,
-) -> Vec<Vec2> {
-    let domain = field.domain();
-    let mut out = Vec::with_capacity(steps + 1);
-    let mut p = domain.clamp(start);
-    out.push(p);
-    for _ in 0..steps {
-        p = domain.clamp(integrator.step(field, p, dt));
-        out.push(p);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -200,5 +157,48 @@ mod tests {
             domain: Rect::UNIT,
         };
         let _ = Integrator::Euler.advect(&f, Vec2::ZERO, 1.0, 0);
+    }
+
+    impl Integrator {
+        /// Number of field evaluations performed per step.
+        fn evals_per_step(self) -> usize {
+            match self {
+                Integrator::Euler => 1,
+                Integrator::Midpoint => 2,
+                Integrator::RungeKutta4 => 4,
+            }
+        }
+    }
+
+    /// Advects a whole slice of positions in place by one step.
+    fn advect_positions(
+        field: &dyn VectorField,
+        positions: &mut [Vec2],
+        dt: f64,
+        integrator: Integrator,
+    ) {
+        for p in positions.iter_mut() {
+            *p = integrator.step(field, *p, dt);
+        }
+    }
+
+    /// Integrates a trajectory and records every intermediate position
+    /// (including the start), clamping to the field domain.
+    fn trajectory(
+        field: &dyn VectorField,
+        start: Vec2,
+        dt: f64,
+        steps: usize,
+        integrator: Integrator,
+    ) -> Vec<Vec2> {
+        let domain = field.domain();
+        let mut out = Vec::with_capacity(steps + 1);
+        let mut p = domain.clamp(start);
+        out.push(p);
+        for _ in 0..steps {
+            p = domain.clamp(integrator.step(field, p, dt));
+            out.push(p);
+        }
+        out
     }
 }

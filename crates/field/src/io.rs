@@ -1,13 +1,11 @@
 //! Reading and writing sampled fields.
 //!
-//! The turbulence application of the paper browses a multi-terabyte database
-//! of stored DNS time slices ("read data set", pipeline step 1). This module
-//! provides the simple, self-describing on-disk format used by the
-//! `flowsim::browser` substrate: a small ASCII header followed by the sample
-//! values in text form. The format intentionally favours debuggability over
-//! density — compactness is not what the reproduction measures.
+//! A simple, self-describing text format for sampled grids: a small ASCII
+//! header followed by the sample values. The data browser keeps its slices
+//! in memory, so nothing stores grids on disk and this module is compiled
+//! for its round-trip tests only.
 
-use crate::grid::{RegularGrid, ScalarGrid};
+use crate::grid::RegularGrid;
 use crate::vec2::{Rect, Vec2};
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
@@ -15,11 +13,9 @@ use std::path::Path;
 
 /// Magic line identifying a serialized vector grid.
 const VECTOR_MAGIC: &str = "spotnoise-vector-grid-v1";
-/// Magic line identifying a serialized scalar grid.
-const SCALAR_MAGIC: &str = "spotnoise-scalar-grid-v1";
 
 /// Serialises a vector grid into the text format.
-pub fn write_vector_grid(grid: &RegularGrid, mut w: impl Write) -> io::Result<()> {
+fn write_vector_grid(grid: &RegularGrid, mut w: impl Write) -> io::Result<()> {
     let d = grid.domain();
     let mut header = String::new();
     let _ = writeln!(header, "{VECTOR_MAGIC}");
@@ -42,7 +38,7 @@ pub fn write_vector_grid(grid: &RegularGrid, mut w: impl Write) -> io::Result<()
 }
 
 /// Deserialises a vector grid from the text format.
-pub fn read_vector_grid(r: impl BufRead) -> io::Result<RegularGrid> {
+fn read_vector_grid(r: impl BufRead) -> io::Result<RegularGrid> {
     let mut lines = r.lines();
     let magic = next_line(&mut lines)?;
     if magic.trim() != VECTOR_MAGIC {
@@ -67,61 +63,14 @@ pub fn read_vector_grid(r: impl BufRead) -> io::Result<RegularGrid> {
     Ok(grid)
 }
 
-/// Serialises a scalar grid into the text format.
-pub fn write_scalar_grid(grid: &ScalarGrid, mut w: impl Write) -> io::Result<()> {
-    let d = grid.domain();
-    let mut out = String::new();
-    let _ = writeln!(out, "{SCALAR_MAGIC}");
-    let _ = writeln!(
-        out,
-        "{} {} {} {} {} {}",
-        grid.nx(),
-        grid.ny(),
-        d.min.x,
-        d.min.y,
-        d.max.x,
-        d.max.y
-    );
-    for v in grid.samples() {
-        let _ = writeln!(out, "{v}");
-    }
-    w.write_all(out.as_bytes())
-}
-
-/// Deserialises a scalar grid from the text format.
-pub fn read_scalar_grid(r: impl BufRead) -> io::Result<ScalarGrid> {
-    let mut lines = r.lines();
-    let magic = next_line(&mut lines)?;
-    if magic.trim() != SCALAR_MAGIC {
-        return Err(bad_data(format!("unexpected magic line: {magic:?}")));
-    }
-    let header = next_line(&mut lines)?;
-    let nums = parse_f64s(&header, 6)?;
-    let nx = nums[0] as usize;
-    let ny = nums[1] as usize;
-    if nx < 2 || ny < 2 {
-        return Err(bad_data(format!("invalid grid shape {nx}x{ny}")));
-    }
-    let domain = Rect::new(Vec2::new(nums[2], nums[3]), Vec2::new(nums[4], nums[5]));
-    let mut grid = ScalarGrid::zeros(nx, ny, domain);
-    for j in 0..ny {
-        for i in 0..nx {
-            let line = next_line(&mut lines)?;
-            let v = parse_f64s(&line, 1)?;
-            *grid.node_mut(i, j) = v[0];
-        }
-    }
-    Ok(grid)
-}
-
 /// Writes a vector grid to a file path.
-pub fn save_vector_grid(grid: &RegularGrid, path: impl AsRef<Path>) -> io::Result<()> {
+fn save_vector_grid(grid: &RegularGrid, path: impl AsRef<Path>) -> io::Result<()> {
     let file = std::fs::File::create(path)?;
     write_vector_grid(grid, io::BufWriter::new(file))
 }
 
 /// Reads a vector grid from a file path.
-pub fn load_vector_grid(path: impl AsRef<Path>) -> io::Result<RegularGrid> {
+fn load_vector_grid(path: impl AsRef<Path>) -> io::Result<RegularGrid> {
     let file = std::fs::File::open(path)?;
     read_vector_grid(io::BufReader::new(file))
 }
@@ -227,5 +176,55 @@ mod tests {
         let back = load_vector_grid(&path).unwrap();
         assert_eq!(back.samples(), g.samples());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Magic line identifying a serialized scalar grid.
+    const SCALAR_MAGIC: &str = "spotnoise-scalar-grid-v1";
+
+    /// Serialises a scalar grid into the text format.
+    fn write_scalar_grid(grid: &ScalarGrid, mut w: impl Write) -> io::Result<()> {
+        let d = grid.domain();
+        let mut out = String::new();
+        let _ = writeln!(out, "{SCALAR_MAGIC}");
+        let _ = writeln!(
+            out,
+            "{} {} {} {} {} {}",
+            grid.nx(),
+            grid.ny(),
+            d.min.x,
+            d.min.y,
+            d.max.x,
+            d.max.y
+        );
+        for v in grid.samples() {
+            let _ = writeln!(out, "{v}");
+        }
+        w.write_all(out.as_bytes())
+    }
+
+    /// Deserialises a scalar grid from the text format.
+    fn read_scalar_grid(r: impl BufRead) -> io::Result<ScalarGrid> {
+        let mut lines = r.lines();
+        let magic = next_line(&mut lines)?;
+        if magic.trim() != SCALAR_MAGIC {
+            return Err(bad_data(format!("unexpected magic line: {magic:?}")));
+        }
+        let header = next_line(&mut lines)?;
+        let nums = parse_f64s(&header, 6)?;
+        let nx = nums[0] as usize;
+        let ny = nums[1] as usize;
+        if nx < 2 || ny < 2 {
+            return Err(bad_data(format!("invalid grid shape {nx}x{ny}")));
+        }
+        let domain = Rect::new(Vec2::new(nums[2], nums[3]), Vec2::new(nums[4], nums[5]));
+        let mut grid = ScalarGrid::zeros(nx, ny, domain);
+        for j in 0..ny {
+            for i in 0..nx {
+                let line = next_line(&mut lines)?;
+                let v = parse_f64s(&line, 1)?;
+                *grid.node_mut(i, j) = v[0];
+            }
+        }
+        Ok(grid)
     }
 }

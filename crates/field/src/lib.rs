@@ -3,18 +3,16 @@
 //! This crate provides everything the spot-noise pipeline needs to know about
 //! the data it visualizes:
 //!
-//! * [`vec2`] — 2-D vector/matrix/rectangle arithmetic,
-//! * [`grid`] — regular and rectilinear sampled grids with bilinear
-//!   interpolation, plus the [`grid::VectorField`]/[`grid::ScalarField`]
+//! * [`Vec2`], [`Mat2`], [`Rect`] — 2-D vector/matrix/rectangle arithmetic,
+//! * [`RegularGrid`], [`RectilinearGrid`], [`ScalarGrid`] — sampled grids
+//!   with bilinear interpolation, plus the [`VectorField`]/[`ScalarField`]
 //!   traits the rest of the workspace programs against,
 //! * [`analytic`] — closed-form test fields (vortex, saddle, double gyre,
-//!   vortex street, ...),
-//! * [`integrate`] — Euler/RK2/RK4 particle integrators,
+//!   Taylor–Green, ...),
+//! * [`Integrator`] — Euler/RK2/RK4 particle integration,
 //! * [`streamline`] — arc-length stream-line tracing used by bent spots,
 //! * [`particles`] — particle ensembles with life cycles (spot positions),
-//! * [`stats`] — field statistics and derived grids (vorticity, divergence),
-//! * [`io`] — a simple text format for storing sampled grids (the data
-//!   browser's storage layer).
+//! * [`stats`] — field statistics and the speed normaliser.
 //!
 //! The crate is deliberately free of any rendering or parallelism concerns;
 //! it is the "read data set" and "advect particles" substrate of the paper's
@@ -23,13 +21,14 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
-pub mod grid;
-pub mod integrate;
-pub mod io;
+mod grid;
+mod integrate;
+#[cfg(test)]
+mod io;
 pub mod particles;
 pub mod stats;
 pub mod streamline;
-pub mod vec2;
+mod vec2;
 
 pub use grid::{RectilinearGrid, RegularGrid, ScalarField, ScalarGrid, VectorField};
 pub use integrate::Integrator;

@@ -3,11 +3,10 @@
 //! Spot transformation scales the spot along the local flow direction in
 //! proportion to the velocity magnitude relative to the field's overall
 //! magnitude range, so the synthesis pipeline needs cheap global statistics
-//! of the sampled field. The DNS browser additionally reports vorticity and
-//! a turbulence-intensity proxy per stored frame.
+//! of the sampled field.
 
-use crate::grid::{RegularGrid, ScalarGrid, VectorField};
-use crate::vec2::{Rect, Vec2};
+use crate::grid::VectorField;
+use crate::vec2::Vec2;
 
 /// Summary statistics of a vector field sampled on a lattice.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,18 +24,6 @@ pub struct FieldStats {
     pub mean_velocity: Vec2,
     /// Number of samples used.
     pub samples: usize,
-}
-
-impl FieldStats {
-    /// Relative fluctuation level `std_speed / mean_speed` (0 for uniform
-    /// flow, large for turbulent flow). Returns 0 when the mean is ~0.
-    pub fn turbulence_intensity(&self) -> f64 {
-        if self.mean_speed.abs() < 1e-300 {
-            0.0
-        } else {
-            self.std_speed / self.mean_speed
-        }
-    }
 }
 
 /// Computes [`FieldStats`] by sampling `field` on an `nx` x `ny` lattice.
@@ -73,79 +60,6 @@ pub fn field_stats(field: &dyn VectorField, nx: usize, ny: usize) -> FieldStats 
     }
 }
 
-/// Computes the scalar vorticity (curl) of a sampled vector grid using
-/// central differences, returned as a scalar grid on the same lattice.
-pub fn vorticity_grid(grid: &RegularGrid) -> ScalarGrid {
-    let nx = grid.nx();
-    let ny = grid.ny();
-    let h = grid.spacing();
-    let mut out = ScalarGrid::zeros(nx, ny, grid.domain());
-    for j in 0..ny {
-        for i in 0..nx {
-            let ip = (i + 1).min(nx - 1);
-            let im = i.saturating_sub(1);
-            let jp = (j + 1).min(ny - 1);
-            let jm = j.saturating_sub(1);
-            let dx = (ip - im) as f64 * h.x;
-            let dy = (jp - jm) as f64 * h.y;
-            let dvdx = if dx > 0.0 {
-                (grid.node(ip, j).y - grid.node(im, j).y) / dx
-            } else {
-                0.0
-            };
-            let dudy = if dy > 0.0 {
-                (grid.node(i, jp).x - grid.node(i, jm).x) / dy
-            } else {
-                0.0
-            };
-            *out.node_mut(i, j) = dvdx - dudy;
-        }
-    }
-    out
-}
-
-/// Computes the divergence of a sampled vector grid with central differences.
-pub fn divergence_grid(grid: &RegularGrid) -> ScalarGrid {
-    let nx = grid.nx();
-    let ny = grid.ny();
-    let h = grid.spacing();
-    let mut out = ScalarGrid::zeros(nx, ny, grid.domain());
-    for j in 0..ny {
-        for i in 0..nx {
-            let ip = (i + 1).min(nx - 1);
-            let im = i.saturating_sub(1);
-            let jp = (j + 1).min(ny - 1);
-            let jm = j.saturating_sub(1);
-            let dx = (ip - im) as f64 * h.x;
-            let dy = (jp - jm) as f64 * h.y;
-            let dudx = if dx > 0.0 {
-                (grid.node(ip, j).x - grid.node(im, j).x) / dx
-            } else {
-                0.0
-            };
-            let dvdy = if dy > 0.0 {
-                (grid.node(i, jp).y - grid.node(i, jm).y) / dy
-            } else {
-                0.0
-            };
-            *out.node_mut(i, j) = dudx + dvdy;
-        }
-    }
-    out
-}
-
-/// The magnitude of a vector grid as a scalar grid (used for colormapped
-/// overlays and for normalising spot stretch factors).
-pub fn speed_grid(grid: &RegularGrid) -> ScalarGrid {
-    let mut out = ScalarGrid::zeros(grid.nx(), grid.ny(), grid.domain());
-    for j in 0..grid.ny() {
-        for i in 0..grid.nx() {
-            *out.node_mut(i, j) = grid.node(i, j).norm();
-        }
-    }
-    out
-}
-
 /// A normalisation helper mapping speeds into `[0, 1]` given field statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct SpeedNormalizer {
@@ -178,57 +92,19 @@ impl SpeedNormalizer {
     }
 }
 
-/// Relative L2 difference between two same-shaped scalar grids; used by the
-/// tests that compare sequential and parallel texture synthesis and by the
-/// DNS regression tests.
-pub fn relative_l2_difference(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "grids must have the same shape");
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (x, y) in a.iter().zip(b.iter()) {
-        num += (x - y) * (x - y);
-        den += x * x;
-    }
-    if den <= 1e-300 {
-        num.sqrt()
-    } else {
-        (num / den).sqrt()
-    }
-}
-
-/// Samples a field along the boundary of a rectangle, returning positions and
-/// tangential velocity components; the building block of the skin-friction
-/// extraction in the DNS application.
-pub fn boundary_tangential_flow(
-    field: &dyn VectorField,
-    rect: Rect,
-    samples_per_side: usize,
-) -> Vec<(Vec2, f64)> {
-    assert!(samples_per_side >= 2);
-    let corners = [
-        (rect.min, Vec2::new(rect.max.x, rect.min.y)),
-        (Vec2::new(rect.max.x, rect.min.y), rect.max),
-        (rect.max, Vec2::new(rect.min.x, rect.max.y)),
-        (Vec2::new(rect.min.x, rect.max.y), rect.min),
-    ];
-    let mut out = Vec::with_capacity(4 * samples_per_side);
-    for (a, b) in corners {
-        let tangent = (b - a).normalized();
-        for k in 0..samples_per_side {
-            let t = k as f64 / (samples_per_side - 1) as f64;
-            let p = a.lerp(b, t);
-            let v = field.velocity(p);
-            out.push((p, v.dot(tangent)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analytic::{Uniform, Vortex};
-    use crate::grid::RegularGrid;
+    use crate::grid::{RegularGrid, ScalarGrid};
+    use crate::vec2::Rect;
+
+    impl RegularGrid {
+        /// Creates a grid by discretising an arbitrary continuous field.
+        fn sample_field(nx: usize, ny: usize, field: &dyn VectorField) -> Self {
+            RegularGrid::from_fn(nx, ny, field.domain(), |p| field.velocity(p))
+        }
+    }
 
     fn dom() -> Rect {
         Rect::new(Vec2::new(-1.0, -1.0), Vec2::new(1.0, 1.0))
@@ -340,5 +216,132 @@ mod tests {
         // Bottom edge tangent is +x, top edge tangent is -x.
         assert!((samples[0].1 - 1.0).abs() < 1e-12);
         assert!((samples[10].1 + 1.0).abs() < 1e-12);
+    }
+
+    impl FieldStats {
+        /// Relative fluctuation level `std_speed / mean_speed` (0 for uniform
+        /// flow, large for turbulent flow). Returns 0 when the mean is ~0.
+        fn turbulence_intensity(&self) -> f64 {
+            if self.mean_speed.abs() < 1e-300 {
+                0.0
+            } else {
+                self.std_speed / self.mean_speed
+            }
+        }
+    }
+
+    /// Computes the scalar vorticity (curl) of a sampled vector grid using
+    /// central differences, returned as a scalar grid on the same lattice.
+    fn vorticity_grid(grid: &RegularGrid) -> ScalarGrid {
+        let nx = grid.nx();
+        let ny = grid.ny();
+        let h = grid.spacing();
+        let mut out = ScalarGrid::zeros(nx, ny, grid.domain());
+        for j in 0..ny {
+            for i in 0..nx {
+                let ip = (i + 1).min(nx - 1);
+                let im = i.saturating_sub(1);
+                let jp = (j + 1).min(ny - 1);
+                let jm = j.saturating_sub(1);
+                let dx = (ip - im) as f64 * h.x;
+                let dy = (jp - jm) as f64 * h.y;
+                let dvdx = if dx > 0.0 {
+                    (grid.node(ip, j).y - grid.node(im, j).y) / dx
+                } else {
+                    0.0
+                };
+                let dudy = if dy > 0.0 {
+                    (grid.node(i, jp).x - grid.node(i, jm).x) / dy
+                } else {
+                    0.0
+                };
+                *out.node_mut(i, j) = dvdx - dudy;
+            }
+        }
+        out
+    }
+
+    /// Computes the divergence of a sampled vector grid with central differences.
+    fn divergence_grid(grid: &RegularGrid) -> ScalarGrid {
+        let nx = grid.nx();
+        let ny = grid.ny();
+        let h = grid.spacing();
+        let mut out = ScalarGrid::zeros(nx, ny, grid.domain());
+        for j in 0..ny {
+            for i in 0..nx {
+                let ip = (i + 1).min(nx - 1);
+                let im = i.saturating_sub(1);
+                let jp = (j + 1).min(ny - 1);
+                let jm = j.saturating_sub(1);
+                let dx = (ip - im) as f64 * h.x;
+                let dy = (jp - jm) as f64 * h.y;
+                let dudx = if dx > 0.0 {
+                    (grid.node(ip, j).x - grid.node(im, j).x) / dx
+                } else {
+                    0.0
+                };
+                let dvdy = if dy > 0.0 {
+                    (grid.node(i, jp).y - grid.node(i, jm).y) / dy
+                } else {
+                    0.0
+                };
+                *out.node_mut(i, j) = dudx + dvdy;
+            }
+        }
+        out
+    }
+
+    /// The magnitude of a vector grid as a scalar grid.
+    fn speed_grid(grid: &RegularGrid) -> ScalarGrid {
+        let mut out = ScalarGrid::zeros(grid.nx(), grid.ny(), grid.domain());
+        for j in 0..grid.ny() {
+            for i in 0..grid.nx() {
+                *out.node_mut(i, j) = grid.node(i, j).norm();
+            }
+        }
+        out
+    }
+
+    /// Relative L2 difference between two same-shaped sample slices.
+    fn relative_l2_difference(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len(), "grids must have the same shape");
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (x, y) in a.iter().zip(b.iter()) {
+            num += (x - y) * (x - y);
+            den += x * x;
+        }
+        if den <= 1e-300 {
+            num.sqrt()
+        } else {
+            (num / den).sqrt()
+        }
+    }
+
+    /// Samples a field along the boundary of a rectangle, returning positions
+    /// and tangential velocity components.
+    fn boundary_tangential_flow(
+        field: &dyn VectorField,
+        rect: Rect,
+        samples_per_side: usize,
+    ) -> Vec<(Vec2, f64)> {
+        assert!(samples_per_side >= 2);
+        let corners = [
+            (rect.min, Vec2::new(rect.max.x, rect.min.y)),
+            (Vec2::new(rect.max.x, rect.min.y), rect.max),
+            (rect.max, Vec2::new(rect.min.x, rect.max.y)),
+            (Vec2::new(rect.min.x, rect.max.y), rect.min),
+        ];
+        let mut out = Vec::with_capacity(4 * samples_per_side);
+        for (a, b) in corners {
+            let tangent = (b - a).normalized();
+            for k in 0..samples_per_side {
+                let t = k as f64 / (samples_per_side - 1) as f64;
+                let p = a.lerp(b, t);
+                let v = field.velocity(p);
+                out.push((p, v.dot(tangent)));
+            }
+        }
+        out
     }
 }

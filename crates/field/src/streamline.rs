@@ -48,7 +48,7 @@ pub struct Streamline {
 
 impl Streamline {
     /// Total arc length of the polyline.
-    pub fn arc_length(&self) -> f64 {
+    pub(crate) fn arc_length(&self) -> f64 {
         self.points.windows(2).map(|w| (w[1] - w[0]).norm()).sum()
     }
 

@@ -20,10 +20,7 @@ impl Vec2 {
     /// The zero vector.
     pub const ZERO: Vec2 = Vec2 { x: 0.0, y: 0.0 };
     /// The unit vector along x.
-    pub const UNIT_X: Vec2 = Vec2 { x: 1.0, y: 0.0 };
-    /// The unit vector along y.
-    pub const UNIT_Y: Vec2 = Vec2 { x: 0.0, y: 1.0 };
-
+    pub(crate) const UNIT_X: Vec2 = Vec2 { x: 1.0, y: 0.0 };
     /// Creates a vector from its components.
     #[inline]
     pub const fn new(x: f64, y: f64) -> Self {
@@ -34,12 +31,6 @@ impl Vec2 {
     #[inline]
     pub const fn splat(v: f64) -> Self {
         Vec2 { x: v, y: v }
-    }
-
-    /// Creates a unit vector at `angle` radians from the positive x axis.
-    #[inline]
-    pub fn from_angle(angle: f64) -> Self {
-        Vec2::new(angle.cos(), angle.sin())
     }
 
     /// Dot product.
@@ -64,12 +55,6 @@ impl Vec2 {
     #[inline]
     pub fn norm_sq(self) -> f64 {
         self.dot(self)
-    }
-
-    /// Distance to another point.
-    #[inline]
-    pub fn distance(self, other: Vec2) -> f64 {
-        (self - other).norm()
     }
 
     /// Returns the vector scaled to unit length, or `Vec2::ZERO` when the
@@ -105,7 +90,7 @@ impl Vec2 {
 
     /// Component-wise product.
     #[inline]
-    pub fn hadamard(self, other: Vec2) -> Vec2 {
+    pub(crate) fn hadamard(self, other: Vec2) -> Vec2 {
         Vec2::new(self.x * other.x, self.y * other.y)
     }
 
@@ -288,28 +273,6 @@ impl Mat2 {
             self.c * rhs.b + self.d * rhs.d,
         )
     }
-
-    /// Determinant.
-    #[inline]
-    pub fn det(self) -> f64 {
-        self.a * self.d - self.b * self.c
-    }
-
-    /// Inverse, or `None` when the matrix is singular.
-    #[inline]
-    pub fn inverse(self) -> Option<Mat2> {
-        let det = self.det();
-        if det.abs() < 1e-300 {
-            return None;
-        }
-        let inv = 1.0 / det;
-        Some(Mat2::new(
-            self.d * inv,
-            -self.b * inv,
-            -self.c * inv,
-            self.a * inv,
-        ))
-    }
 }
 
 impl Default for Mat2 {
@@ -352,12 +315,6 @@ impl Rect {
         }
     }
 
-    /// The unit square `[0,1] x [0,1]`.
-    pub const UNIT: Rect = Rect {
-        min: Vec2::ZERO,
-        max: Vec2 { x: 1.0, y: 1.0 },
-    };
-
     /// Width (x extent).
     #[inline]
     pub fn width(&self) -> f64 {
@@ -392,15 +349,6 @@ impl Rect {
     #[inline]
     pub fn contains(&self, p: Vec2) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// True when the two rectangles overlap (inclusive of shared edges).
-    #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x
-            && self.max.x >= other.min.x
-            && self.min.y <= other.max.y
-            && self.max.y >= other.min.y
     }
 
     /// Returns the rectangle grown by `margin` on every side.
@@ -594,5 +542,59 @@ mod tests {
         assert!(b.intersects(&a));
         assert!(!a.intersects(&c));
         assert!(a.expanded(1.0).intersects(&c));
+    }
+
+    impl Vec2 {
+        /// The unit vector along y.
+        const UNIT_Y: Vec2 = Vec2 { x: 0.0, y: 1.0 };
+
+        /// Creates a unit vector at `angle` radians from the positive x axis.
+        #[inline]
+        pub(crate) fn from_angle(angle: f64) -> Self {
+            Vec2::new(angle.cos(), angle.sin())
+        }
+    }
+
+    impl Mat2 {
+        /// Determinant.
+        #[inline]
+        fn det(self) -> f64 {
+            self.a * self.d - self.b * self.c
+        }
+
+        /// Inverse, or `None` when the matrix is singular.
+        #[inline]
+        fn inverse(self) -> Option<Mat2> {
+            let det = self.det();
+            if det.abs() < 1e-300 {
+                return None;
+            }
+            let inv = 1.0 / det;
+            Some(Mat2::new(
+                self.d * inv,
+                -self.b * inv,
+                -self.c * inv,
+                self.a * inv,
+            ))
+        }
+    }
+
+    impl Rect {
+        /// The unit square `[0,1] x [0,1]`.
+        pub(crate) const UNIT: Rect = Rect {
+            min: Vec2::ZERO,
+            max: Vec2 { x: 1.0, y: 1.0 },
+        };
+    }
+
+    impl Rect {
+        /// True when the two rectangles overlap (inclusive of shared edges).
+        #[inline]
+        fn intersects(&self, other: &Rect) -> bool {
+            self.min.x <= other.max.x
+                && self.max.x >= other.min.x
+                && self.min.y <= other.max.y
+                && self.max.y >= other.min.y
+        }
     }
 }

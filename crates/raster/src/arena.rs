@@ -180,14 +180,6 @@ impl FrameArena {
         }
     }
 
-    /// Number of textures currently pooled, over all size classes.
-    pub fn pooled_textures(&self) -> usize {
-        self.texture_pools()
-            .iter()
-            .map(|class| class.pool.len())
-            .sum()
-    }
-
     /// Number of distinct texture size classes currently pooled.
     pub fn texture_size_classes(&self) -> usize {
         self.texture_pools().len()
@@ -312,5 +304,15 @@ mod tests {
         });
         let s = arena.stats();
         assert_eq!(s.texture_allocations + s.texture_reuses, 64);
+    }
+
+    impl FrameArena {
+        /// Number of textures currently pooled, over all size classes.
+        fn pooled_textures(&self) -> usize {
+            self.texture_pools()
+                .iter()
+                .map(|class| class.pool.len())
+                .sum()
+        }
     }
 }

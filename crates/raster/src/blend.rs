@@ -76,7 +76,7 @@ impl BlendMode {
     /// # Panics
     /// Panics when the slices' lengths differ (debug builds).
     #[inline]
-    pub fn apply_block(self, dst: &mut [f32], src: &[f32]) {
+    pub(crate) fn apply_block(self, dst: &mut [f32], src: &[f32]) {
         debug_assert_eq!(dst.len(), src.len());
         match self {
             BlendMode::Replace => dst.copy_from_slice(src),
@@ -104,7 +104,7 @@ impl BlendMode {
     /// vectorizable loop per mode. Bit-identical to calling
     /// [`BlendMode::apply`] per texel with the same `src`.
     #[inline]
-    pub fn apply_uniform(self, dst: &mut [f32], src: f32) {
+    pub(crate) fn apply_uniform(self, dst: &mut [f32], src: f32) {
         match self {
             BlendMode::Replace => dst.fill(src),
             BlendMode::Additive => {

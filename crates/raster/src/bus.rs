@@ -14,13 +14,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Categories of bus traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Traffic {
+pub(crate) enum Traffic {
     /// Vertex data streamed from processors to a pipe.
     Vertices,
     /// Texture data moved between pipes and host memory (gather/readback).
     Textures,
-    /// Data-set reads (pipeline step 1).
-    DataSet,
 }
 
 /// A snapshot of the accumulated traffic counters.
@@ -30,8 +28,6 @@ pub struct BusStats {
     pub vertex_bytes: u64,
     /// Bytes of texture traffic.
     pub texture_bytes: u64,
-    /// Bytes of data-set traffic.
-    pub dataset_bytes: u64,
     /// Number of individual transfers recorded.
     pub transfers: u64,
 }
@@ -39,7 +35,7 @@ pub struct BusStats {
 impl BusStats {
     /// Total bytes across all categories.
     pub fn total_bytes(&self) -> u64 {
-        self.vertex_bytes + self.texture_bytes + self.dataset_bytes
+        self.vertex_bytes + self.texture_bytes
     }
 
     /// Average bandwidth in bytes/second over a wall-clock or simulated
@@ -74,12 +70,11 @@ impl BusTracker {
     }
 
     /// Records a transfer of `bytes` in the given traffic category.
-    pub fn record(&self, traffic: Traffic, bytes: u64) {
+    pub(crate) fn record(&self, traffic: Traffic, bytes: u64) {
         let mut s = self.stats();
         match traffic {
             Traffic::Vertices => s.vertex_bytes += bytes,
             Traffic::Textures => s.texture_bytes += bytes,
-            Traffic::DataSet => s.dataset_bytes += bytes,
         }
         s.transfers += 1;
     }
@@ -87,11 +82,6 @@ impl BusTracker {
     /// Returns a snapshot of the counters.
     pub fn snapshot(&self) -> BusStats {
         *self.stats()
-    }
-
-    /// Clears all counters.
-    pub fn reset(&self) {
-        *self.stats() = BusStats::default();
     }
 }
 
@@ -104,14 +94,12 @@ mod tests {
         let bus = BusTracker::new();
         bus.record(Traffic::Vertices, 1000);
         bus.record(Traffic::Textures, 500);
-        bus.record(Traffic::DataSet, 250);
         bus.record(Traffic::Vertices, 1000);
         let s = bus.snapshot();
         assert_eq!(s.vertex_bytes, 2000);
         assert_eq!(s.texture_bytes, 500);
-        assert_eq!(s.dataset_bytes, 250);
-        assert_eq!(s.transfers, 4);
-        assert_eq!(s.total_bytes(), 2750);
+        assert_eq!(s.transfers, 3);
+        assert_eq!(s.total_bytes(), 2500);
     }
 
     #[test]
@@ -154,5 +142,12 @@ mod tests {
             }
         });
         assert_eq!(bus.snapshot().vertex_bytes, 4 * 100 * 16);
+    }
+
+    impl BusTracker {
+        /// Clears all counters.
+        fn reset(&self) {
+            *self.stats() = BusStats::default();
+        }
     }
 }

@@ -196,8 +196,7 @@ impl<'a> StreamingGather<'a> {
     }
 
     /// Recycles consumed partials into `arena` instead of dropping them
-    /// (partials folded through
-    /// [`push_slice`](StreamingGather::push_slice) are borrowed and never
+    /// (partials folded through `push_slice` are borrowed and never
     /// recycled).
     pub fn with_arena(mut self, arena: &'a FrameArena) -> Self {
         self.arena = Some(arena);
@@ -248,7 +247,7 @@ impl<'a> StreamingGather<'a> {
     ///
     /// # Panics
     /// Panics in tiles mode, or when a partial's size disagrees.
-    pub fn push_slice(&mut self, partials: &[&Texture]) {
+    pub(crate) fn push_slice(&mut self, partials: &[&Texture]) {
         assert!(
             matches!(self.mode, GatherMode::Additive),
             "push_slice is additive-only"
@@ -380,11 +379,6 @@ impl<'a> StreamingGather<'a> {
         self.next += sources.len();
     }
 
-    /// Number of partials pushed so far.
-    pub fn received(&self) -> usize {
-        self.received
-    }
-
     /// Completes the composition.
     ///
     /// # Panics
@@ -470,7 +464,7 @@ fn blit_tile(dst: &mut Texture, partial: &Texture, tile: PixelTile) {
 /// depend on the order of `partials` — the property the divide-and-conquer
 /// correctness tests verify. All partials are available up front, so the
 /// whole set folds in one fused destination pass
-/// ([`StreamingGather::push_slice`]).
+/// (`StreamingGather::push_slice`).
 ///
 /// # Panics
 /// Panics when `partials` is empty or the sizes disagree.
@@ -741,5 +735,12 @@ mod tests {
         let fused = gather_additive(&partials);
         assert_eq!(fused.blend_texels, 5 * 512 * 512);
         assert_bits_equal(&expected, &fused.texture);
+    }
+
+    impl StreamingGather<'_> {
+        /// Number of partials pushed so far.
+        fn received(&self) -> usize {
+            self.received
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! steps, mesh vertices built on the CPU, vertices and fragments processed by
 //! a pipe, state changes, texture blends, bytes moved over the bus) is
 //! charged a calibrated number of simulated seconds. The calibration
-//! constants in [`CostModel::onyx2`] were chosen so that the two workloads of
+//! constants in `CostModel::onyx2` were chosen so that the two workloads of
 //! the paper land in the same regime as Tables 1 and 2: a single R10000
 //! needs ~0.9 s of spot-shape computation for the atmospheric workload,
 //! roughly four processors saturate one pipe, and the sequential gather/blend
@@ -91,7 +91,7 @@ pub struct CostModel {
 impl CostModel {
     /// Cost model calibrated against the paper's SGI Onyx2 with R10000
     /// processors and InfiniteReality pipes.
-    pub fn onyx2() -> Self {
+    pub(crate) fn onyx2() -> Self {
         CostModel {
             cpu_per_streamline_step: 1.0e-6,
             cpu_per_mesh_vertex: 0.6e-6,
@@ -103,20 +103,6 @@ impl CostModel {
             blend_fixed_overhead: 0.01,
             bus_bytes_per_second: 800.0e6,
             bytes_per_vertex: 16.0,
-        }
-    }
-
-    /// A hypothetical machine with a much faster graphics subsystem, used by
-    /// the "different architectures may result in different implementations"
-    /// ablation (spot transformation on the pipe becomes viable when the
-    /// state-change cost shrinks).
-    pub fn fast_pipe() -> Self {
-        CostModel {
-            pipe_per_vertex: 0.03e-6,
-            pipe_per_fragment: 0.01e-6,
-            pipe_per_state_change: 0.5e-6,
-            pipe_per_blend_texel: 2.0e-8,
-            ..CostModel::onyx2()
         }
     }
 
@@ -304,5 +290,20 @@ mod tests {
         });
         assert_eq!(p.vertices, 5);
         assert_eq!(p.blend_texels, 8);
+    }
+
+    impl CostModel {
+        /// A hypothetical machine with a much faster graphics subsystem (spot
+        /// transformation on the pipe becomes viable when the state-change
+        /// cost shrinks).
+        fn fast_pipe() -> Self {
+            CostModel {
+                pipe_per_vertex: 0.03e-6,
+                pipe_per_fragment: 0.01e-6,
+                pipe_per_state_change: 0.5e-6,
+                pipe_per_blend_texel: 2.0e-8,
+                ..CostModel::onyx2()
+            }
+        }
     }
 }

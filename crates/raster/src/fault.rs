@@ -36,7 +36,7 @@ use std::time::Duration;
 
 /// What an injected fault does when its rule fires.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// Panic at the checkpoint (contained by the layer under test).
     Panic,
     /// Sleep for the given duration at the checkpoint.
@@ -45,7 +45,7 @@ pub enum FaultKind {
 
 /// One injection rule: a site, an action and a firing probability.
 #[derive(Debug, Clone)]
-pub struct FaultRule {
+pub(crate) struct FaultRule {
     /// The checkpoint name this rule applies to (e.g. `"raster"`).
     pub site: String,
     /// What happens when the rule fires.
@@ -58,7 +58,7 @@ pub struct FaultRule {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// The rules, checked in order at every matching checkpoint.
-    pub rules: Vec<FaultRule>,
+    pub(crate) rules: Vec<FaultRule>,
 }
 
 impl FaultPlan {

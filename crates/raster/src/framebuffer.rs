@@ -127,7 +127,7 @@ impl Framebuffer {
     /// Encodes the framebuffer as a binary PPM (P6) image. The image is
     /// flipped vertically on output so that viewers (which put the origin at
     /// the top-left) show the y axis pointing up.
-    pub fn write_ppm(&self, mut w: impl Write) -> io::Result<()> {
+    pub(crate) fn write_ppm(&self, mut w: impl Write) -> io::Result<()> {
         write!(w, "P6\n{} {}\n255\n", self.width, self.height)?;
         let mut row = Vec::with_capacity(self.width * 3);
         for y in (0..self.height).rev() {

@@ -8,21 +8,24 @@
 //! (textures produced) and the *performance shape* (Tables 1 and 2) of the
 //! original system can be reproduced.
 //!
-//! Module map:
+//! Map of the public surface:
 //!
-//! * [`texture`] — grayscale intensity textures, spot-function textures and
-//!   the footprint-sampling pyramid,
-//! * [`arena`] — pooled per-frame buffers (zero-alloc steady state),
-//! * [`blend`] — blend modes (additive blending is the spot-noise sum),
+//! * [`Texture`], [`FootprintPyramid`], [`disc_spot_texture`] — grayscale
+//!   intensity textures, the spot-function texture and the
+//!   footprint-sampling pyramid,
+//! * [`FrameArena`] — pooled per-frame buffers (zero-alloc steady state),
+//! * [`BlendMode`] — blend modes (additive blending is the spot-noise sum),
 //! * [`raster`] — triangle/quad scan conversion with texture mapping,
-//! * [`mesh`] — textured meshes for bent spots,
-//! * [`framebuffer`] — RGB framebuffer and PPM export for the final scene,
-//! * [`state`] — the OpenGL-like state machine with change counting,
+//! * [`TexturedMesh`] — textured meshes for bent spots,
+//! * [`Framebuffer`] — RGB framebuffer and PPM export for the final scene,
+//! * [`SamplingMode`], [`Transform2`], [`StateChangeStats`] — the
+//!   OpenGL-like pipe state and its change counting,
 //! * [`pipe`] — synchronous pipe core and threaded [`pipe::GraphicsPipe`],
 //! * [`pool`] — persistent pipe workers checked out per frame,
-//! * [`compose`] — gathering/blending partial textures (the sequential step),
+//! * [`gather_additive`], [`StreamingGather`] — gathering/blending partial
+//!   textures (the sequential step),
 //! * [`simd`] — explicit SSE2/AVX2/NEON kernels behind runtime dispatch,
-//! * [`bus`] — host-to-graphics bus traffic accounting,
+//! * [`BusTracker`] — host-to-graphics bus traffic accounting,
 //! * [`cost`] — the Onyx2-calibrated cost model,
 //! * [`machine`] — the workstation model (processors, pipes, assignment),
 //! * [`fault`] — chaos-testing fault injection (`SPOTNOISE_FAULT`),
@@ -30,29 +33,29 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
-pub mod blend;
-pub mod bus;
-pub mod compose;
+mod arena;
+mod blend;
+mod bus;
+mod compose;
 pub mod cost;
 pub mod fault;
-pub mod framebuffer;
+mod framebuffer;
 pub mod machine;
-pub mod mesh;
+mod mesh;
 pub mod pipe;
 pub mod pool;
 pub mod raster;
 pub mod simd;
-pub mod state;
+mod state;
 pub mod sync;
-pub mod texture;
+mod texture;
 
 pub use arena::{ArenaStats, FrameArena};
-pub use blend::BlendMode;
-pub use bus::{BusStats, BusTracker, Traffic};
+pub use blend::{AlphaFactor, BlendMode};
+pub use bus::{BusStats, BusTracker};
 pub use compose::{gather_additive, ComposeResult, PixelTile, StreamingGather};
 pub use cost::{CostModel, CpuWork, PipeWork};
-pub use fault::{FaultKind, FaultPlan, FaultRule};
+pub use fault::FaultPlan;
 pub use framebuffer::{Framebuffer, Rgb};
 pub use machine::MachineConfig;
 pub use mesh::TexturedMesh;
@@ -60,8 +63,8 @@ pub use pipe::{GraphicsPipe, PipeCore, PipeOutput, RenderCommand};
 pub use pool::{PipePool, PoolStats, PooledPipe};
 pub use raster::{RasterStats, Sampler, Vertex};
 pub use simd::SimdLevel;
-pub use state::{SamplingMode, StateChangeStats, StateMachine, Transform2};
-pub use texture::{disc_spot_texture, gaussian_spot_texture, FootprintPyramid, Texture};
+pub use state::{SamplingMode, StateChangeStats, Transform2};
+pub use texture::{disc_spot_texture, FootprintPyramid, Texture};
 
 #[cfg(test)]
 mod proptests {

@@ -53,11 +53,6 @@ impl TexturedMesh {
         self.vertices.len()
     }
 
-    /// Number of quadrilateral cells.
-    pub fn quad_count(&self) -> usize {
-        (self.rows - 1) * (self.cols - 1)
-    }
-
     /// The vertices in row-major order.
     pub fn vertices(&self) -> &[Vertex] {
         &self.vertices
@@ -163,7 +158,8 @@ impl TexturedMesh {
 /// Builds a rectangular mesh covering the axis-aligned box `[x0,x1]x[y0,y1]`
 /// in pixel coordinates, with uv spanning the unit square; primarily a test
 /// helper and the degenerate "unbent" mesh.
-pub fn rectangle_mesh(
+#[cfg(test)]
+pub(crate) fn rectangle_mesh(
     rows: usize,
     cols: usize,
     x0: f64,
@@ -274,5 +270,12 @@ mod tests {
         assert_eq!(atm.quad_count(), 31 * 16); // 496 quads per spot
         let dns = rectangle_mesh(16, 3, 0.0, 0.0, 1.0, 1.0);
         assert_eq!(dns.quad_count(), 15 * 2); // 30 quads per spot
+    }
+
+    impl TexturedMesh {
+        /// Number of quadrilateral cells.
+        pub(crate) fn quad_count(&self) -> usize {
+            (self.rows - 1) * (self.cols - 1)
+        }
     }
 }

@@ -204,7 +204,7 @@ impl PipeCore {
     /// its rows are dirty). A pooled pipe runs this between checkouts so a
     /// reused worker is indistinguishable from a fresh spawn: same texels
     /// *and* same state-change accounting.
-    pub fn reset_session(&mut self) {
+    pub(crate) fn reset_session(&mut self) {
         self.state = StateMachine::new();
         self.raster = RasterStats::default();
         self.textures.clear();
@@ -410,13 +410,6 @@ impl PipeCore {
     pub fn target(&self) -> &Texture {
         &self.target
     }
-
-    /// Texels zeroed by `Clear` commands since the previous `finish`. With
-    /// dirty-rect clearing this grows by the touched-row extent per clear,
-    /// not by the full frame.
-    pub fn cleared_texels(&self) -> u64 {
-        self.cleared_texels
-    }
 }
 
 impl Drop for PipeCore {
@@ -444,7 +437,7 @@ enum PipeMessage {
 /// deep enough that a master streaming batch-sized chunks never stalls
 /// behind a healthy pipe, shallow enough that a slow pipe exerts
 /// back-pressure instead of buffering a whole frame.
-pub const PIPE_FIFO_DEPTH: usize = 256;
+pub(crate) const PIPE_FIFO_DEPTH: usize = 256;
 
 /// What [`GraphicsPipe::submit`] and [`GraphicsPipe::finish`] panic with
 /// once a message has panicked on the pipe's worker.
@@ -453,7 +446,7 @@ const POISONED: &str = "graphics pipe poisoned: a render command panicked mid-fr
 /// A graphics pipe running on its own worker thread.
 ///
 /// Command batches are queued through a bounded channel (the pipe FIFO,
-/// sized by [`PIPE_FIFO_DEPTH`]); `finish` flushes the queue and returns the
+/// sized by `PIPE_FIFO_DEPTH`); `finish` flushes the queue and returns the
 /// completed partial texture.
 pub struct GraphicsPipe {
     sender: SyncSender<PipeMessage>,
@@ -968,5 +961,14 @@ mod tests {
         assert!(first.texture.texel(16, 16) > 0.9);
         assert!(second.texture.texel(8, 8) > 1.9);
         assert_eq!(second.texture.texel(16, 16), 0.0);
+    }
+
+    impl PipeCore {
+        /// Texels zeroed by `Clear` commands since the previous `finish`. With
+        /// dirty-rect clearing this grows by the touched-row extent per clear,
+        /// not by the full frame.
+        fn cleared_texels(&self) -> u64 {
+            self.cleared_texels
+        }
     }
 }

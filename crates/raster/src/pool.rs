@@ -10,13 +10,12 @@
 //! it at session close, so steady-state synthesis spawns zero threads.
 //!
 //! Reuse is invisible: every checkout queues a session reset
-//! ([`PipeCore::reset_session`](crate::pipe::PipeCore::reset_session)) so a
-//! recycled worker has the same state machine, counters, texture memory and
-//! redundant-filter history as a fresh spawn — outputs and accounting are
-//! bit-identical, which the pool tests assert. What reuse *keeps* is the
-//! expensive part: the live thread, its warm target buffer and the buffer's
-//! dirty-row knowledge (so `Clear` on a retained target stays a dirty-rect
-//! sweep).
+//! (`PipeCore::reset_session`) so a recycled worker has the same state
+//! machine, counters, texture memory and redundant-filter history as a
+//! fresh spawn — outputs and accounting are bit-identical, which the pool
+//! tests assert. What reuse *keeps* is the expensive part: the live thread,
+//! its warm target buffer and the buffer's dirty-row knowledge (so `Clear`
+//! on a retained target stays a dirty-rect sweep).
 //!
 //! One pool may be shared by many pipelines — the spotnoise service shares a
 //! single pool across all sessions, sized by the session cap — because
@@ -36,7 +35,7 @@ use std::time::{Duration, Instant};
 /// whether the checkout was served from a shelf, and how long it took (lock
 /// wait + reset-or-spawn). Lets layers above the raster crate observe pool
 /// behaviour without this crate depending on their telemetry types.
-pub type CheckoutObserver = Arc<dyn Fn(bool, Duration) + Send + Sync>;
+pub(crate) type CheckoutObserver = Arc<dyn Fn(bool, Duration) + Send + Sync>;
 
 /// Default cap on idle pipes retained by a pool (total, over all shelves).
 /// One pipe per process group of a typical machine shape; pools serving many

@@ -31,7 +31,7 @@
 //!
 //! # Sampling modes
 //!
-//! Every entry point — [`rasterize_triangle`], [`rasterize_quad`] and
+//! Every entry point — [`rasterize_quad`] and
 //! [`TexturedMesh::rasterize`](crate::TexturedMesh) — takes the sampling
 //! mode as a value, a [`Sampler`]: the spot texture (exact) or its
 //! [`FootprintPyramid`] (footprint). It resolves to a *filter*, bilinear
@@ -637,8 +637,8 @@ const NARROW_TRIANGLE_WIDTH: usize = 12;
 
 /// How a draw samples the spot texture: the sampling mode
 /// ([`SamplingMode`](crate::state::SamplingMode)) as a value, which
-/// [`rasterize_triangle`], [`rasterize_quad`] and
-/// [`TexturedMesh::rasterize`](crate::TexturedMesh) all take.
+/// [`rasterize_quad`] and [`TexturedMesh::rasterize`](crate::TexturedMesh)
+/// both take.
 ///
 /// Footprint sampling changes *sampling*, never coverage: every path decides
 /// coverage with the same edge predicate in both modes, so adjacent
@@ -1365,29 +1365,9 @@ fn rasterize_triangle_uncounted(
     }
 }
 
-/// Rasterizes a single textured triangle into `target`.
-///
-/// Each fragment samples the spot texture through `sampler` at the
-/// interpolated uv coordinate, is multiplied by `intensity` (the random
-/// spot weight `aᵢ`) and blended into the target using `blend`.
-#[allow(clippy::too_many_arguments)]
-pub fn rasterize_triangle(
-    target: &mut Texture,
-    sampler: Sampler<'_>,
-    v0: Vertex,
-    v1: Vertex,
-    v2: Vertex,
-    intensity: f32,
-    blend: BlendMode,
-    stats: &mut RasterStats,
-) {
-    stats.vertices += 3;
-    rasterize_triangle_uncounted(target, sampler, v0, v1, v2, intensity, blend, stats);
-}
-
 /// Rasterizes a textured quadrilateral (the standard four-vertex spot) as two
-/// triangles, each sampled through `sampler` as [`rasterize_triangle`]
-/// samples. Vertices must be supplied in perimeter order.
+/// triangles, each sampling the spot texture through `sampler` at the
+/// interpolated uv coordinate. Vertices must be supplied in perimeter order.
 ///
 /// A quad streams exactly 4 vertices over the bus (the two triangles share
 /// the `quad[0]`–`quad[2]` diagonal), counted up front — so the accounting
@@ -1503,9 +1483,10 @@ pub mod reference {
         }
     }
 
-    /// Reference counterpart of [`super::rasterize_triangle`].
+    /// Rasterizes one textured triangle with the naive per-pixel loop.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
-    pub fn rasterize_triangle(
+    pub(crate) fn rasterize_triangle(
         target: &mut Texture,
         spot_texture: &Texture,
         v0: Vertex,
@@ -3285,5 +3266,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Rasterizes a single textured triangle into `target`.
+    ///
+    /// Each fragment samples the spot texture through `sampler` at the
+    /// interpolated uv coordinate, is multiplied by `intensity` (the random
+    /// spot weight `aᵢ`) and blended into the target using `blend`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn rasterize_triangle(
+        target: &mut Texture,
+        sampler: Sampler<'_>,
+        v0: Vertex,
+        v1: Vertex,
+        v2: Vertex,
+        intensity: f32,
+        blend: BlendMode,
+        stats: &mut RasterStats,
+    ) {
+        stats.vertices += 3;
+        rasterize_triangle_uncounted(target, sampler, v0, v1, v2, intensity, blend, stats);
     }
 }

@@ -127,7 +127,7 @@ impl SimdLevel {
     }
 
     /// Parses a `SPOTNOISE_SIMD` value; `off` is an alias for `scalar`.
-    pub fn from_name(name: &str) -> Option<SimdLevel> {
+    pub(crate) fn from_name(name: &str) -> Option<SimdLevel> {
         match name {
             "off" | "scalar" => Some(SimdLevel::Scalar),
             "sse2" => Some(SimdLevel::Sse2),
@@ -2168,97 +2168,101 @@ mod tests {
 #[allow(non_camel_case_types)]
 mod neon_emu {
     #[derive(Clone, Copy)]
-    pub struct float32x4_t([f32; 4]);
+    pub(super) struct float32x4_t([f32; 4]);
     #[derive(Clone, Copy)]
-    pub struct float32x2_t([f32; 2]);
+    pub(super) struct float32x2_t([f32; 2]);
     #[derive(Clone, Copy)]
-    pub struct float64x2_t([f64; 2]);
+    pub(super) struct float64x2_t([f64; 2]);
     #[derive(Clone, Copy)]
-    pub struct int32x4_t([i32; 4]);
+    pub(super) struct int32x4_t([i32; 4]);
     #[derive(Clone, Copy)]
-    pub struct uint32x4_t([u32; 4]);
+    pub(super) struct uint32x4_t([u32; 4]);
 
     /// LD1 of four `f32`, unaligned.
     ///
     /// # Safety
     /// `p` is valid for reading 4 `f32`.
-    pub unsafe fn vld1q_f32(p: *const f32) -> float32x4_t {
+    pub(super) unsafe fn vld1q_f32(p: *const f32) -> float32x4_t {
         float32x4_t(p.cast::<[f32; 4]>().read_unaligned())
     }
     /// LD1 of two `f64`, unaligned.
     ///
     /// # Safety
     /// `p` is valid for reading 2 `f64`.
-    pub unsafe fn vld1q_f64(p: *const f64) -> float64x2_t {
+    pub(super) unsafe fn vld1q_f64(p: *const f64) -> float64x2_t {
         float64x2_t(p.cast::<[f64; 2]>().read_unaligned())
     }
     /// ST1 of four `f32`, unaligned.
     ///
     /// # Safety
     /// `p` is valid for writing 4 `f32`.
-    pub unsafe fn vst1q_f32(p: *mut f32, v: float32x4_t) {
+    pub(super) unsafe fn vst1q_f32(p: *mut f32, v: float32x4_t) {
         p.cast::<[f32; 4]>().write_unaligned(v.0)
     }
     /// ST1 of four `i32`, unaligned.
     ///
     /// # Safety
     /// `p` is valid for writing 4 `i32`.
-    pub unsafe fn vst1q_s32(p: *mut i32, v: int32x4_t) {
+    pub(super) unsafe fn vst1q_s32(p: *mut i32, v: int32x4_t) {
         p.cast::<[i32; 4]>().write_unaligned(v.0)
     }
-    pub unsafe fn vdupq_n_f32(x: f32) -> float32x4_t {
+    pub(super) unsafe fn vdupq_n_f32(x: f32) -> float32x4_t {
         float32x4_t([x; 4])
     }
-    pub unsafe fn vdupq_n_f64(x: f64) -> float64x2_t {
+    pub(super) unsafe fn vdupq_n_f64(x: f64) -> float64x2_t {
         float64x2_t([x; 2])
     }
-    pub unsafe fn vaddq_f32(a: float32x4_t, b: float32x4_t) -> float32x4_t {
+    pub(super) unsafe fn vaddq_f32(a: float32x4_t, b: float32x4_t) -> float32x4_t {
         float32x4_t([0, 1, 2, 3].map(|k| a.0[k] + b.0[k]))
     }
-    pub unsafe fn vsubq_f32(a: float32x4_t, b: float32x4_t) -> float32x4_t {
+    pub(super) unsafe fn vsubq_f32(a: float32x4_t, b: float32x4_t) -> float32x4_t {
         float32x4_t([0, 1, 2, 3].map(|k| a.0[k] - b.0[k]))
     }
-    pub unsafe fn vmulq_f32(a: float32x4_t, b: float32x4_t) -> float32x4_t {
+    pub(super) unsafe fn vmulq_f32(a: float32x4_t, b: float32x4_t) -> float32x4_t {
         float32x4_t([0, 1, 2, 3].map(|k| a.0[k] * b.0[k]))
     }
-    pub unsafe fn vaddq_f64(a: float64x2_t, b: float64x2_t) -> float64x2_t {
+    pub(super) unsafe fn vaddq_f64(a: float64x2_t, b: float64x2_t) -> float64x2_t {
         float64x2_t([a.0[0] + b.0[0], a.0[1] + b.0[1]])
     }
-    pub unsafe fn vsubq_f64(a: float64x2_t, b: float64x2_t) -> float64x2_t {
+    pub(super) unsafe fn vsubq_f64(a: float64x2_t, b: float64x2_t) -> float64x2_t {
         float64x2_t([a.0[0] - b.0[0], a.0[1] - b.0[1]])
     }
-    pub unsafe fn vmulq_f64(a: float64x2_t, b: float64x2_t) -> float64x2_t {
+    pub(super) unsafe fn vmulq_f64(a: float64x2_t, b: float64x2_t) -> float64x2_t {
         float64x2_t([a.0[0] * b.0[0], a.0[1] * b.0[1]])
     }
     /// FCMGT: all ones where `a > b`, so false on NaN.
-    pub unsafe fn vcgtq_f32(a: float32x4_t, b: float32x4_t) -> uint32x4_t {
+    pub(super) unsafe fn vcgtq_f32(a: float32x4_t, b: float32x4_t) -> uint32x4_t {
         uint32x4_t([0, 1, 2, 3].map(|k| if a.0[k] > b.0[k] { u32::MAX } else { 0 }))
     }
     /// FCMGT with the operands swapped: all ones where `a < b`, so false
     /// on NaN.
-    pub unsafe fn vcltq_f32(a: float32x4_t, b: float32x4_t) -> uint32x4_t {
+    pub(super) unsafe fn vcltq_f32(a: float32x4_t, b: float32x4_t) -> uint32x4_t {
         uint32x4_t([0, 1, 2, 3].map(|k| if a.0[k] < b.0[k] { u32::MAX } else { 0 }))
     }
     /// BSL: each bit from `b` where `mask` has it set, else from `c`.
-    pub unsafe fn vbslq_f32(mask: uint32x4_t, b: float32x4_t, c: float32x4_t) -> float32x4_t {
+    pub(super) unsafe fn vbslq_f32(
+        mask: uint32x4_t,
+        b: float32x4_t,
+        c: float32x4_t,
+    ) -> float32x4_t {
         float32x4_t([0, 1, 2, 3].map(|k| {
             let m = mask.0[k];
             f32::from_bits((b.0[k].to_bits() & m) | (c.0[k].to_bits() & !m))
         }))
     }
     /// FCVTZS: toward zero, saturating, NaN to 0 — exactly `as i32`.
-    pub unsafe fn vcvtq_s32_f32(v: float32x4_t) -> int32x4_t {
+    pub(super) unsafe fn vcvtq_s32_f32(v: float32x4_t) -> int32x4_t {
         int32x4_t(v.0.map(|x| x as i32))
     }
     /// SCVTF: rounds to nearest-even, exactly `as f32`.
-    pub unsafe fn vcvtq_f32_s32(v: int32x4_t) -> float32x4_t {
+    pub(super) unsafe fn vcvtq_f32_s32(v: int32x4_t) -> float32x4_t {
         float32x4_t(v.0.map(|x| x as f32))
     }
     /// FCVTN: narrows rounding to nearest-even, exactly `as f32`.
-    pub unsafe fn vcvt_f32_f64(v: float64x2_t) -> float32x2_t {
+    pub(super) unsafe fn vcvt_f32_f64(v: float64x2_t) -> float32x2_t {
         float32x2_t(v.0.map(|x| x as f32))
     }
-    pub unsafe fn vcombine_f32(lo: float32x2_t, hi: float32x2_t) -> float32x4_t {
+    pub(super) unsafe fn vcombine_f32(lo: float32x2_t, hi: float32x2_t) -> float32x4_t {
         float32x4_t([lo.0[0], lo.0[1], hi.0[0], hi.0[1]])
     }
 }

@@ -13,7 +13,7 @@ use crate::blend::BlendMode;
 use flowfield::{Mat2, Vec2};
 
 /// Identifier of a texture object bound to the pipe.
-pub type TextureId = u32;
+pub(crate) type TextureId = u32;
 
 /// How the bound spot texture is sampled when shading fragments.
 ///
@@ -106,7 +106,7 @@ impl Default for Transform2 {
 
 /// The mutable OpenGL-like state of one graphics pipe.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StateMachine {
+pub(crate) struct StateMachine {
     blend: BlendMode,
     bound_texture: Option<TextureId>,
     transform: Transform2,
@@ -117,7 +117,7 @@ pub struct StateMachine {
 impl StateMachine {
     /// Creates a state machine in the default state (additive blending, no
     /// texture bound, identity transform, exact sampling).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         StateMachine {
             blend: BlendMode::Additive,
             bound_texture: None,
@@ -128,38 +128,38 @@ impl StateMachine {
     }
 
     /// Current blend mode.
-    pub fn blend(&self) -> BlendMode {
+    pub(crate) fn blend(&self) -> BlendMode {
         self.blend
     }
 
     /// Current sampling mode.
-    pub fn sampling(&self) -> SamplingMode {
+    pub(crate) fn sampling(&self) -> SamplingMode {
         self.sampling
     }
 
     /// Currently bound texture, if any.
-    pub fn bound_texture(&self) -> Option<TextureId> {
+    pub(crate) fn bound_texture(&self) -> Option<TextureId> {
         self.bound_texture
     }
 
     /// Current transform.
-    pub fn transform(&self) -> Transform2 {
+    pub(crate) fn transform(&self) -> Transform2 {
         self.transform
     }
 
     /// Accumulated state-change statistics.
-    pub fn stats(&self) -> StateChangeStats {
+    pub(crate) fn stats(&self) -> StateChangeStats {
         self.stats
     }
 
     /// Resets the statistics counters (e.g. at the start of a frame).
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats = StateChangeStats::default();
     }
 
     /// Sets the blend mode; redundant calls are filtered and do not count as
     /// a state change.
-    pub fn set_blend(&mut self, blend: BlendMode) {
+    pub(crate) fn set_blend(&mut self, blend: BlendMode) {
         if self.blend == blend {
             self.stats.redundant_filtered += 1;
         } else {
@@ -170,7 +170,7 @@ impl StateMachine {
 
     /// Sets the sampling mode; redundant calls are filtered and do not count
     /// as a state change.
-    pub fn set_sampling(&mut self, sampling: SamplingMode) {
+    pub(crate) fn set_sampling(&mut self, sampling: SamplingMode) {
         if self.sampling == sampling {
             self.stats.redundant_filtered += 1;
         } else {
@@ -180,7 +180,7 @@ impl StateMachine {
     }
 
     /// Binds a spot texture; redundant binds are filtered.
-    pub fn bind_texture(&mut self, id: TextureId) {
+    pub(crate) fn bind_texture(&mut self, id: TextureId) {
         if self.bound_texture == Some(id) {
             self.stats.redundant_filtered += 1;
         } else {
@@ -193,7 +193,7 @@ impl StateMachine {
     /// non-redundant load costs a pipe synchronisation in the cost model,
     /// which is why the reference implementation performs spot
     /// transformations in software instead.
-    pub fn load_transform(&mut self, t: Transform2) {
+    pub(crate) fn load_transform(&mut self, t: Transform2) {
         if self.transform == t {
             self.stats.redundant_filtered += 1;
         } else {

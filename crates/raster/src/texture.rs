@@ -31,8 +31,8 @@ pub(crate) fn ceil_index(x: impl Into<f64>) -> usize {
 }
 
 /// Nearest-sample index of `coord` in a `len`-texel axis, clamped at the
-/// edges (0 for NaN): the index [`Texture::sample_nearest`] reads, and the
-/// scalar oracle of the SIMD nearest fills.
+/// edges (0 for NaN): the index every nearest fetch reads, and the scalar
+/// oracle of the SIMD nearest fills.
 #[inline(always)]
 pub(crate) fn nearest_index(coord: f32, len: usize) -> usize {
     ((coord * len as f32) as isize).clamp(0, len as isize - 1) as usize
@@ -152,7 +152,7 @@ impl Texture {
 
     /// Number of bytes occupied by the texel data (used for bus/texture
     /// bandwidth accounting).
-    pub fn byte_size(&self) -> usize {
+    pub(crate) fn byte_size(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
 
@@ -197,12 +197,6 @@ impl Texture {
         if zero {
             self.data.fill(0.0);
         }
-    }
-
-    /// Nearest-neighbour sample at texture coordinates `(u, v)` in `[0,1]`,
-    /// clamped at the edges.
-    pub fn sample_nearest(&self, u: f32, v: f32) -> f32 {
-        self.texel(nearest_index(u, self.width), nearest_index(v, self.height))
     }
 
     /// Bilinear sample at texture coordinates `(u, v)` in `[0,1]`, clamped at
@@ -316,7 +310,7 @@ pub fn disc_spot_texture(size: usize, softness: f32) -> Texture {
 ///
 /// Level 0 is the base texture (shared, not copied); each further level is a
 /// 2×2 box-filtered half-resolution copy, up to
-/// [`FootprintPyramid::MAX_LEVELS`] levels in total. Unlike a full mip chain
+/// `FootprintPyramid::MAX_LEVELS` levels in total. Unlike a full mip chain
 /// the pyramid stops after two prefiltered levels — spot textures are tiny
 /// (16–32 px) and bent-spot minification rarely exceeds 4 texels per pixel,
 /// so deeper levels would never be selected. The pyramid is built once per
@@ -330,7 +324,7 @@ pub struct FootprintPyramid {
 
 impl FootprintPyramid {
     /// Total pyramid depth: the base plus two prefiltered levels.
-    pub const MAX_LEVELS: usize = 3;
+    pub(crate) const MAX_LEVELS: usize = 3;
 
     /// Builds the pyramid over `base` by repeated 2×2 box filtering.
     pub fn build(base: Arc<Texture>) -> Self {
@@ -367,7 +361,7 @@ impl FootprintPyramid {
     /// base texels, and the cut-over sits at 1.5× the level's texel size so
     /// the selected level's texels stay within ±50 % of the footprint.
     /// Magnified or unit-scale footprints (`step <= 1.5`) keep the base.
-    pub fn level_for_step(&self, step: f32) -> usize {
+    pub(crate) fn level_for_step(&self, step: f32) -> usize {
         let mut level = 0;
         let mut cutover = 1.5f32;
         while level + 1 < self.levels() && step > cutover {
@@ -375,12 +369,6 @@ impl FootprintPyramid {
             cutover *= 2.0;
         }
         level
-    }
-
-    /// Nearest sample of pyramid level `level` at `(u, v)` in `[0, 1]`.
-    #[inline]
-    pub fn sample_nearest(&self, level: usize, u: f32, v: f32) -> f32 {
-        self.level(level).sample_nearest(u, v)
     }
 }
 
@@ -401,18 +389,6 @@ fn downsample_2x2(src: &Texture) -> Texture {
         }
     }
     out
-}
-
-/// Builds a Gaussian spot texture with standard deviation `sigma` expressed
-/// as a fraction of the half-width.
-pub fn gaussian_spot_texture(size: usize, sigma: f32) -> Texture {
-    let s = sigma.max(1e-6);
-    Texture::from_fn(size, size, |u, v| {
-        let dx = (u - 0.5) * 2.0;
-        let dy = (v - 0.5) * 2.0;
-        let r2 = dx * dx + dy * dy;
-        (-r2 / (2.0 * s * s)).exp()
-    })
 }
 
 #[cfg(test)]
@@ -689,5 +665,33 @@ mod tests {
         assert_eq!(p.level_for_step(2.0), 1);
         assert_eq!(p.level_for_step(4.0), 2);
         assert_eq!(p.level_for_step(100.0), 2, "clamped to the deepest level");
+    }
+
+    impl Texture {
+        /// Nearest-neighbour sample at texture coordinates `(u, v)` in `[0,1]`,
+        /// clamped at the edges.
+        fn sample_nearest(&self, u: f32, v: f32) -> f32 {
+            self.texel(nearest_index(u, self.width), nearest_index(v, self.height))
+        }
+    }
+
+    impl FootprintPyramid {
+        /// Nearest sample of pyramid level `level` at `(u, v)` in `[0, 1]`.
+        #[inline]
+        fn sample_nearest(&self, level: usize, u: f32, v: f32) -> f32 {
+            self.level(level).sample_nearest(u, v)
+        }
+    }
+
+    /// Builds a Gaussian spot texture with standard deviation `sigma` expressed
+    /// as a fraction of the half-width.
+    fn gaussian_spot_texture(size: usize, sigma: f32) -> Texture {
+        let s = sigma.max(1e-6);
+        Texture::from_fn(size, size, |u, v| {
+            let dx = (u - 0.5) * 2.0;
+            let dy = (v - 0.5) * 2.0;
+            let r2 = dx * dx + dy * dy;
+            (-r2 / (2.0 * s * s)).exp()
+        })
     }
 }

@@ -14,25 +14,25 @@ use std::time::Duration;
 
 /// `X-Deadline-Ms` (request): how many milliseconds an answer is still
 /// worth producing.
-pub const DEADLINE_MS: &str = "X-Deadline-Ms";
+pub(crate) const DEADLINE_MS: &str = "X-Deadline-Ms";
 /// `X-Frame-Cache`: `miss`, `hit` or `peer` (from a sibling's cache).
-pub const FRAME_CACHE: &str = "X-Frame-Cache";
+pub(crate) const FRAME_CACHE: &str = "X-Frame-Cache";
 /// `X-Frame-Index`: the index of the frame served.
-pub const FRAME_INDEX: &str = "X-Frame-Index";
+pub(crate) const FRAME_INDEX: &str = "X-Frame-Index";
 /// `X-Frame-Skipped: 1`: a fallen-behind subscriber skipped forward.
-pub const FRAME_SKIPPED: &str = "X-Frame-Skipped";
+pub(crate) const FRAME_SKIPPED: &str = "X-Frame-Skipped";
 /// `X-Frame-Stale: 1`: a saturated node re-served the cached frontier.
-pub const FRAME_STALE: &str = "X-Frame-Stale";
+pub(crate) const FRAME_STALE: &str = "X-Frame-Stale";
 /// `X-Frame-Degraded: 1`: rendered under degraded footprint sampling.
-pub const FRAME_DEGRADED: &str = "X-Frame-Degraded";
+pub(crate) const FRAME_DEGRADED: &str = "X-Frame-Degraded";
 /// `X-Stream-From`: the first index a stream was asked for.
-pub const STREAM_FROM: &str = "X-Stream-From";
+pub(crate) const STREAM_FROM: &str = "X-Stream-From";
 /// `X-Stream-Count`: how many frames a stream will carry at most.
-pub const STREAM_COUNT: &str = "X-Stream-Count";
+pub(crate) const STREAM_COUNT: &str = "X-Stream-Count";
 /// `X-Node-Id`: the identity of the node (or router) that answered.
-pub const NODE_ID: &str = "X-Node-Id";
+pub(crate) const NODE_ID: &str = "X-Node-Id";
 /// `Retry-After`: seconds a shed client should wait.
-pub const RETRY_AFTER: &str = "Retry-After";
+pub(crate) const RETRY_AFTER: &str = "Retry-After";
 
 /// The response headers a router relays from a worker unchanged.
 const RELAYED: [&str; 9] = [
@@ -52,7 +52,7 @@ const DEFAULT_TRACE_LAST: usize = 256;
 
 /// A session id in one of its two wire forms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionId {
+pub(crate) enum SessionId {
     /// A worker's own id, `s-<n>`.
     Local(u64),
     /// A router-issued id, `n<node>.s-<n>`: the owning worker's index in
@@ -68,7 +68,7 @@ pub enum SessionId {
 impl SessionId {
     /// Parses either form, accepting only what [`SessionId`]'s `Display`
     /// writes: `s-017`, `s-+17` and `n00.s-1` name nothing.
-    pub fn parse(text: &str) -> Option<SessionId> {
+    pub(crate) fn parse(text: &str) -> Option<SessionId> {
         let local = |text: &str| number(text.strip_prefix("s-")?, 10);
         match text.strip_prefix('n') {
             None => local(text).map(SessionId::Local),
@@ -107,7 +107,7 @@ fn number(text: &str, radix: u32) -> Option<u64> {
 /// id's type — [`SessionId`] when parsed off the wire, any displayable id
 /// (a client's `&str`) when encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Call<S = SessionId> {
+pub(crate) enum Call<S = SessionId> {
     /// `POST /sessions`: creates a session from the spec in the body (201).
     Create,
     /// `GET /sessions/<id>`: the session's info document.
@@ -143,7 +143,7 @@ pub enum Call<S = SessionId> {
 
 /// The parameters of a [`Call::Stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamCall<S = SessionId> {
+pub(crate) struct StreamCall<S = SessionId> {
     /// The session streamed.
     pub session: S,
     /// The first frame index (default 0).
@@ -154,7 +154,7 @@ pub struct StreamCall<S = SessionId> {
 
 impl<S: fmt::Display> Call<S> {
     /// The call's HTTP method.
-    pub fn method(&self) -> &'static str {
+    pub(crate) fn method(&self) -> &'static str {
         match self {
             Call::Create | Call::Steer(_) | Call::Advance(_) | Call::Shutdown => "POST",
             Call::Close(_) => "DELETE",
@@ -163,7 +163,7 @@ impl<S: fmt::Display> Call<S> {
     }
 
     /// The call's request target: path and query.
-    pub fn path(&self) -> String {
+    pub(crate) fn path(&self) -> String {
         match self {
             Call::Create => "/sessions".to_string(),
             Call::Get(id) | Call::Close(id) => format!("/sessions/{id}"),
@@ -196,7 +196,7 @@ impl Call {
     /// path only other methods route a 405; then a bad session id is a 404
     /// and any other bad parameter a 400. Routes without a query ignore
     /// one. Allocates nothing unless it refuses the request.
-    pub fn parse(request: &Request) -> Result<Call, Response> {
+    pub(crate) fn parse(request: &Request) -> Result<Call, Response> {
         let (path, query) = request.path.split_once('?').unwrap_or((&request.path, ""));
         // One slot more than the longest route, so a longer path is a 404.
         let mut seg = [""; 6];

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 /// The identity of one rendered frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FrameKey {
+pub(crate) struct FrameKey {
     /// [`FieldSpec::cache_key`](crate::spec::FieldSpec::cache_key) of the
     /// session's field.
     pub field: u64,
@@ -46,7 +46,7 @@ struct Entry {
 ///
 /// Not internally synchronized — the service wraps it in a `Mutex` and holds
 /// the lock only for the O(log n) bookkeeping, never during synthesis.
-pub struct FrameCache {
+pub(crate) struct FrameCache {
     capacity_bytes: usize,
     bytes: usize,
     entries: HashMap<FrameKey, Entry>,
@@ -60,7 +60,7 @@ pub struct FrameCache {
 impl FrameCache {
     /// Creates a cache holding at most `capacity_bytes` of frame data (0
     /// disables caching: every lookup misses and inserts are dropped).
-    pub fn new(capacity_bytes: usize) -> Self {
+    pub(crate) fn new(capacity_bytes: usize) -> Self {
         FrameCache {
             capacity_bytes,
             bytes: 0,
@@ -74,32 +74,27 @@ impl FrameCache {
 
     /// Installs the trace sink insertions report
     /// [`CacheInsert`](TraceStage::CacheInsert) spans to.
-    pub fn set_trace_sink(&mut self, trace: TraceSink) {
+    pub(crate) fn set_trace_sink(&mut self, trace: TraceSink) {
         self.trace = trace;
     }
 
     /// Number of cached frames.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Bytes currently held.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
     /// The configured byte budget.
-    pub fn capacity_bytes(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
@@ -111,7 +106,7 @@ impl FrameCache {
     /// ticks (possible if a panic hit between the two map updates) collapse
     /// to one recency slot, in which case the orphaned entries are dropped
     /// to keep the two structures in lockstep.
-    pub fn revalidate(&mut self) {
+    pub(crate) fn revalidate(&mut self) {
         let mut recency: BTreeMap<u64, FrameKey> = BTreeMap::new();
         for (key, entry) in &self.entries {
             recency.insert(entry.tick, *key);
@@ -132,7 +127,7 @@ impl FrameCache {
 
     /// Counted lookup: the front-door check for a requested frame. A hit
     /// refreshes the entry's recency.
-    pub fn lookup(&mut self, key: FrameKey) -> Option<Arc<Vec<u8>>> {
+    pub(crate) fn lookup(&mut self, key: FrameKey) -> Option<Arc<Vec<u8>>> {
         match self.touch(key) {
             Some(bytes) => {
                 self.stats.hits += 1;
@@ -149,7 +144,7 @@ impl FrameCache {
     /// request may have rendered the frame while this one queued). Refreshes
     /// recency but does not distort the hit rate, which counts each frame
     /// request once at the front door.
-    pub fn peek(&mut self, key: FrameKey) -> Option<Arc<Vec<u8>>> {
+    pub(crate) fn peek(&mut self, key: FrameKey) -> Option<Arc<Vec<u8>>> {
         self.touch(key)
     }
 
@@ -166,17 +161,13 @@ impl FrameCache {
     /// Stores a rendered frame, evicting the least recently used entries
     /// until the byte budget holds. Re-inserting an existing key refreshes
     /// its bytes and recency. A single frame larger than the whole budget
-    /// is evicted immediately (the cache never lies about its bound).
-    pub fn insert(&mut self, key: FrameKey, bytes: Arc<Vec<u8>>) {
-        self.insert_tagged(key, bytes, false);
-    }
-
-    /// Like [`FrameCache::insert`], tagging the entry as a *look-ahead*
-    /// frame when `lookahead` is set: one rendered on the way to a requested
-    /// index rather than for the request itself. Look-ahead insertions are
+    /// is evicted immediately (the cache never lies about its bound). The
+    /// entry is tagged as a *look-ahead* frame when `lookahead` is set: one
+    /// rendered on the way to a requested index rather than for the request
+    /// itself. Look-ahead insertions are
     /// counted in [`CacheStats::inserted_lookahead`] so `/stats` shows how
     /// much future-serving work each synthesis burst banked.
-    pub fn insert_tagged(&mut self, key: FrameKey, bytes: Arc<Vec<u8>>, lookahead: bool) {
+    pub(crate) fn insert_tagged(&mut self, key: FrameKey, bytes: Arc<Vec<u8>>, lookahead: bool) {
         if self.capacity_bytes == 0 {
             return;
         }
@@ -374,5 +365,17 @@ mod tests {
         }
         assert_eq!(c.len(), 5);
         assert_eq!(c.peek(base).unwrap()[0], 0);
+    }
+
+    impl FrameCache {
+        /// True when nothing is cached.
+        fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+
+        /// Stores a requested (not look-ahead) frame.
+        fn insert(&mut self, key: FrameKey, bytes: Arc<Vec<u8>>) {
+            self.insert_tagged(key, bytes, false);
+        }
     }
 }

@@ -49,13 +49,13 @@ use std::time::Instant;
 /// jobs ride the same session-fair [`FrameQueue`](crate::queue::FrameQueue)
 /// rotation as private-session jobs: each channel gets one fair share, no
 /// matter how many subscribers it feeds.
-pub const CHANNEL_QUEUE_ID_BASE: u64 = 1 << 63;
+pub(crate) const CHANNEL_QUEUE_ID_BASE: u64 = 1 << 63;
 
 /// The identity of a broadcast channel: everything the rendered texels
 /// depend on. Two sessions created with byte-identical `(field, config,
 /// seed)` specs share one channel — and one synthesis clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ChannelKey {
+pub(crate) struct ChannelKey {
     /// [`FieldSpec::cache_key`](crate::spec::FieldSpec::cache_key) of the
     /// channel's field.
     pub field: u64,
@@ -67,7 +67,7 @@ pub struct ChannelKey {
 
 impl ChannelKey {
     /// The channel key a spec maps to.
-    pub fn of(spec: &SessionSpec) -> ChannelKey {
+    pub(crate) fn of(spec: &SessionSpec) -> ChannelKey {
         ChannelKey {
             field: spec.field.cache_key(),
             config: spec.config_cache_key(),
@@ -85,7 +85,7 @@ struct ChannelSynth {
 
 /// One shared-field broadcast: a single advected spot population and
 /// synthesis clock feeding every subscribed session.
-pub struct FieldChannel {
+pub(crate) struct FieldChannel {
     key: ChannelKey,
     queue_id: u64,
     spec: SessionSpec,
@@ -173,38 +173,33 @@ impl FieldChannel {
     /// The most recently synthesized frame and its index — the frontier a
     /// saturated server hands to shared subscribers as a *stale* serve
     /// instead of queueing synthesis work.
-    pub fn latest_frame(&self) -> Option<(u64, Arc<Vec<u8>>)> {
+    pub(crate) fn latest_frame(&self) -> Option<(u64, Arc<Vec<u8>>)> {
         self.latest_slot().clone()
     }
 
     /// The channel's identity key.
-    pub fn key(&self) -> ChannelKey {
+    pub(crate) fn key(&self) -> ChannelKey {
         self.key
     }
 
     /// The admission-queue id channel jobs are submitted under (disjoint
     /// from session ids; one fair share per channel).
-    pub fn queue_id(&self) -> u64 {
+    pub(crate) fn queue_id(&self) -> u64 {
         self.queue_id
     }
 
-    /// The spec the channel synthesizes.
-    pub fn spec(&self) -> &SessionSpec {
-        &self.spec
-    }
-
     /// One past the most recently synthesized frame.
-    pub fn head(&self) -> u64 {
+    pub(crate) fn head(&self) -> u64 {
         self.head.load(Ordering::SeqCst)
     }
 
     /// Current subscriber count.
-    pub fn subscribers(&self) -> usize {
+    pub(crate) fn subscribers(&self) -> usize {
         self.subscribers.load(Ordering::SeqCst)
     }
 
     /// The frame-cache key of the channel's frame `frame`.
-    pub fn key_for(&self, frame: u64) -> FrameKey {
+    pub(crate) fn key_for(&self, frame: u64) -> FrameKey {
         FrameKey {
             field: self.key.field,
             config: self.key.config,
@@ -215,12 +210,12 @@ impl FieldChannel {
 
     /// Records a frame served to a subscriber from the cache (the fan-out
     /// path that never reaches [`FieldChannel::serve`]).
-    pub fn note_delivered(&self) {
+    pub(crate) fn note_delivered(&self) {
         self.delivered.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counter snapshot.
-    pub fn totals(&self) -> ChannelTotals {
+    pub(crate) fn totals(&self) -> ChannelTotals {
         ChannelTotals {
             live: 1,
             created: 1,
@@ -246,7 +241,7 @@ impl FieldChannel {
     ///
     /// The advance cap counts only the frames needed to *reach* `index`;
     /// the look-ahead window is the server's own choice and is exempt.
-    pub fn serve(
+    pub(crate) fn serve(
         &self,
         index: u64,
         max_advances: u64,
@@ -330,13 +325,13 @@ impl std::fmt::Debug for FieldChannel {
 
 /// RAII membership of one session in a channel: dropping it unsubscribes.
 /// The registry retires channels once their last subscription drops.
-pub struct ChannelSubscription {
+pub(crate) struct ChannelSubscription {
     channel: Arc<FieldChannel>,
 }
 
 impl ChannelSubscription {
     /// The subscribed channel.
-    pub fn channel(&self) -> &Arc<FieldChannel> {
+    pub(crate) fn channel(&self) -> &Arc<FieldChannel> {
         &self.channel
     }
 }
@@ -358,7 +353,7 @@ impl Drop for ChannelSubscription {
 /// Aggregated channel counters for `/stats` (live channels plus everything
 /// already retired, so the totals are monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelTotals {
+pub(crate) struct ChannelTotals {
     /// Channels currently live.
     pub live: usize,
     /// Channels ever created.
@@ -388,7 +383,7 @@ impl ChannelTotals {
 }
 
 /// Owns the live channels, keyed by [`ChannelKey`].
-pub struct ChannelRegistry {
+pub(crate) struct ChannelRegistry {
     channels: HashMap<ChannelKey, Arc<FieldChannel>>,
     pools: SharedPools,
     /// Look-ahead window shared with every channel this registry created,
@@ -403,7 +398,7 @@ pub struct ChannelRegistry {
 impl ChannelRegistry {
     /// Creates a registry whose channels compose on the given pools and
     /// pre-render `lookahead` frames past each served request.
-    pub fn new(pools: SharedPools, lookahead: u64) -> Self {
+    pub(crate) fn new(pools: SharedPools, lookahead: u64) -> Self {
         ChannelRegistry {
             channels: HashMap::new(),
             pools,
@@ -415,20 +410,20 @@ impl ChannelRegistry {
     }
 
     /// The current look-ahead window.
-    pub fn lookahead(&self) -> u64 {
+    pub(crate) fn lookahead(&self) -> u64 {
         self.lookahead.load(Ordering::Relaxed)
     }
 
     /// Retargets the look-ahead window of every channel, live and future —
     /// the pressure ladder sets it to 0 under load (no speculative
     /// synthesis) and restores it on recovery.
-    pub fn set_lookahead(&self, frames: u64) {
+    pub(crate) fn set_lookahead(&self, frames: u64) {
         self.lookahead.store(frames, Ordering::Relaxed);
     }
 
     /// Subscribes to the channel for `spec`, creating it if no session is
     /// watching that `(field, config, seed)` yet.
-    pub fn subscribe(&mut self, spec: &SessionSpec) -> ChannelSubscription {
+    pub(crate) fn subscribe(&mut self, spec: &SessionSpec) -> ChannelSubscription {
         let key = ChannelKey::of(spec);
         let channel = match self.channels.get(&key) {
             Some(channel) => Arc::clone(channel),
@@ -454,7 +449,7 @@ impl ChannelRegistry {
     /// Retires channels with no subscribers left (their pipelines — the
     /// expensive part — are dropped; their counters are folded into the
     /// registry totals). Returns how many were retired.
-    pub fn sweep(&mut self) -> usize {
+    pub(crate) fn sweep(&mut self) -> usize {
         let victims: Vec<ChannelKey> = self
             .channels
             .iter()
@@ -472,18 +467,8 @@ impl ChannelRegistry {
         victims.len()
     }
 
-    /// Number of live channels.
-    pub fn len(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// True when no channel is live.
-    pub fn is_empty(&self) -> bool {
-        self.channels.is_empty()
-    }
-
     /// Aggregated counters: live channels plus retired history.
-    pub fn totals(&self) -> ChannelTotals {
+    pub(crate) fn totals(&self) -> ChannelTotals {
         let mut totals = self.retired;
         totals.created += self.created;
         for channel in self.channels.values() {
@@ -676,5 +661,17 @@ mod tests {
         assert_eq!(r.sweep(), 1);
         assert!(r.is_empty());
         assert_eq!(r.totals().created, 2);
+    }
+
+    impl ChannelRegistry {
+        /// Number of live channels.
+        fn len(&self) -> usize {
+            self.channels.len()
+        }
+
+        /// True when no channel is live.
+        fn is_empty(&self) -> bool {
+            self.channels.is_empty()
+        }
     }
 }

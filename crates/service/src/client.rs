@@ -187,7 +187,7 @@ pub struct ServiceClient {
 }
 
 /// The default blocking-read deadline ([`ServiceClient::connect`]).
-pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(120);
+pub(crate) const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(120);
 
 impl ServiceClient {
     /// Connects to the server with the default read deadline.
@@ -209,7 +209,7 @@ impl ServiceClient {
     /// deadline (`None` for either blocks forever). The connect deadline is
     /// what keeps a peer probe against a dead sibling node from hanging a
     /// frame request.
-    pub fn connect_with_timeouts(
+    pub(crate) fn connect_with_timeouts(
         addr: SocketAddr,
         connect_timeout: Option<Duration>,
         read_timeout: Option<Duration>,
@@ -230,13 +230,6 @@ impl ServiceClient {
             connect_timeout,
             read_timeout,
         })
-    }
-
-    /// Changes the blocking-read deadline of the live connection (`None`
-    /// blocks forever).
-    pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        self.read_timeout = timeout;
-        self.writer.set_read_timeout(timeout)
     }
 
     /// Drops the connection and opens a fresh one to the same address with
@@ -312,7 +305,7 @@ impl ServiceClient {
 
     /// [`ServiceClient::request`] with extra request headers (e.g.
     /// `X-Deadline-Ms`).
-    pub fn request_with_headers(
+    pub(crate) fn request_with_headers(
         &mut self,
         method: &str,
         path: &str,
@@ -399,7 +392,7 @@ impl ServiceClient {
     /// the probe is an uncounted peek on the remote cache and never
     /// triggers synthesis, so sibling nodes can consult each other without
     /// recursion or cache-statistics distortion.
-    pub fn fetch_cached(&mut self, key: FrameKey) -> Result<Option<Vec<u8>>, ClientError> {
+    pub(crate) fn fetch_cached(&mut self, key: FrameKey) -> Result<Option<Vec<u8>>, ClientError> {
         match self.call(Call::CachePeek(key), b"") {
             Ok(reply) => Ok(Some(reply.body)),
             Err(ClientError::NotFound) => Ok(None),
@@ -656,7 +649,7 @@ fn is_stale_keepalive(err: &io::Error) -> bool {
 /// helpers retry once on a stale shelved connection, sharing the
 /// reconnect-on-[`ClientError::TimedOut`] recovery logic with the direct
 /// client.
-pub struct ClientPool {
+pub(crate) struct ClientPool {
     addr: SocketAddr,
     connect_timeout: Option<Duration>,
     read_timeout: Option<Duration>,
@@ -670,7 +663,7 @@ const POOL_MAX_IDLE: usize = 8;
 impl ClientPool {
     /// Creates a pool for one target address with the default read deadline
     /// and up to `POOL_MAX_IDLE` (8) shelved idle connections.
-    pub fn new(addr: SocketAddr) -> Self {
+    pub(crate) fn new(addr: SocketAddr) -> Self {
         ClientPool {
             addr,
             connect_timeout: None,
@@ -680,14 +673,14 @@ impl ClientPool {
     }
 
     /// Sets the TCP connect deadline for fresh connections.
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
+    pub(crate) fn with_connect_timeout(mut self, timeout: Duration) -> Self {
         self.connect_timeout = Some(timeout);
         self
     }
 
     /// Sets the blocking-read deadline for fresh connections (`None`
     /// blocks forever).
-    pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
+    pub(crate) fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.read_timeout = timeout;
         self
     }
@@ -707,7 +700,7 @@ impl ClientPool {
     /// Checks a connection out of the pool: a shelved idle connection when
     /// one exists, a fresh connection otherwise. Dropping the returned
     /// [`PooledClient`] reshelves the connection if it is still clean.
-    pub fn checkout(&self) -> io::Result<PooledClient<'_>> {
+    pub(crate) fn checkout(&self) -> io::Result<PooledClient<'_>> {
         if let Some(client) = self.idle_shelf().pop() {
             return Ok(PooledClient {
                 client: Some(client),
@@ -754,7 +747,7 @@ impl ClientPool {
 /// A [`ServiceClient`] checked out of a [`ClientPool`]. Dereferences to the
 /// client; on drop the connection returns to the pool's idle shelf unless
 /// it is desynced, mid-request dirty, or the shelf is full.
-pub struct PooledClient<'a> {
+pub(crate) struct PooledClient<'a> {
     client: Option<ServiceClient>,
     pool: &'a ClientPool,
     reused: bool,

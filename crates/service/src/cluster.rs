@@ -24,7 +24,7 @@ use spotnoise::json::Json;
 /// How many virtual points each node contributes to the ring. More points
 /// smooth the key distribution across nodes (the classic consistent-hashing
 /// trade-off: memory and lookup cost vs placement variance).
-pub const VIRTUAL_POINTS: usize = 64;
+pub(crate) const VIRTUAL_POINTS: usize = 64;
 
 /// A consistent-hash ring over `n` nodes.
 ///
@@ -35,7 +35,7 @@ pub const VIRTUAL_POINTS: usize = 64;
 /// only the keys in that node's arcs — sessions on surviving nodes keep
 /// their placement, which keeps their frame caches warm.
 #[derive(Debug, Clone)]
-pub struct HashRing {
+pub(crate) struct HashRing {
     /// `(position, node)` sorted by position.
     points: Vec<(u64, usize)>,
     nodes: usize,
@@ -44,7 +44,7 @@ pub struct HashRing {
 impl HashRing {
     /// Builds a ring over nodes `0..nodes`. A zero-node ring is legal but
     /// places nothing ([`HashRing::nodes_for`] yields no node).
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         let mut points = Vec::with_capacity(nodes * VIRTUAL_POINTS);
         for node in 0..nodes {
             for replica in 0..VIRTUAL_POINTS {
@@ -57,11 +57,6 @@ impl HashRing {
         }
         points.sort_unstable();
         HashRing { points, nodes }
-    }
-
-    /// How many nodes the ring was built over.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     /// Mixes an arbitrary `u64` key onto the ring circle. Keys here are
@@ -78,7 +73,7 @@ impl HashRing {
     /// node once. The router walks this to route around saturated or dead
     /// nodes: the first healthy node in the walk owns the key *for now*,
     /// and when the preferred node recovers the key falls back to it.
-    pub fn nodes_for(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn nodes_for(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
         let start = match self.points.is_empty() {
             true => 0,
             false => {
@@ -107,7 +102,7 @@ impl HashRing {
 
 /// A cluster session id: the owning node's index plus that node's local
 /// session id, rendered as `n<node>.<local>` (e.g. `n2.s-17`) — the
-/// cluster form of a [`SessionId`], with the local id in its wire form.
+/// cluster form of a session id, with the local id in its wire form.
 ///
 /// The id the router hands out *is* the routing table — every follow-up
 /// request self-describes which worker owns it, so the router tier stays
@@ -121,8 +116,7 @@ pub struct ClusterSessionId {
 }
 
 impl ClusterSessionId {
-    /// Parses a wire-form id; `None` when it is not a canonical cluster id
-    /// (see [`SessionId::parse`]).
+    /// Parses a wire-form id; `None` when it is not a canonical cluster id.
     pub fn parse(text: &str) -> Option<ClusterSessionId> {
         match SessionId::parse(text)? {
             SessionId::Cluster { node, local } => Some(ClusterSessionId {
@@ -146,7 +140,7 @@ impl std::fmt::Display for ClusterSessionId {
 /// fields (identity, configuration, ratios, latency histograms) are
 /// omitted, and so is a field no node reports. The router's `/stats`
 /// carries the per-node documents alongside this view.
-pub fn aggregate_stats(per_node: &[Json]) -> Json {
+pub(crate) fn aggregate_stats(per_node: &[Json]) -> Json {
     let mut doc = Vec::new();
     for metric in metrics::NODE {
         let Some(path) = metric.stat else { continue };

@@ -5,7 +5,7 @@
 //! its API: request-line + headers + `Content-Length` bodies in,
 //! fixed-length responses with keep-alive out — plus chunked
 //! `Transfer-Encoding` *responses* for the frame-streaming endpoint (one
-//! chunk per [`FrameRecord`], terminal zero-length chunk, connection
+//! chunk per frame record, terminal zero-length chunk, connection
 //! reusable afterwards). Chunked *requests* stay rejected: they are a
 //! request-smuggling vector for this parser. Request size is capped so a
 //! misbehaving client cannot balloon memory; the service's own client reads
@@ -26,16 +26,14 @@ const MAX_BODY_BYTES: usize = 256 * 1024;
 pub struct Request {
     /// Upper-cased method (`GET`, `POST`, ...).
     pub method: String,
-    /// The request target: path and query string, as sent
-    /// ([`Call::parse`](crate::api::Call::parse) splits them).
+    /// The request target: path and query string, as sent.
     pub path: String,
     /// Raw body bytes (empty when absent).
     pub body: Vec<u8>,
     /// Whether the client asked to keep the connection open.
     pub keep_alive: bool,
-    /// Per-request deadline budget from the
-    /// [`X-Deadline-Ms`](crate::api::DEADLINE_MS) header; an unparseable
-    /// value counts as absent.
+    /// Per-request deadline budget from the `X-Deadline-Ms` header; an
+    /// unparseable value counts as absent.
     pub deadline_ms: Option<u64>,
 }
 
@@ -117,7 +115,7 @@ pub(crate) fn read_head(reader: &mut impl BufRead) -> io::Result<Option<(String,
 /// trickles in later it can no longer be mistaken for a response to *this*
 /// request — the next head parse fails with a 400 and the connection
 /// closes, so the stream never serves desynced answers.
-pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> io::Result<Option<Request>> {
+pub(crate) fn read_request<R: Read>(reader: &mut BufReader<R>) -> io::Result<Option<Request>> {
     let Some((line, headers)) = read_head(reader)? else {
         return Ok(None);
     };
@@ -203,7 +201,7 @@ pub struct Response {
 }
 
 /// Canonical reason phrases for the codes this API uses.
-pub fn status_text(status: u16) -> &'static str {
+pub(crate) fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
@@ -212,8 +210,8 @@ pub fn status_text(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         411 => "Length Required",
-        413 => "Payload Too Large",
         500 => "Internal Server Error",
+        502 => "Bad Gateway",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -270,13 +268,13 @@ impl Response {
     }
 
     /// Adds a header.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
         self.headers.push((name.to_string(), value.into()));
         self
     }
 
     /// Serializes the response onto a stream.
-    pub fn write_to(&self, out: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+    pub(crate) fn write_to(&self, out: &mut impl Write, keep_alive: bool) -> io::Result<()> {
         let head = self.head(
             format_args!("Content-Length: {}", self.body.len()),
             keep_alive,
@@ -290,7 +288,11 @@ impl Response {
     /// [`write_chunk_parts`] / [`write_frame_record`] calls closed by
     /// [`finish_chunked`] follows. The connection stays framed, so
     /// `keep_alive` works exactly as for fixed-length responses.
-    pub fn write_stream_head(&self, out: &mut impl Write, keep_alive: bool) -> io::Result<()> {
+    pub(crate) fn write_stream_head(
+        &self,
+        out: &mut impl Write,
+        keep_alive: bool,
+    ) -> io::Result<()> {
         let head = self.head(format_args!("Transfer-Encoding: chunked"), keep_alive);
         out.write_all(head.as_bytes())?;
         out.flush()
@@ -326,7 +328,7 @@ pub(crate) const MAX_CHUNK_BYTES: usize = 32 << 20;
 /// multi-part form exists so a frame record (tiny header + megabytes of
 /// `Arc`-shared body) is written straight from its two slices with **no**
 /// intermediate copy of the frame bytes.
-pub fn write_chunk_parts(out: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
+pub(crate) fn write_chunk_parts(out: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
     let len: usize = parts.iter().map(|p| p.len()).sum();
     write!(out, "{len:x}\r\n")?;
     for part in parts {
@@ -338,7 +340,7 @@ pub fn write_chunk_parts(out: &mut impl Write, parts: &[&[u8]]) -> io::Result<()
 
 /// Writes the terminal zero-length chunk that ends a chunked body (no
 /// trailers), leaving the connection framed for the next request.
-pub fn finish_chunked(out: &mut impl Write) -> io::Result<()> {
+pub(crate) fn finish_chunked(out: &mut impl Write) -> io::Result<()> {
     out.write_all(b"0\r\n\r\n")?;
     out.flush()
 }
@@ -346,7 +348,7 @@ pub fn finish_chunked(out: &mut impl Write) -> io::Result<()> {
 /// Reads one chunk of a chunked response body. `Ok(None)` is the terminal
 /// zero-length chunk — the body is complete and the connection is back in
 /// sync for the next request.
-pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
+pub(crate) fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
     let mut line = String::new();
     read_line_capped(reader, 128, &mut line)?;
     // Tolerate chunk extensions (`;`-separated) even though this server
@@ -393,7 +395,7 @@ pub fn read_chunk(reader: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
 }
 
 /// Size of the fixed header that prefixes every streamed frame record.
-pub const FRAME_RECORD_HEADER: usize = 16;
+pub(crate) const FRAME_RECORD_HEADER: usize = 16;
 
 /// The in-stream framing of one streamed frame: a 16-byte header —
 /// flags `u32` LE (bit 0 = served from cache, bit 1 = skipped to the live
@@ -402,7 +404,7 @@ pub const FRAME_RECORD_HEADER: usize = 16;
 /// cache), frame index `u64` LE, body length `u32` LE — followed by the
 /// frame body. Each record is exactly one HTTP chunk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameRecord {
+pub(crate) struct FrameRecord {
     /// The frame index this record carries.
     pub frame: u64,
     /// Body length in bytes.
@@ -426,7 +428,7 @@ pub struct FrameRecord {
 
 impl FrameRecord {
     /// Encodes the fixed header.
-    pub fn encode_header(&self) -> [u8; FRAME_RECORD_HEADER] {
+    pub(crate) fn encode_header(&self) -> [u8; FRAME_RECORD_HEADER] {
         let mut h = [0u8; FRAME_RECORD_HEADER];
         let mut flags = 0u32;
         if self.cached {
@@ -451,7 +453,7 @@ impl FrameRecord {
     }
 
     /// Decodes the fixed header from the front of a chunk.
-    pub fn decode_header(bytes: &[u8]) -> io::Result<FrameRecord> {
+    pub(crate) fn decode_header(bytes: &[u8]) -> io::Result<FrameRecord> {
         if bytes.len() < FRAME_RECORD_HEADER {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -479,7 +481,7 @@ impl FrameRecord {
 
 /// Writes one frame record as one chunk: header + body, the body straight
 /// from its shared buffer (zero copies on the delivery path).
-pub fn write_frame_record(
+pub(crate) fn write_frame_record(
     out: &mut impl Write,
     record: &FrameRecord,
     body: &[u8],
@@ -492,6 +494,16 @@ pub fn write_frame_record(
 mod tests {
     use super::*;
     use std::io::BufReader;
+
+    #[test]
+    fn every_status_the_crate_sends_has_a_reason_phrase() {
+        // The worker, the router (502 for a bad upstream) and the transport
+        // (411 for an unframed body; an oversized one is a 400) between
+        // them send exactly these.
+        for status in [200, 201, 204, 400, 404, 405, 411, 500, 502, 503] {
+            assert_ne!(status_text(status), "Unknown", "status {status}");
+        }
+    }
 
     /// Writes one chunk.
     fn write_chunk(out: &mut impl Write, data: &[u8]) -> io::Result<()> {

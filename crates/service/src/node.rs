@@ -196,7 +196,7 @@ pub(crate) fn revalidate_session(session: &mut Session) {
 /// every hot path plus the frame-lifecycle trace sink. All histograms are
 /// in microseconds. Exposed on `/metrics` (Prometheus text), `/trace`
 /// (Chrome trace-event JSON) and folded into `/stats` as percentiles.
-pub struct ServiceTelemetry {
+pub(crate) struct ServiceTelemetry {
     /// End-to-end [`NodeCore::fetch_frame`] latency, all outcomes (errors
     /// included — a shed request's latency is part of the client story).
     pub request_us: Arc<Histogram>,
@@ -348,16 +348,11 @@ impl NodeCore {
 
     /// Fills in the node identity if none was configured
     /// ([`serve`](crate::serve) passes the bound address).
-    pub fn set_default_node_id(&self, id: &str) {
+    pub(crate) fn set_default_node_id(&self, id: &str) {
         let mut node_id = lock_recover(&self.node_id, |_| {});
         if node_id.is_empty() {
             *node_id = id.to_string();
         }
-    }
-
-    /// The service's latency histograms and trace sink.
-    pub fn telemetry(&self) -> &ServiceTelemetry {
-        &self.telemetry
     }
 
     /// The service-wide pools every session's pipeline composes on.
@@ -414,7 +409,7 @@ impl NodeCore {
 
     /// Evicts idle sessions and retires unwatched channels (the sweep
     /// `/stats` performs before reporting).
-    pub fn sweep_idle(&self) {
+    pub(crate) fn sweep_idle(&self) {
         lock_recover(&self.registry, |_| {}).evict_idle();
         self.sweep_channels();
     }
@@ -462,7 +457,7 @@ impl NodeCore {
     /// shut off while pressure is non-healthy and restored on recovery.
     /// The saturated rung (stale frontier serves, sampling degradation) is
     /// applied per-request by [`NodeCore::fetch_frame`].
-    pub fn pressure_tick(&self) -> PressureState {
+    pub(crate) fn pressure_tick(&self) -> PressureState {
         let depth = self.queue.stats().depth;
         let state = self.pressure.evaluate(
             depth,
@@ -479,11 +474,6 @@ impl NodeCore {
             channels.set_lookahead(desired);
         }
         state
-    }
-
-    /// The current pressure state without re-evaluating the gauge.
-    pub fn pressure_state(&self) -> PressureState {
-        self.pressure.state()
     }
 
     /// Steers a session to a new field (restarting its animation clock).
@@ -514,7 +504,7 @@ impl NodeCore {
     /// peek of the local frame cache by content-hash key. Never probes
     /// onward — peer lookup is one hop deep by construction, so two nodes
     /// missing the same frame cannot chase each other in a cycle.
-    pub fn peer_peek(&self, key: FrameKey) -> Option<Arc<Vec<u8>>> {
+    pub(crate) fn peer_peek(&self, key: FrameKey) -> Option<Arc<Vec<u8>>> {
         let bytes = lock_recover(&self.cache, FrameCache::revalidate).peek(key)?;
         self.counters.peer_serves.fetch_add(1, Ordering::Relaxed);
         Some(bytes)
@@ -573,7 +563,7 @@ impl NodeCore {
     /// admission — shed immediately when the queue's recent p99 wait
     /// already exceeds the remaining budget — and re-checked when a worker
     /// picks the job up.
-    pub fn fetch_frame_deadline(
+    pub(crate) fn fetch_frame_deadline(
         &self,
         id: u64,
         frame: u64,
@@ -802,7 +792,7 @@ impl NodeCore {
     /// [`NodeCore::advance`] with an explicit deadline budget (the
     /// `X-Deadline-Ms` header), enforced like
     /// [`NodeCore::fetch_frame_deadline`].
-    pub fn advance_deadline(
+    pub(crate) fn advance_deadline(
         &self,
         id: u64,
         deadline_ms: Option<u64>,
@@ -820,7 +810,7 @@ impl NodeCore {
     /// the iteration — e.g. an injected fault in the queue — is caught here
     /// so the worker survives; the affected requester sees `Internal` when
     /// its reply sender drops.
-    pub fn worker_loop(&self) {
+    pub(crate) fn worker_loop(&self) {
         loop {
             let popped = match std::panic::catch_unwind(AssertUnwindSafe(|| self.queue.pop())) {
                 Ok(popped) => popped,
@@ -1033,7 +1023,7 @@ impl NodeCore {
 
     /// The `/metrics` document: Prometheus text exposition of every
     /// declared node metric with a series name.
-    pub fn metrics_text(&self) -> String {
+    pub(crate) fn metrics_text(&self) -> String {
         let mut out = String::with_capacity(8192);
         metrics::write_prometheus(&mut out, metrics::NODE, &self.snapshot());
         out
@@ -1042,7 +1032,7 @@ impl NodeCore {
     /// The `/trace` document: the newest `last` spans of the trace ring as
     /// Chrome trace-event JSON (load into `chrome://tracing` or Perfetto).
     /// The `tid` lane is the span's actor (session or channel queue id).
-    pub fn trace_json(&self, last: usize) -> Json {
+    pub(crate) fn trace_json(&self, last: usize) -> Json {
         let events = self.telemetry.trace.recent(last);
         Json::object([
             ("displayTimeUnit", Json::str("ms")),

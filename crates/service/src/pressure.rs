@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 /// The service's load condition, coarse enough to act on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PressureState {
+pub(crate) enum PressureState {
     /// Normal service: full look-ahead, exact sampling, no staleness.
     Healthy = 0,
     /// Load is building: speculative work (channel look-ahead) is shut off.
@@ -56,7 +56,7 @@ impl PressureState {
     }
 
     /// The wire name reported on `/healthz` and `/stats`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PressureState::Healthy => "ok",
             PressureState::Elevated => "elevated",
@@ -92,7 +92,7 @@ impl Default for PressureConfig {
 
 /// Counter snapshot of a gauge for `/stats` and `/metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PressureCounters {
+pub(crate) struct PressureCounters {
     /// Transitions into [`PressureState::Elevated`].
     pub entered_elevated: u64,
     /// Transitions into [`PressureState::Saturated`].
@@ -104,7 +104,7 @@ pub struct PressureCounters {
 /// The lock-free pressure sensor. All methods take `&self`; evaluation is
 /// claimed by compare-and-swap so concurrent callers never double-count a
 /// transition.
-pub struct PressureGauge {
+pub(crate) struct PressureGauge {
     config: PressureConfig,
     started: Instant,
     state: AtomicU8,
@@ -126,7 +126,7 @@ pub struct PressureGauge {
 
 impl PressureGauge {
     /// Creates a healthy gauge.
-    pub fn new(config: PressureConfig) -> Self {
+    pub(crate) fn new(config: PressureConfig) -> Self {
         PressureGauge {
             config,
             started: Instant::now(),
@@ -143,19 +143,19 @@ impl PressureGauge {
     }
 
     /// The current state (one relaxed load; safe on any hot path).
-    pub fn state(&self) -> PressureState {
+    pub(crate) fn state(&self) -> PressureState {
         PressureState::from_u8(self.state.load(Ordering::Relaxed))
     }
 
     /// The all-time queue-wait p99 cached at the last evaluation — the
     /// deadline admission check's estimate of what a newly queued job will
     /// wait.
-    pub fn queue_wait_p99(&self) -> Duration {
+    pub(crate) fn queue_wait_p99(&self) -> Duration {
         Duration::from_micros(self.wait_p99_us.load(Ordering::Relaxed))
     }
 
     /// Transition counters.
-    pub fn counters(&self) -> PressureCounters {
+    pub(crate) fn counters(&self) -> PressureCounters {
         PressureCounters {
             entered_elevated: self.entered_elevated.load(Ordering::Relaxed),
             entered_saturated: self.entered_saturated.load(Ordering::Relaxed),
@@ -167,7 +167,12 @@ impl PressureGauge {
     /// queue-wait histogram, throttled to
     /// [`PressureConfig::eval_interval`]. Returns the (possibly updated)
     /// state; when throttled, the current state comes back untouched.
-    pub fn evaluate(&self, depth: usize, watermark: usize, wait: &Histogram) -> PressureState {
+    pub(crate) fn evaluate(
+        &self,
+        depth: usize,
+        watermark: usize,
+        wait: &Histogram,
+    ) -> PressureState {
         let now_us = self.started.elapsed().as_micros() as u64;
         let last = self.last_eval_us.load(Ordering::Relaxed);
         let interval_us = self.config.eval_interval.as_micros() as u64;

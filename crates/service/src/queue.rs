@@ -41,7 +41,7 @@ impl Default for AdmissionConfig {
 
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionError {
+pub(crate) enum AdmissionError {
     /// The queue is at its watermark — the server is saturated.
     Busy,
     /// This session already has its fair share of jobs waiting.
@@ -52,7 +52,7 @@ pub enum AdmissionError {
 
 /// Counter snapshot for `/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
+pub(crate) struct QueueStats {
     /// Jobs currently waiting.
     pub depth: usize,
     /// Highest depth ever observed.
@@ -99,7 +99,7 @@ fn revalidate_inner<T>(inner: &mut Inner<T>) {
 }
 
 /// A bounded, session-fair frame-request queue.
-pub struct FrameQueue<T> {
+pub(crate) struct FrameQueue<T> {
     config: AdmissionConfig,
     inner: Mutex<Inner<T>>,
     available: Condvar,
@@ -107,7 +107,7 @@ pub struct FrameQueue<T> {
 
 impl<T> FrameQueue<T> {
     /// Creates an empty queue with the given admission parameters.
-    pub fn new(config: AdmissionConfig) -> Self {
+    pub(crate) fn new(config: AdmissionConfig) -> Self {
         FrameQueue {
             config,
             inner: Mutex::new(Inner {
@@ -134,18 +134,13 @@ impl<T> FrameQueue<T> {
 
     /// Installs a histogram recording each job's queue wait (admission to
     /// [`pop`](Self::pop)) in microseconds.
-    pub fn set_wait_histogram(&self, histogram: Arc<Histogram>) {
+    pub(crate) fn set_wait_histogram(&self, histogram: Arc<Histogram>) {
         self.locked().wait = Some(histogram);
-    }
-
-    /// The admission parameters.
-    pub fn config(&self) -> AdmissionConfig {
-        self.config
     }
 
     /// Submits a job for `session`, shedding beyond the watermark or the
     /// session's fair share.
-    pub fn submit(&self, session: u64, job: T) -> Result<(), AdmissionError> {
+    pub(crate) fn submit(&self, session: u64, job: T) -> Result<(), AdmissionError> {
         let mut inner = self.locked();
         if inner.closed {
             return Err(AdmissionError::Closed);
@@ -179,7 +174,7 @@ impl<T> FrameQueue<T> {
 
     /// Blocks until a job is available and returns it with its session id,
     /// or `None` once the queue is closed and drained (worker exit signal).
-    pub fn pop(&self) -> Option<(u64, T)> {
+    pub(crate) fn pop(&self) -> Option<(u64, T)> {
         let mut inner = self.locked();
         loop {
             if let Some(session) = inner.rotation.pop_front() {
@@ -226,20 +221,20 @@ impl<T> FrameQueue<T> {
     }
 
     /// Records a fully executed job.
-    pub fn complete(&self) {
+    pub(crate) fn complete(&self) {
         self.locked().completed += 1;
     }
 
     /// Closes the queue: further submissions fail with
     /// [`AdmissionError::Closed`]; workers drain what is left and then see
     /// `None` from [`pop`](Self::pop).
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.locked().closed = true;
         self.available.notify_all();
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         let inner = self.locked();
         QueueStats {
             depth: inner.depth,

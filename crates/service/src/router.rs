@@ -208,7 +208,7 @@ impl Router {
 
     /// Initiates shutdown of the router (the workers keep running) and
     /// pokes the accept loop.
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }

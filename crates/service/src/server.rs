@@ -67,7 +67,7 @@ impl Service {
     }
 
     /// Initiates shutdown: closes the queue and pokes the accept loop.
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         if !self.core.begin_shutdown() {
             return;
         }
@@ -148,7 +148,8 @@ impl Service {
         ))
     }
 
-    /// Routes one parsed request to a response (see [`Frontend::route`]).
+    /// Counts, parses and answers one request in process, the way the
+    /// connection loop answers it (a stream call has no buffered answer).
     pub fn route(&self, request: &Request) -> Response {
         Frontend::route(self, request)
     }
@@ -277,7 +278,7 @@ fn local_id(session: SessionId) -> Result<u64, ServiceError> {
 /// panic counting, and its identity tag. Implemented by the worker-facing
 /// [`Service`] and the cluster [`Router`](crate::router::Router), so both
 /// speak HTTP through one keep-alive/framing/containment implementation.
-pub trait Frontend: Send + Sync + 'static {
+pub(crate) trait Frontend: Send + Sync + 'static {
     /// True once shutdown has been requested (new keep-alives are refused).
     fn is_shutting_down(&self) -> bool;
 
@@ -438,7 +439,7 @@ fn drain_connections(connections: &ConnectionSet) {
 
 /// A running front end (worker server or cluster router): the bound address
 /// plus the handles needed to stop it.
-pub struct FrontHandle<F: Frontend> {
+pub struct FrontHandle<F> {
     front: Arc<F>,
     addr: SocketAddr,
     threads: Vec<JoinHandle<()>>,
@@ -457,7 +458,7 @@ impl ServiceHandle {
     }
 }
 
-impl<F: Frontend> FrontHandle<F> {
+impl<F> FrontHandle<F> {
     /// The shared front-end state behind this handle.
     pub(crate) fn front(&self) -> &Arc<F> {
         &self.front
@@ -490,7 +491,7 @@ impl<F: Frontend> FrontHandle<F> {
     }
 }
 
-impl<F: Frontend> Drop for FrontHandle<F> {
+impl<F> Drop for FrontHandle<F> {
     fn drop(&mut self) {
         (self.request_shutdown)(&self.front);
         for t in self.threads.drain(..) {

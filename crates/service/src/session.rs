@@ -10,11 +10,11 @@
 //! session to a new field and restarts its animation clock, which keeps the
 //! frame-cache key sound (and makes steering *back* a pure cache hit).
 //!
-//! The [`SessionRegistry`] owns the sessions, hands out keyed ids, enforces
+//! The session registry owns the sessions, hands out keyed ids, enforces
 //! a session cap and evicts sessions that have been idle too long.
 //!
 //! A session's *frames* need not come from a pipeline it owns: a session
-//! created in shared mode subscribes to a [`FieldChannel`] instead (its
+//! created in shared mode subscribes to a shared field channel instead (its
 //! `Backing` is the subscription, not a pipeline), and its frames come off the
 //! channel's shared synthesis clock — usually straight out of the frame
 //! cache. Steering a shared session forks it back into a private one.
@@ -65,7 +65,7 @@ impl Default for SharedPools {
 
 /// Why a frame could not be rendered.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RenderError {
+pub(crate) enum RenderError {
     /// The request would advance the session further than the per-request
     /// cap allows (admission control against unbounded synthesis bursts).
     TooFarAhead {
@@ -90,7 +90,7 @@ impl std::fmt::Display for RenderError {
 /// A frame served by a session or a channel: the payload plus how it was
 /// produced.
 #[derive(Debug, Clone)]
-pub struct ServedFrame {
+pub(crate) struct ServedFrame {
     /// Little-endian `f32` texels, row-major from the bottom row.
     pub bytes: Arc<Vec<u8>>,
     /// The frame index actually served. Equals the requested index except
@@ -225,7 +225,7 @@ pub fn texture_bytes(texture: &softpipe::Texture) -> Vec<u8> {
 /// session's in-flight count up until the worker has finished (or the job
 /// was shed/dropped), which is what keeps idle eviction away from sessions
 /// with queued work.
-pub struct InFlightGuard(Arc<AtomicUsize>);
+pub(crate) struct InFlightGuard(Arc<AtomicUsize>);
 
 impl Drop for InFlightGuard {
     fn drop(&mut self) {
@@ -234,14 +234,8 @@ impl Drop for InFlightGuard {
 }
 
 impl Session {
-    /// Creates a session from a validated spec, with per-session default
-    /// pools.
-    pub fn new(spec: SessionSpec) -> Self {
-        Session::with_pools(spec, SharedPools::default())
-    }
-
     /// Creates a session whose pipeline composes on the given shared pools.
-    pub fn with_pools(spec: SessionSpec, shared: SharedPools) -> Self {
+    pub(crate) fn with_pools(spec: SessionSpec, shared: SharedPools) -> Self {
         let backing = Backing::Private(Box::new(PrivateBacking {
             field: spec.field.build(),
             pipeline: build_pipeline(&spec, &shared),
@@ -251,7 +245,7 @@ impl Session {
 
     /// Creates a session backed by a shared-channel subscription: the
     /// session owns no pipeline, its frames come off the channel's clock.
-    pub fn subscribed(
+    pub(crate) fn subscribed(
         spec: SessionSpec,
         shared: SharedPools,
         subscription: ChannelSubscription,
@@ -279,7 +273,7 @@ impl Session {
 
     /// The channel a shared session subscribes to (`None` for private
     /// sessions).
-    pub fn channel(&self) -> Option<&Arc<FieldChannel>> {
+    pub(crate) fn channel(&self) -> Option<&Arc<FieldChannel>> {
         match &self.backing {
             Backing::Shared(sub) => Some(sub.channel()),
             Backing::Private(_) => None,
@@ -287,7 +281,7 @@ impl Session {
     }
 
     /// True when the session's frames come off a shared channel.
-    pub fn is_shared(&self) -> bool {
+    pub(crate) fn is_shared(&self) -> bool {
         matches!(self.backing, Backing::Shared(_))
     }
 
@@ -295,7 +289,7 @@ impl Session {
     /// releases the mark when dropped. Take it *before* submitting to the
     /// admission queue and keep it alive through synthesis, so eviction can
     /// never reap the session between queue pop and render.
-    pub fn begin_job(&self) -> InFlightGuard {
+    pub(crate) fn begin_job(&self) -> InFlightGuard {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         InFlightGuard(Arc::clone(&self.in_flight))
     }
@@ -312,7 +306,7 @@ impl Session {
 
     /// The frame-cache key of frame `frame` in the session's current
     /// (field, config) binding.
-    pub fn key_for(&self, frame: u64) -> FrameKey {
+    pub(crate) fn key_for(&self, frame: u64) -> FrameKey {
         FrameKey {
             field: self.field_key,
             config: self.config_key,
@@ -332,7 +326,7 @@ impl Session {
 
     /// The frame index `advance` serves next: one past the most recently
     /// served frame, whether that serve rendered or hit the cache.
-    pub fn next_advance(&self) -> u64 {
+    pub(crate) fn next_advance(&self) -> u64 {
         self.next_advance
     }
 
@@ -341,7 +335,7 @@ impl Session {
     /// pipeline, so without this bookkeeping a rewound session's `advance`
     /// would hit the cache at the same index forever instead of
     /// progressing.
-    pub fn note_served(&mut self, frame: u64) {
+    pub(crate) fn note_served(&mut self, frame: u64) {
         self.next_advance = frame.saturating_add(1);
     }
 
@@ -361,7 +355,7 @@ impl Session {
     }
 
     /// True when a panicked render has poisoned this session.
-    pub fn is_quarantined(&self) -> bool {
+    pub(crate) fn is_quarantined(&self) -> bool {
         self.quarantined
     }
 
@@ -378,7 +372,7 @@ impl Session {
 
     /// True while the pressure ladder has this session switched to
     /// footprint sampling.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.degraded
     }
 
@@ -405,7 +399,7 @@ impl Session {
 
     /// Undoes [`Session::degrade`] once pressure recovers; returns `true`
     /// when the session was switched back to exact sampling.
-    pub fn restore(&mut self) -> bool {
+    pub(crate) fn restore(&mut self) -> bool {
         if !self.degraded {
             return false;
         }
@@ -419,12 +413,12 @@ impl Session {
     }
 
     /// Marks the session as used now (for idle eviction).
-    pub fn touch(&mut self) {
+    pub(crate) fn touch(&mut self) {
         self.last_touch = Instant::now();
     }
 
     /// How long the session has been idle.
-    pub fn idle_for(&self) -> Duration {
+    pub(crate) fn idle_for(&self) -> Duration {
         self.last_touch.elapsed()
     }
 
@@ -462,7 +456,7 @@ impl Session {
     /// channel never rewinds, so a request behind the frontier that missed
     /// the cache is skipped forward to the live frontier
     /// ([`ServedFrame::skipped`]).
-    pub fn render_frame(
+    pub(crate) fn render_frame(
         &mut self,
         index: u64,
         max_advances: u64,
@@ -519,7 +513,7 @@ impl Session {
 
 /// Counter snapshot of the registry for `/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RegistryStats {
+pub(crate) struct RegistryStats {
     /// Sessions currently live.
     pub live: usize,
     /// Sessions ever created.
@@ -532,13 +526,13 @@ pub struct RegistryStats {
 
 /// Why a session could not be created.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegistryError {
+pub(crate) enum RegistryError {
     /// The registry is at its session cap.
     TooManySessions,
 }
 
 /// Owns the sessions, keyed by opaque ids of the form `s-<n>`.
-pub struct SessionRegistry {
+pub(crate) struct SessionRegistry {
     sessions: HashMap<u64, Arc<Mutex<Session>>>,
     next_id: u64,
     max_sessions: usize,
@@ -555,7 +549,7 @@ pub fn format_session_id(id: u64) -> String {
     SessionId::Local(id).to_string()
 }
 
-/// Parses a local session id from its URL form (see [`SessionId::parse`]).
+/// Parses a local session id from its URL form (`s-<n>`).
 pub fn parse_session_id(text: &str) -> Option<u64> {
     let SessionId::Local(id) = SessionId::parse(text)? else {
         return None;
@@ -564,15 +558,13 @@ pub fn parse_session_id(text: &str) -> Option<u64> {
 }
 
 impl SessionRegistry {
-    /// Creates a registry enforcing the given cap and idle timeout, with
-    /// per-session default pools.
-    pub fn new(max_sessions: usize, idle_timeout: Duration) -> Self {
-        SessionRegistry::with_pools(max_sessions, idle_timeout, SharedPools::default())
-    }
-
     /// Like [`SessionRegistry::new`], attaching the given shared pools to
     /// every session it creates.
-    pub fn with_pools(max_sessions: usize, idle_timeout: Duration, shared: SharedPools) -> Self {
+    pub(crate) fn with_pools(
+        max_sessions: usize,
+        idle_timeout: Duration,
+        shared: SharedPools,
+    ) -> Self {
         SessionRegistry {
             sessions: HashMap::new(),
             next_id: 1,
@@ -586,7 +578,7 @@ impl SessionRegistry {
     }
 
     /// Creates a private session, returning its id and handle.
-    pub fn create(
+    pub(crate) fn create(
         &mut self,
         spec: SessionSpec,
     ) -> Result<(u64, Arc<Mutex<Session>>), RegistryError> {
@@ -599,7 +591,7 @@ impl SessionRegistry {
     /// Creates a session subscribed to a shared channel. On a cap rejection
     /// the subscription is dropped (its `Drop` unsubscribes), so a shed
     /// create never leaks a channel membership.
-    pub fn create_shared(
+    pub(crate) fn create_shared(
         &mut self,
         spec: SessionSpec,
         subscription: ChannelSubscription,
@@ -620,12 +612,12 @@ impl SessionRegistry {
     }
 
     /// Looks up a session.
-    pub fn get(&self, id: u64) -> Option<Arc<Mutex<Session>>> {
+    pub(crate) fn get(&self, id: u64) -> Option<Arc<Mutex<Session>>> {
         self.sessions.get(&id).map(Arc::clone)
     }
 
     /// Closes a session; returns whether it existed.
-    pub fn close(&mut self, id: u64) -> bool {
+    pub(crate) fn close(&mut self, id: u64) -> bool {
         let existed = self.sessions.remove(&id).is_some();
         if existed {
             self.closed += 1;
@@ -643,7 +635,7 @@ impl SessionRegistry {
     /// Quarantined sessions are reaped as soon as their in-flight work has
     /// drained, idle or not — they can never serve another frame, so
     /// keeping them alive for the timeout would only pin dead pipelines.
-    pub fn evict_idle(&mut self) -> usize {
+    pub(crate) fn evict_idle(&mut self) -> usize {
         let timeout = self.idle_timeout;
         let victims: Vec<u64> = self
             .sessions
@@ -662,18 +654,8 @@ impl SessionRegistry {
         victims.len()
     }
 
-    /// Number of live sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// True when no session is live.
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-
     /// Counter snapshot.
-    pub fn stats(&self) -> RegistryStats {
+    pub(crate) fn stats(&self) -> RegistryStats {
         RegistryStats {
             live: self.sessions.len(),
             created: self.created,
@@ -683,7 +665,7 @@ impl SessionRegistry {
     }
 
     /// Ids of all live sessions (for `/stats`).
-    pub fn ids(&self) -> Vec<u64> {
+    pub(crate) fn ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.sessions.keys().copied().collect();
         ids.sort_unstable();
         ids
@@ -929,5 +911,21 @@ mod tests {
         assert_eq!(parse_session_id("s-17"), Some(17));
         assert_eq!(parse_session_id("17"), None);
         assert_eq!(parse_session_id("s-x"), None);
+    }
+
+    impl Session {
+        /// Creates a session from a validated spec, with per-session default
+        /// pools.
+        pub(crate) fn new(spec: SessionSpec) -> Self {
+            Session::with_pools(spec, SharedPools::default())
+        }
+    }
+
+    impl SessionRegistry {
+        /// Creates a registry enforcing the given cap and idle timeout, with
+        /// per-session default pools.
+        fn new(max_sessions: usize, idle_timeout: Duration) -> Self {
+            SessionRegistry::with_pools(max_sessions, idle_timeout, SharedPools::default())
+        }
     }
 }

@@ -290,7 +290,7 @@ pub struct SessionSpec {
     pub dt: f64,
     /// Subscribe to the shared broadcast channel for this `(field, config,
     /// seed)` instead of owning a private pipeline. Deliberately **not**
-    /// part of [`SessionSpec::config_cache_key`]: shared and private
+    /// part of the config cache key: shared and private
     /// sessions of the same spec render identical texels and must share
     /// frame-cache entries.
     pub shared: bool,
@@ -378,7 +378,7 @@ impl SessionSpec {
     /// Stable content hash of the configuration half of the frame-cache key:
     /// the [`SynthesisConfig::cache_key`] extended with the machine shape
     /// and time step, which also determine the rendered texels.
-    pub fn config_cache_key(&self) -> u64 {
+    pub(crate) fn config_cache_key(&self) -> u64 {
         let mut h = StableHasher::new();
         h.write_str("SessionConfig/v1");
         h.write_u64(self.config.cache_key());
@@ -465,7 +465,7 @@ fn parse_config_overrides(obj: &Json, base: SynthesisConfig) -> Result<Synthesis
 
 /// The wire name of a sampling mode (the `config.sampling` request key and
 /// the session-info echo).
-pub fn sampling_mode_name(mode: SamplingMode) -> &'static str {
+pub(crate) fn sampling_mode_name(mode: SamplingMode) -> &'static str {
     match mode {
         SamplingMode::Exact => "exact",
         SamplingMode::Footprint => "footprint",

@@ -5,18 +5,14 @@
 //! contrast to prerecorded video sequences, the data browser allows the user
 //! to first select visualization mappings and then play through any part of
 //! the data base." This module is that substrate: a store of time-stamped
-//! DNS slices with record/playback access, in memory or on disk, plus the
-//! bookkeeping (byte sizes, playback rate) the browsing application needs.
+//! DNS slices with record/playback access, plus the bookkeeping (byte sizes,
+//! playback rate) the browsing application needs.
 //! Only when playback exceeds a handful of frames per second can the user
 //! track how the vortices evolve — which is why interactive spot noise is
 //! needed in the first place.
 
-use flowfield::io::{load_vector_grid, save_vector_grid};
 use flowfield::RegularGrid;
-#[cfg(test)]
-use flowfield::Vec2;
 use std::io;
-use std::path::PathBuf;
 
 /// Metadata describing one stored frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,37 +25,21 @@ pub struct FrameInfo {
     pub bytes: usize,
 }
 
-enum Storage {
-    Memory(Vec<RegularGrid>),
-    Disk { dir: PathBuf },
-}
-
 /// A time-series database of vector-field slices.
 pub struct DataBrowser {
-    storage: Storage,
+    grids: Vec<RegularGrid>,
     frames: Vec<FrameInfo>,
     cursor: usize,
 }
 
 impl DataBrowser {
-    /// Creates an in-memory browser (fine for tests and small runs).
+    /// Creates an in-memory browser.
     pub fn in_memory() -> Self {
         DataBrowser {
-            storage: Storage::Memory(Vec::new()),
+            grids: Vec::new(),
             frames: Vec::new(),
             cursor: 0,
         }
-    }
-
-    /// Creates a browser persisting frames as files under `dir`.
-    pub fn on_disk(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(DataBrowser {
-            storage: Storage::Disk { dir },
-            frames: Vec::new(),
-            cursor: 0,
-        })
     }
 
     /// Number of stored frames.
@@ -87,12 +67,7 @@ impl DataBrowser {
     pub fn record(&mut self, grid: &RegularGrid, time: f64) -> io::Result<usize> {
         let index = self.frames.len();
         let bytes = grid.nx() * grid.ny() * 2 * std::mem::size_of::<f64>();
-        match &mut self.storage {
-            Storage::Memory(frames) => frames.push(grid.clone()),
-            Storage::Disk { dir } => {
-                save_vector_grid(grid, frame_path(dir, index))?;
-            }
-        }
+        self.grids.push(grid.clone());
         self.frames.push(FrameInfo { index, time, bytes });
         Ok(index)
     }
@@ -105,16 +80,7 @@ impl DataBrowser {
                 format!("frame {index} out of range ({} frames)", self.frames.len()),
             ));
         }
-        match &self.storage {
-            Storage::Memory(frames) => Ok(frames[index].clone()),
-            Storage::Disk { dir } => load_vector_grid(frame_path(dir, index)),
-        }
-    }
-
-    /// Seeks the playback cursor to `index` ("play through any part of the
-    /// data base").
-    pub fn seek(&mut self, index: usize) {
-        self.cursor = index.min(self.frames.len().saturating_sub(1));
+        Ok(self.grids[index].clone())
     }
 
     /// Current playback cursor.
@@ -133,10 +99,6 @@ impl DataBrowser {
         self.cursor = (self.cursor + 1) % self.frames.len();
         Ok((info, grid))
     }
-}
-
-fn frame_path(dir: &std::path::Path, index: usize) -> PathBuf {
-    dir.join(format!("frame_{index:06}.grid"))
 }
 
 /// Convenience: runs a DNS solver for `frames * steps_per_frame` steps,
@@ -162,7 +124,7 @@ pub fn record_dns_run(
 mod tests {
     use super::*;
     use crate::dns::{DnsConfig, DnsSolver};
-    use flowfield::Rect;
+    use flowfield::{Rect, Vec2};
 
     fn grid(value: f64) -> RegularGrid {
         RegularGrid::from_fn(8, 6, Rect::new(Vec2::ZERO, Vec2::new(1.0, 1.0)), |_| {
@@ -208,16 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_backed_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("spotnoise_browser_{}", std::process::id()));
-        let mut b = DataBrowser::on_disk(&dir).unwrap();
-        b.record(&grid(3.5), 1.0).unwrap();
-        let g = b.load(0).unwrap();
-        assert_eq!(g.node(2, 2), Vec2::new(3.5, -3.5));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn record_dns_run_populates_browser() {
         let mut solver = DnsSolver::new(DnsConfig {
             nx: 32,
@@ -231,5 +183,13 @@ mod tests {
         let times: Vec<f64> = b.frames().iter().map(|f| f.time).collect();
         assert!(times.windows(2).all(|w| w[1] > w[0]));
         assert_eq!(solver.steps(), 12);
+    }
+
+    impl DataBrowser {
+        /// Seeks the playback cursor to `index` ("play through any part of the
+        /// data base").
+        fn seek(&mut self, index: usize) {
+            self.cursor = index.min(self.frames.len().saturating_sub(1));
+        }
     }
 }

@@ -1,19 +1,20 @@
-//! Flow diagnostics for the DNS application.
+//! Flow diagnostics that check the DNS substitute's physics.
 //!
 //! The paper's turbulence study asks how "the evolution of the vortex
 //! shedding behind a block, the transition from laminar to turbulent flow"
-//! relate to other quantities. To make the DNS substitute inspectable (and
-//! regression-testable) this module provides a velocity probe that records a
-//! time series at a point in the wake, a dominant-frequency estimate of that
-//! series (the shedding frequency, i.e. a Strouhal-number proxy) and simple
-//! energy statistics per frame.
+//! relate to other quantities. The regression tests hold the DNS substitute
+//! to that picture with a velocity probe that records a time series at a
+//! point in the wake, a dominant-frequency estimate of that series (the
+//! shedding frequency, i.e. a Strouhal-number proxy) and simple energy
+//! statistics per frame. Nothing outside the tests reads them, so the
+//! module is compiled for tests only.
 
 use crate::dns::DnsSolver;
 use flowfield::Vec2;
 
 /// A single probe sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeSample {
+pub(crate) struct ProbeSample {
     /// Simulation time of the sample.
     pub time: f64,
     /// Velocity at the probe position.
@@ -22,7 +23,7 @@ pub struct ProbeSample {
 
 /// A velocity probe at a fixed position, accumulating a time series.
 #[derive(Debug, Clone)]
-pub struct WakeProbe {
+pub(crate) struct WakeProbe {
     /// Probe position in world coordinates.
     pub position: Vec2,
     samples: Vec<ProbeSample>,
@@ -30,7 +31,7 @@ pub struct WakeProbe {
 
 impl WakeProbe {
     /// Creates a probe at an explicit position.
-    pub fn at(position: Vec2) -> Self {
+    pub(crate) fn at(position: Vec2) -> Self {
         WakeProbe {
             position,
             samples: Vec::new(),
@@ -39,14 +40,14 @@ impl WakeProbe {
 
     /// Creates a probe one block-length downstream of the obstacle, on the
     /// channel centre line — the classic position for measuring shedding.
-    pub fn behind_block(solver: &DnsSolver) -> Self {
+    pub(crate) fn behind_block(solver: &DnsSolver) -> Self {
         let block = solver.block().rect;
         let position = Vec2::new(block.max.x + 1.5 * block.width(), block.center().y);
         WakeProbe::at(position)
     }
 
     /// Records the current solver state.
-    pub fn record(&mut self, solver: &DnsSolver) {
+    pub(crate) fn record(&mut self, solver: &DnsSolver) {
         self.samples.push(ProbeSample {
             time: solver.time(),
             velocity: solver.sample(self.position),
@@ -54,23 +55,23 @@ impl WakeProbe {
     }
 
     /// The recorded samples.
-    pub fn samples(&self) -> &[ProbeSample] {
+    pub(crate) fn samples(&self) -> &[ProbeSample] {
         &self.samples
     }
 
     /// Number of samples recorded.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
     }
 
     /// True when no samples have been recorded yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
 
     /// Mean and standard deviation of the transverse (v) velocity — the
     /// fluctuation level that signals vortex shedding.
-    pub fn transverse_stats(&self) -> (f64, f64) {
+    pub(crate) fn transverse_stats(&self) -> (f64, f64) {
         if self.samples.is_empty() {
             return (0.0, 0.0);
         }
@@ -90,7 +91,7 @@ impl WakeProbe {
     /// direct Fourier projection (no FFT dependency needed for a few hundred
     /// samples). Returns `None` when fewer than 8 samples were recorded or
     /// the record has (near-)zero variance.
-    pub fn dominant_frequency(&self) -> Option<f64> {
+    pub(crate) fn dominant_frequency(&self) -> Option<f64> {
         if self.samples.len() < 8 {
             return None;
         }
@@ -127,7 +128,7 @@ impl WakeProbe {
 
     /// Strouhal-number proxy `f * L / U` using the block height as the
     /// length scale and the inflow speed as the velocity scale.
-    pub fn strouhal(&self, solver: &DnsSolver) -> Option<f64> {
+    pub(crate) fn strouhal(&self, solver: &DnsSolver) -> Option<f64> {
         let f = self.dominant_frequency()?;
         let length = solver.block().rect.height();
         let u = solver.config().inflow;
@@ -140,7 +141,7 @@ impl WakeProbe {
 
 /// Per-frame energy statistics of the DNS state.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyReport {
+pub(crate) struct EnergyReport {
     /// Mean kinetic energy per node (0.5 * |u|^2).
     pub mean_kinetic_energy: f64,
     /// Maximum speed over the grid.
@@ -148,7 +149,7 @@ pub struct EnergyReport {
 }
 
 /// Computes the energy statistics of the current solver state.
-pub fn energy_report(solver: &DnsSolver) -> EnergyReport {
+pub(crate) fn energy_report(solver: &DnsSolver) -> EnergyReport {
     let grid = solver.velocity_grid();
     let mut sum = 0.0;
     let mut max_speed = 0.0f64;

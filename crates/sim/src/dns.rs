@@ -134,7 +134,7 @@ impl DnsSolver {
     }
 
     /// Velocity at node `(i, j)`.
-    pub fn velocity_at(&self, i: usize, j: usize) -> Vec2 {
+    pub(crate) fn velocity_at(&self, i: usize, j: usize) -> Vec2 {
         let k = self.idx(i, j);
         Vec2::new(self.u[k], self.v[k])
     }
@@ -307,32 +307,6 @@ impl DnsSolver {
         }
     }
 
-    /// Maximum divergence magnitude over the interior fluid nodes — a measure
-    /// of how well the projection enforced incompressibility.
-    pub fn max_divergence(&self) -> f64 {
-        let nx = self.cfg.nx;
-        let ny = self.cfg.ny;
-        let h = self.spacing();
-        let mut max = 0.0f64;
-        for j in 1..ny - 1 {
-            for i in 1..nx - 1 {
-                let k = self.idx(i, j);
-                if self.mask[k]
-                    || self.mask[k + 1]
-                    || self.mask[k - 1]
-                    || self.mask[k + nx]
-                    || self.mask[k - nx]
-                {
-                    continue;
-                }
-                let d = (self.u[k + 1] - self.u[k - 1]) / (2.0 * h.x)
-                    + (self.v[k + nx] - self.v[k - nx]) / (2.0 * h.y);
-                max = max.max(d.abs());
-            }
-        }
-        max
-    }
-
     /// Standard deviation of the transverse velocity in the wake region — a
     /// simple indicator of vortex shedding (zero for steady symmetric flow).
     pub fn wake_fluctuation(&self) -> f64 {
@@ -498,5 +472,33 @@ mod tests {
         let s = run(7);
         assert_eq!(s.steps(), 7);
         assert!((s.time() - 0.14).abs() < 1e-12);
+    }
+
+    impl DnsSolver {
+        /// Maximum divergence magnitude over the interior fluid nodes — a measure
+        /// of how well the projection enforced incompressibility.
+        fn max_divergence(&self) -> f64 {
+            let nx = self.cfg.nx;
+            let ny = self.cfg.ny;
+            let h = self.spacing();
+            let mut max = 0.0f64;
+            for j in 1..ny - 1 {
+                for i in 1..nx - 1 {
+                    let k = self.idx(i, j);
+                    if self.mask[k]
+                        || self.mask[k + 1]
+                        || self.mask[k - 1]
+                        || self.mask[k + nx]
+                        || self.mask[k - nx]
+                    {
+                        continue;
+                    }
+                    let d = (self.u[k + 1] - self.u[k - 1]) / (2.0 * h.x)
+                        + (self.v[k + nx] - self.v[k - nx]) / (2.0 * h.y);
+                    max = max.max(d.abs());
+                }
+            }
+            max
+        }
     }
 }

@@ -2,41 +2,40 @@
 //!
 //! The paper evaluates the parallel spot-noise implementation on two
 //! applications whose original codes and data are not available; this crate
-//! holds the documented substitutes (each module's documentation gives its
-//! substitution rationale):
+//! holds documented substitutes for both:
 //!
-//! * [`wind`] + [`smog`] + [`steering`] — the *atmospheric pollution* steering
-//!   application: a synthetic continental wind model and an
+//! * [`SmogModel`] + [`SteeringQueue`] — the *atmospheric pollution*
+//!   steering application: a synthetic continental wind model and an
 //!   advection–diffusion–emission pollutant model on the paper's 53x55 grid,
-//!   with steerable emission/meteorology parameters (Table 1, Figure 6),
-//! * [`dns`] + [`obstacle`] + [`browser`] — the *turbulent flow* browsing
-//!   application: a 2-D incompressible solver producing vortex shedding
-//!   behind a block, sampled on the paper's 278x208 slice grid and stored in
-//!   a time-series data base for playback (Table 2, Figure 7),
-//! * [`skin_friction`] — the reconstructed skin-friction pattern on the block
-//!   face (Figure 2).
+//!   with steerable emission/meteorology parameters ([`SmogParameters`],
+//!   Table 1, Figure 6),
+//! * [`DnsSolver`] + [`Block`] + [`DataBrowser`] — the *turbulent flow*
+//!   browsing application: a 2-D incompressible solver producing vortex
+//!   shedding behind a block, sampled on the paper's 278x208 slice grid and
+//!   stored in a time-series data base for playback (Table 2, Figure 7),
+//! * [`skin_friction_field`] + [`pattern_from_dns`] — the reconstructed
+//!   skin-friction pattern on the block face (Figure 2).
 
 #![warn(missing_docs)]
 
 pub mod browser;
-pub mod diagnostics;
-pub mod dns;
-pub mod obstacle;
-pub mod skin_friction;
-pub mod smog;
-pub mod steering;
-pub mod wind;
+#[cfg(test)]
+mod diagnostics;
+mod dns;
+mod obstacle;
+mod skin_friction;
+mod smog;
+mod steering;
+mod wind;
 
 pub use browser::{record_dns_run, DataBrowser, FrameInfo};
-pub use diagnostics::{energy_report, EnergyReport, WakeProbe};
 pub use dns::{DnsConfig, DnsSolver};
 pub use obstacle::Block;
 pub use skin_friction::{
     attachment_height, pattern_from_dns, skin_friction_field, SkinFrictionPattern,
 };
-pub use smog::{EmissionSource, SmogModel};
+pub use smog::SmogModel;
 pub use steering::{SmogParameters, SteeringCommand, SteeringQueue};
-pub use wind::{PressureSystem, WindModel};
 
 #[cfg(test)]
 mod proptests {

@@ -44,12 +44,6 @@ impl Block {
         }
         mask
     }
-
-    /// The frontal (upstream) face centre — used when extracting the
-    /// skin-friction / separation pattern for Figure 2.
-    pub fn front_face_center(&self) -> Vec2 {
-        Vec2::new(self.rect.min.x, self.rect.center().y)
-    }
 }
 
 #[cfg(test)]
@@ -99,5 +93,12 @@ mod tests {
         let f = b.front_face_center();
         assert_eq!(f.x, b.rect.min.x);
         assert!((f.y - b.rect.center().y).abs() < 1e-12);
+    }
+
+    impl Block {
+        /// The frontal (upstream) face centre.
+        fn front_face_center(&self) -> Vec2 {
+            Vec2::new(self.rect.min.x, self.rect.center().y)
+        }
     }
 }

@@ -24,7 +24,7 @@ use flowfield::{Integrator, Rect, RegularGrid, ScalarGrid, Vec2, VectorField};
 
 /// An emission source (a city or industrial area).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EmissionSource {
+pub(crate) struct EmissionSource {
     /// Location of the source.
     pub position: Vec2,
     /// Emission strength (concentration units per time unit at the centre).
@@ -48,9 +48,9 @@ pub struct SmogModel {
 
 impl SmogModel {
     /// Grid resolution used by the paper's data set.
-    pub const PAPER_NX: usize = 53;
+    pub(crate) const PAPER_NX: usize = 53;
     /// Grid resolution used by the paper's data set.
-    pub const PAPER_NY: usize = 55;
+    pub(crate) const PAPER_NY: usize = 55;
 
     /// Creates the model on an `nx` x `ny` grid with default parameters and
     /// a handful of emission sources spread over the domain.
@@ -95,16 +95,6 @@ impl SmogModel {
     /// Applies new steering parameters (takes effect from the next step).
     pub fn set_params(&mut self, params: SmogParameters) {
         self.params = params;
-    }
-
-    /// The emission sources.
-    pub fn sources(&self) -> &[EmissionSource] {
-        &self.sources
-    }
-
-    /// Adds an emission source interactively.
-    pub fn add_source(&mut self, source: EmissionSource) {
-        self.sources.push(source);
     }
 
     /// The wind field of the current frame (what spot noise visualises).
@@ -351,5 +341,17 @@ mod tests {
             radius: 0.5,
         });
         assert_eq!(m.sources().len(), n_before + 1);
+    }
+
+    impl SmogModel {
+        /// The emission sources.
+        fn sources(&self) -> &[EmissionSource] {
+            &self.sources
+        }
+
+        /// Adds an emission source.
+        fn add_source(&mut self, source: EmissionSource) {
+            self.sources.push(source);
+        }
     }
 }

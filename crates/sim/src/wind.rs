@@ -10,14 +10,14 @@
 //! large-scale atmospheric flow and exercising exactly the same code path
 //! (a time-varying 53x55 regular grid re-read every frame) as the original.
 
-use flowfield::{Rect, RegularGrid, Vec2, VectorField};
+use flowfield::{Rect, RegularGrid, Vec2};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A drifting pressure system contributing a Gaussian bump to the
 /// streamfunction (positive strength = anticyclone, negative = cyclone).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PressureSystem {
+pub(crate) struct PressureSystem {
     /// Centre position at time zero.
     pub center: Vec2,
     /// Drift velocity of the system.
@@ -50,7 +50,7 @@ impl PressureSystem {
 
 /// The synthetic wind model: background westerlies plus drifting systems.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WindModel {
+pub(crate) struct WindModel {
     /// Domain of the atmospheric slice ("Europe").
     pub domain: Rect,
     /// Background west-to-east wind speed.
@@ -61,7 +61,7 @@ pub struct WindModel {
 
 impl WindModel {
     /// Builds a model with `n_systems` randomly placed systems over `domain`.
-    pub fn synthetic(domain: Rect, n_systems: usize, seed: u64) -> Self {
+    pub(crate) fn synthetic(domain: Rect, n_systems: usize, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let scale = domain.width().min(domain.height());
         let systems = (0..n_systems)
@@ -90,12 +90,12 @@ impl WindModel {
 
     /// The default "Europe" configuration used by the smog application: a
     /// unit-aspect domain with four systems.
-    pub fn europe(seed: u64) -> Self {
+    pub(crate) fn europe(seed: u64) -> Self {
         WindModel::synthetic(Rect::new(Vec2::ZERO, Vec2::new(10.0, 10.0)), 4, seed)
     }
 
     /// Streamfunction at a point and time.
-    pub fn streamfunction(&self, p: Vec2, time: f64) -> f64 {
+    pub(crate) fn streamfunction(&self, p: Vec2, time: f64) -> f64 {
         // Background westerly flow u = U corresponds to psi = U * y.
         let mut psi = self.background * (p.y - self.domain.center().y);
         for s in &self.systems {
@@ -107,7 +107,7 @@ impl WindModel {
     /// Wind velocity at a point and time, computed as the curl of the
     /// streamfunction with central differences (divergence-free by
     /// construction up to discretisation error).
-    pub fn velocity(&self, p: Vec2, time: f64) -> Vec2 {
+    pub(crate) fn velocity(&self, p: Vec2, time: f64) -> Vec2 {
         let h = self.domain.width().min(self.domain.height()) * 1e-4;
         let dpsidy = (self.streamfunction(p + Vec2::new(0.0, h), time)
             - self.streamfunction(p - Vec2::new(0.0, h), time))
@@ -120,30 +120,8 @@ impl WindModel {
 
     /// Samples the wind at `time` onto a regular grid (the 53x55 grid the
     /// smog application reads every frame).
-    pub fn sample(&self, nx: usize, ny: usize, time: f64) -> RegularGrid {
+    pub(crate) fn sample(&self, nx: usize, ny: usize, time: f64) -> RegularGrid {
         RegularGrid::from_fn(nx, ny, self.domain, |p| self.velocity(p, time))
-    }
-
-    /// A frozen view of the model at a fixed time, usable as a
-    /// [`VectorField`].
-    pub fn at_time(&self, time: f64) -> WindSnapshot<'_> {
-        WindSnapshot { model: self, time }
-    }
-}
-
-/// A [`VectorField`] view of a [`WindModel`] at a fixed time.
-#[derive(Debug, Clone, Copy)]
-pub struct WindSnapshot<'a> {
-    model: &'a WindModel,
-    time: f64,
-}
-
-impl VectorField for WindSnapshot<'_> {
-    fn velocity(&self, p: Vec2) -> Vec2 {
-        self.model.velocity(p, self.time)
-    }
-    fn domain(&self) -> Rect {
-        self.model.domain
     }
 }
 
@@ -152,6 +130,7 @@ mod tests {
     use super::*;
     use flowfield::analytic::divergence;
     use flowfield::stats::field_stats;
+    use flowfield::VectorField;
 
     #[test]
     fn europe_model_is_deterministic_per_seed() {
@@ -222,5 +201,29 @@ mod tests {
         // Even after a very long time the centre stays inside the domain.
         let far = s.center_at(1.0e4, m.domain);
         assert!(m.domain.contains(far));
+    }
+
+    impl WindModel {
+        /// A frozen view of the model at a fixed time, usable as a
+        /// [`VectorField`].
+        pub(crate) fn at_time(&self, time: f64) -> WindSnapshot<'_> {
+            WindSnapshot { model: self, time }
+        }
+    }
+
+    /// A [`VectorField`] view of a [`WindModel`] at a fixed time.
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct WindSnapshot<'a> {
+        model: &'a WindModel,
+        time: f64,
+    }
+
+    impl VectorField for WindSnapshot<'_> {
+        fn velocity(&self, p: Vec2) -> Vec2 {
+            self.model.velocity(p, self.time)
+        }
+        fn domain(&self) -> Rect {
+            self.model.domain
+        }
     }
 }

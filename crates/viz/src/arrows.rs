@@ -11,7 +11,7 @@ use softpipe::{Framebuffer, Rgb};
 
 /// Parameters of an arrow plot.
 #[derive(Debug, Clone, Copy)]
-pub struct ArrowPlotOptions {
+pub(crate) struct ArrowPlotOptions {
     /// Number of arrows along x.
     pub nx: usize,
     /// Number of arrows along y.
@@ -36,7 +36,11 @@ impl Default for ArrowPlotOptions {
 /// Draws an arrow plot of `field` over the whole framebuffer.
 /// Returns the number of arrows actually drawn (stagnant samples are
 /// skipped).
-pub fn arrow_plot(fb: &mut Framebuffer, field: &dyn VectorField, opts: &ArrowPlotOptions) -> usize {
+pub(crate) fn arrow_plot(
+    fb: &mut Framebuffer,
+    field: &dyn VectorField,
+    opts: &ArrowPlotOptions,
+) -> usize {
     assert!(
         opts.nx >= 2 && opts.ny >= 2,
         "need at least a 2x2 arrow grid"

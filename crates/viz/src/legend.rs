@@ -10,7 +10,7 @@ use softpipe::{Framebuffer, Rgb};
 
 /// Placement and appearance of a colour-bar legend.
 #[derive(Debug, Clone, Copy)]
-pub struct LegendOptions {
+pub(crate) struct LegendOptions {
     /// Left edge of the bar in pixels.
     pub x: usize,
     /// Bottom edge of the bar in pixels.
@@ -37,7 +37,7 @@ impl Default for LegendOptions {
 
 /// Draws a vertical colour bar for `colormap` spanning `range`, with numeric
 /// labels at the bottom and top.
-pub fn draw_legend(
+pub(crate) fn draw_legend(
     fb: &mut Framebuffer,
     colormap: Colormap,
     range: (f64, f64),
@@ -74,7 +74,13 @@ pub fn draw_legend(
 
 /// Draws a compact numeric label (two significant decimals) with a built-in
 /// 3x5 pixel font. Returns the width in pixels actually used.
-pub fn draw_number(fb: &mut Framebuffer, x: usize, y: usize, value: f64, color: Rgb) -> usize {
+pub(crate) fn draw_number(
+    fb: &mut Framebuffer,
+    x: usize,
+    y: usize,
+    value: f64,
+    color: Rgb,
+) -> usize {
     let text = format_number(value);
     let mut cursor = x;
     for ch in text.chars() {
@@ -84,7 +90,7 @@ pub fn draw_number(fb: &mut Framebuffer, x: usize, y: usize, value: f64, color: 
 }
 
 /// Formats a value compactly for legend labels.
-pub fn format_number(value: f64) -> String {
+pub(crate) fn format_number(value: f64) -> String {
     if value == 0.0 {
         "0".to_string()
     } else if value.abs() >= 100.0 {

@@ -3,27 +3,27 @@
 //! The final pipeline step maps the synthesised texture onto geometry and
 //! superimposes other visualizations. This crate provides:
 //!
-//! * [`colormap`] — the rainbow map of the paper's Figure 6 and friends,
-//! * [`render`] — texture / scalar-field to framebuffer conversion,
-//! * [`overlay`] — colormapped scalar overlays and polyline drawing,
-//! * [`arrows`] — the arrow-plot baseline the paper replaced,
-//! * [`streamplot`] — stream-line plots as a second baseline,
-//! * [`map`] — the schematic map outline standing in for the Europe map.
+//! * [`Colormap`] — the rainbow map of the paper's Figure 6 and friends,
+//! * [`texture_to_framebuffer`] — texture to framebuffer conversion,
+//! * [`overlay_scalar_field`], [`draw_rect_outline`] — colormapped scalar
+//!   overlays and outlines in domain coordinates,
+//! * [`draw_map`] — the schematic map outline standing in for the Europe
+//!   map.
 
 #![warn(missing_docs)]
 
-pub mod arrows;
-pub mod colormap;
-pub mod legend;
-pub mod map;
-pub mod overlay;
-pub mod render;
-pub mod streamplot;
+#[cfg(test)]
+mod arrows;
+mod colormap;
+#[cfg(test)]
+mod legend;
+mod map;
+mod overlay;
+mod render;
+#[cfg(test)]
+mod streamplot;
 
-pub use arrows::{arrow_plot, ArrowPlotOptions};
 pub use colormap::Colormap;
-pub use legend::{draw_legend, LegendOptions};
-pub use map::{draw_map, schematic_map};
-pub use overlay::{draw_polyline, draw_rect_outline, overlay_scalar_field};
-pub use render::{scalar_field_to_framebuffer, texture_to_framebuffer};
-pub use streamplot::{stream_plot, StreamPlotOptions};
+pub use map::draw_map;
+pub use overlay::{draw_rect_outline, overlay_scalar_field};
+pub use render::texture_to_framebuffer;

@@ -11,17 +11,10 @@ use crate::overlay::draw_polyline;
 use flowfield::{Rect, Vec2};
 use softpipe::{Framebuffer, Rgb};
 
-/// A named outline: a closed polyline in unit coordinates.
-#[derive(Debug, Clone)]
-pub struct Outline {
-    /// Name of the land mass.
-    pub name: &'static str,
-    /// Polyline vertices in unit (`[0,1]^2`) coordinates.
-    pub points: Vec<Vec2>,
-}
-
-/// The schematic continental outline used in place of the Europe map.
-pub fn schematic_map() -> Vec<Outline> {
+/// The schematic continental outline used in place of the Europe map: a
+/// mainland and an island, each a closed polyline in unit (`[0,1]^2`)
+/// coordinates.
+fn schematic_map() -> [Vec<Vec2>; 2] {
     let mainland = vec![
         (0.18, 0.10),
         (0.42, 0.06),
@@ -46,27 +39,14 @@ pub fn schematic_map() -> Vec<Outline> {
         (0.14, 0.78),
         (0.08, 0.70),
     ];
-    vec![
-        Outline {
-            name: "mainland",
-            points: mainland.into_iter().map(|(x, y)| Vec2::new(x, y)).collect(),
-        },
-        Outline {
-            name: "island",
-            points: island.into_iter().map(|(x, y)| Vec2::new(x, y)).collect(),
-        },
-    ]
+    [mainland, island].map(|outline| outline.into_iter().map(|(x, y)| Vec2::new(x, y)).collect())
 }
 
 /// Draws the schematic map over a framebuffer, mapping the unit square onto
 /// `domain` (which should be the same domain the flow field uses).
 pub fn draw_map(fb: &mut Framebuffer, domain: Rect, color: Rgb) {
     for outline in schematic_map() {
-        let points: Vec<Vec2> = outline
-            .points
-            .iter()
-            .map(|p| domain.from_unit(*p))
-            .collect();
+        let points: Vec<Vec2> = outline.iter().map(|p| domain.from_unit(*p)).collect();
         draw_polyline(fb, domain, &points, color, true);
     }
 }
@@ -77,12 +57,9 @@ mod tests {
 
     #[test]
     fn schematic_map_has_closed_outlines_in_unit_square() {
-        let outlines = schematic_map();
-        assert_eq!(outlines.len(), 2);
-        for o in &outlines {
-            assert!(o.points.len() >= 5, "{} too coarse", o.name);
+        for (k, o) in schematic_map().iter().enumerate() {
+            assert!(o.len() >= 5, "outline {k} too coarse");
             assert!(o
-                .points
                 .iter()
                 .all(|p| (0.0..=1.0).contains(&p.x) && (0.0..=1.0).contains(&p.y)));
         }

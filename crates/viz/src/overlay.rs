@@ -43,7 +43,7 @@ pub fn overlay_scalar_field(
 
 /// Draws a closed or open polyline given in *domain* coordinates onto the
 /// framebuffer, mapping `domain` onto the full image.
-pub fn draw_polyline(
+pub(crate) fn draw_polyline(
     base: &mut Framebuffer,
     domain: Rect,
     points: &[Vec2],

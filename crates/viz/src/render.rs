@@ -1,4 +1,4 @@
-//! Rendering textures and scalar fields into framebuffers.
+//! Rendering textures into framebuffers.
 //!
 //! Pipeline step 4: "an image is rendered by mapping the texture onto a
 //! geometric surface". In the reproduction the geometric surface is the full
@@ -7,7 +7,6 @@
 //! are then superimposed by [`crate::overlay`].
 
 use crate::colormap::Colormap;
-use flowfield::{ScalarField, Vec2};
 use softpipe::{Framebuffer, Texture};
 
 /// Renders a (normalised, `[0,1]`-valued) texture into a new framebuffer of
@@ -30,36 +29,10 @@ pub fn texture_to_framebuffer(
     fb
 }
 
-/// Renders a scalar field into a new framebuffer: values are normalised into
-/// `[0, 1]` using the supplied range and passed through the colour map.
-pub fn scalar_field_to_framebuffer(
-    field: &dyn ScalarField,
-    width: usize,
-    height: usize,
-    range: (f64, f64),
-    colormap: Colormap,
-) -> Framebuffer {
-    let mut fb = Framebuffer::new(width, height);
-    let domain = field.domain();
-    let span = (range.1 - range.0).max(1e-300);
-    for y in 0..height {
-        for x in 0..width {
-            let uv = Vec2::new(
-                (x as f64 + 0.5) / width as f64,
-                (y as f64 + 0.5) / height as f64,
-            );
-            let value = field.value(domain.from_unit(uv));
-            let t = ((value - range.0) / span) as f32;
-            *fb.pixel_mut(x, y) = colormap.map(t);
-        }
-    }
-    fb
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowfield::{Rect, ScalarGrid};
+    use flowfield::{Rect, ScalarField, ScalarGrid, Vec2};
     use softpipe::Rgb;
 
     #[test]
@@ -94,5 +67,31 @@ mod tests {
         let flat = scalar_field_to_framebuffer(&g, 4, 4, (5.0, 5.0), Colormap::Rainbow);
         assert_eq!(flat.width(), 4);
         let _ = Rgb::default();
+    }
+
+    /// Renders a scalar field into a new framebuffer: values are normalised into
+    /// `[0, 1]` using the supplied range and passed through the colour map.
+    fn scalar_field_to_framebuffer(
+        field: &dyn ScalarField,
+        width: usize,
+        height: usize,
+        range: (f64, f64),
+        colormap: Colormap,
+    ) -> Framebuffer {
+        let mut fb = Framebuffer::new(width, height);
+        let domain = field.domain();
+        let span = (range.1 - range.0).max(1e-300);
+        for y in 0..height {
+            for x in 0..width {
+                let uv = Vec2::new(
+                    (x as f64 + 0.5) / width as f64,
+                    (y as f64 + 0.5) / height as f64,
+                );
+                let value = field.value(domain.from_unit(uv));
+                let t = ((value - range.0) / span) as f32;
+                *fb.pixel_mut(x, y) = colormap.map(t);
+            }
+        }
+        fb
     }
 }

@@ -11,7 +11,7 @@ use softpipe::{Framebuffer, Rgb};
 
 /// Parameters of a stream-line plot.
 #[derive(Debug, Clone, Copy)]
-pub struct StreamPlotOptions {
+pub(crate) struct StreamPlotOptions {
     /// Seed points along x.
     pub seeds_x: usize,
     /// Seed points along y.
@@ -35,7 +35,7 @@ impl Default for StreamPlotOptions {
 
 /// Draws stream lines seeded on a regular lattice. Returns the number of
 /// polyline segments drawn.
-pub fn stream_plot(
+pub(crate) fn stream_plot(
     fb: &mut Framebuffer,
     field: &dyn VectorField,
     opts: &StreamPlotOptions,

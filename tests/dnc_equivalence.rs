@@ -45,6 +45,19 @@ fn dnc_matches_sequential_on_smog_wind_field() {
             dnc.total_pipe_work().vertices as usize,
             cfg.vertices_per_texture()
         );
+        // Divide and concur: the groups' work adds up exactly to the
+        // sequential frame's, so no group drops or clips a spot's fragments
+        // and no spot shape is computed twice.
+        assert_eq!(
+            dnc.total_pipe_work().fragments,
+            seq.pipe.raster.fragments,
+            "machine {machine:?}: fragments"
+        );
+        assert_eq!(
+            dnc.total_cpu_work(),
+            seq.cpu_work,
+            "machine {machine:?}: CPU work"
+        );
     }
 }
 
